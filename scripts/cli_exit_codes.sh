@@ -1,7 +1,13 @@
 #!/bin/sh
 # End-to-end check of the CLI exit-code contract:
 #   0 criterion holds / plain computation, 1 criterion fails, 2 usage error.
+# Uses the installed `fox` entry point, or the source tree when there is none.
 set -u
+
+if ! command -v fox >/dev/null 2>&1; then
+    root=$(cd "$(dirname "$0")/.." && pwd)
+    fox() { PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" python3 -m foxcalc.cli "$@"; }
+fi
 
 fail=0
 expect() {

@@ -25,7 +25,7 @@ from .lie_core import (
     lie_vector,
     lyndon_words,
 )
-from .linalg import SpanSolver, rref, in_span
+from .linalg import Echelon, SpanSolver
 
 
 class AssocPoly:
@@ -126,10 +126,6 @@ class AssocPoly:
         return f"AssocPoly({format_poly(self)!r})"
 
 
-def poly_multiply(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    return a * b
-
-
 def poly_commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     return a * b - b * a
 
@@ -184,32 +180,26 @@ def adapted_basis(
         raise ValueError("not a chain of subspaces")
     elements: list[AdaptedElement] = []
     for d in range(1, cutoff + 1):
-        current = list(s1.rows(d))
+        n = len(lyndon_words(rank, d))
+        span = Echelon(n, s1.rows(d))
         for r in s1.rows(d):
             elements.append(AdaptedElement(lie_from_vector(rank, d, r), "a", d))
 
-        def extend(rows, block, target_rows):
-            nonlocal current
+        def extend(rows, block):
             for r in rows:
-                if not in_span(r, tuple(rref(current))):
-                    current = rref(current + [list(r)])
+                if span.insert(r):
                     elements.append(
                         AdaptedElement(lie_from_vector(rank, d, r), block, d)
                     )
-            if target_rows is not None:
-                span = rref(current)
-                for t in target_rows:
-                    if not in_span(t, span):
-                        raise ValueError(f"carrier does not cover block {block}")
 
-        extend(s2.rows(d), "b", None)
-        carrier_rows = (c_carrier.rows(d) if c_carrier is not None else s3.rows(d))
-        extend(carrier_rows, "c", s3.rows(d))
-        n = len(lyndon_words(rank, d))
+        extend(s2.rows(d), "b")
+        extend(c_carrier.rows(d) if c_carrier is not None else s3.rows(d), "c")
+        if any(t not in span for t in s3.rows(d)):
+            raise ValueError("carrier does not cover block c")
         units = [
             tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)
         ]
-        extend(units, "d", None)
+        extend(units, "d")
     return AdaptedBasis(rank, cutoff, elements, orientation)
 
 

@@ -272,7 +272,6 @@ def _add_common(p, factors=True):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fox", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     top = parser.add_subparsers(dest="side", required=True)
 
     group = top.add_parser("group", help="free product / group ring commands")

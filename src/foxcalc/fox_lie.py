@@ -29,7 +29,6 @@ from .lie_core import (
     subalgebra_closure,
     witt_dimension,
 )
-from .linalg import SpanSolver, rref, in_span
 
 
 @dataclass
@@ -257,7 +256,7 @@ def solve_sigma_zero(
             j, AssocPoly.zero(rank)
         )
         if not env.is_zero_mod(diff):
-            return _linear_fallback(u, K, n, rank, env, ideal=False)
+            raise RuntimeError("solve_sigma_zero: constructed v fails D_j(v) = u_j mod N_U")
     return v
 
 
@@ -300,52 +299,8 @@ def solve_sigma_zero_ideal(
             j, AssocPoly.zero(rank)
         )
         if not env.is_zero_mod(diff):
-            return _linear_fallback(u, K, n, rank, env, ideal=True)
+            raise RuntimeError("solve_sigma_zero_ideal: constructed v fails D_j(v) = u_j mod N_U")
     return v
-
-
-def _linear_fallback(u, K, n, rank, env, ideal: bool) -> LieElt:
-    """Last-resort linear solve at the cutoff (not expected to trigger)."""
-    cutoff = n.cutoff
-    base_space = env.fk.intersect(n)
-    if ideal:
-        from .lie_core import ideal_closure
-
-        base_space = ideal_closure(
-            base_space.all_basis_elements(), rank, cutoff
-        )
-    candidates = base_space.all_basis_elements()
-    cols: dict = {}
-    rows = []
-    targets: dict = {}
-    for j in sorted(K):
-        for mono, c in env.residue_monomials(u.get(j, AssocPoly.zero(rank))).items():
-            targets[(j, mono)] = c
-    keys: list = []
-
-    def vec_for(e: LieElt) -> dict:
-        out = {}
-        fox = lie_fox(expand_to_assoc(e))
-        for j in sorted(K):
-            for mono, c in env.residue_monomials(fox.partials[j]).items():
-                out[(j, mono)] = c
-        return out
-
-    vecs = [vec_for(e) for e in candidates]
-    keyset = set(targets)
-    for v in vecs:
-        keyset |= set(v)
-    keys = sorted(keyset)
-    mat = [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
-    target = [targets.get(k, Fraction(0)) for k in keys]
-    solver = SpanSolver(mat)
-    coords = solver.coords(target)
-    if coords is None:
-        raise SigmaError("congruence system is unsolvable", None)
-    out = LieElt.zero(rank)
-    for c, e in zip(coords, candidates):
-        out = out + e.scale(c)
-    return out
 
 
 def commutator_subspace(n: GradedSubspace) -> GradedSubspace:

@@ -27,13 +27,14 @@ from .lie_core import (
     ideal_closure,
     lie_from_vector,
     lie_vector,
+    lyndon_words,
     power_subspace,
     project_to_lyndon,
     standard_bracketing,
     subalgebra_closure,
     witt_dimension,
 )
-from .linalg import rref, in_span
+from .linalg import Echelon
 from .magnus import embed, gamma_weight
 from .words import Alphabet, FreeLetter, Word, commutator, identity, invert, multiply
 from .words import shortlex_words
@@ -257,54 +258,30 @@ def free_generating_set(
         return out
 
     # degree-by-degree completion of the lower-generated part to B
-    generators: dict[int, list[LieElt]] = {}
     produced: list[DistinguishedGenerator] = []
     chosen: list[LieElt] = []
     for d in range(1, cutoff + 1):
         lower = subalgebra_closure(chosen, rank, cutoff) if chosen else GradedSubspace.zero(rank, cutoff)
-        new: list[LieElt] = []
-        span_rows = list(lower.rows(d))
-        for row in b.rows(d):
-            if not in_span(row, tuple(rref(span_rows))):
-                span_rows = list(rref(span_rows + [list(row)]))
-                new.append(lie_from_vector(rank, d, row))
+        nwords = len(lyndon_words(rank, d))
+        span = Echelon(nwords, lower.rows(d))
+        new = [row for row in b.rows(d) if span.insert(row)]
         if not new:
             continue
         # separate the tags inside the degree by row reduction over the
         # columns ordered: (D_n, any S), then (D_j, S with a d symbol),
-        # then (D_j, pure c monomials)
-        vecs = [columns_of(x) for x in new]
+        # then (D_j, pure c monomials); each row carries its generator's
+        # Lyndon coordinates as passengers, so reduced rows are generators
+        vecs = [columns_of(lie_from_vector(rank, d, row)) for row in new]
         keys = sorted({k for v in vecs for k in v}, key=lambda k: _column_order(k, n, ctx))
-        pivots: list[Optional[int]] = [None] * len(new)
-        for idx in range(len(new)):
-            vec = vecs[idx]
-            # eliminate previously chosen pivot columns
-            for prev in range(idx):
-                p = pivots[prev]
-                if p is not None and vec.get(keys[p]):
-                    coef = vec[keys[p]]
-                    new[idx] = new[idx] - new[prev].scale(coef)
-                    for kk, cc in vecs[prev].items():
-                        vec[kk] = vec.get(kk, Fraction(0)) - coef * cc
-                        if not vec[kk]:
-                            del vec[kk]
-            pos = next((p for p, k in enumerate(keys) if vec.get(k)), None)
-            if pos is None:
+        col = {k: i for i, k in enumerate(keys)}
+        tags = Echelon(len(keys))
+        for lyndon_row, vec in zip(new, vecs):
+            row = {col[k]: c for k, c in vec.items()}
+            row.update((-1 - i, c) for i, c in enumerate(lyndon_row) if c)
+            if not tags.insert(row):
                 raise RuntimeError("free generator with vanishing derivatives")
-            inv = vec[keys[pos]]
-            new[idx] = new[idx].scale(1 / inv)
-            vecs[idx] = {k: c / inv for k, c in vec.items()}
-            pivots[idx] = pos
-            # clear this column from the earlier rows as well
-            for other in range(idx):
-                oc = vecs[other].get(keys[pos])
-                if oc:
-                    new[other] = new[other] - new[idx].scale(oc)
-                    for kk, cc in vecs[idx].items():
-                        vecs[other][kk] = vecs[other].get(kk, Fraction(0)) - oc * cc
-                        if not vecs[other][kk]:
-                            del vecs[other][kk]
-        for x, p in zip(new, pivots):
+        for p, row in tags.pivot_rows.items():
+            x = lie_from_vector(rank, d, [row.get(-1 - i, 0) for i in range(nwords)])
             j, mono = keys[p]
             blocks = ctx.monomial_blocks(mono)
             if j == n:
@@ -314,7 +291,7 @@ def free_generating_set(
             else:
                 case = 3
             produced.append(DistinguishedGenerator(x, mono, j, case))
-        chosen.extend(new)
+            chosen.append(x)
     # freeness sanity: dimensions must match the free Lie algebra on
     # generators of these degrees
     degrees = [g.value.max_degree() for g in produced]

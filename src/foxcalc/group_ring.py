@@ -118,14 +118,6 @@ class RingElt:
         return f"RingElt({format_ring(self)!r})"
 
 
-def ring_add(a: RingElt, b: RingElt) -> RingElt:
-    return a + b
-
-
-def ring_scale(a: RingElt, k: int) -> RingElt:
-    return a.scale(k)
-
-
 def ring_multiply(a: RingElt, b: Union[RingElt, Word]) -> RingElt:
     return a * b
 

@@ -13,13 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .linalg import (
-    Row,
-    in_span,
-    intersect_rowspaces,
-    reduce_vector,
-    rref,
-)
+from .linalg import Echelon, Row, in_span, intersect_rowspaces, rref
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +394,7 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
         for g, j in zip(generators, range(1, rank + 1))
     ) and len(generators) == rank:
         return GradedSubspace.full(rank, cutoff)
-    comp: dict[int, list[Row]] = {}
+    comp: dict[int, Echelon] = {}
     elems: list[LieElt] = []
     work: list[LieElt] = []
 
@@ -408,12 +402,9 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
         if e.is_zero or e.max_degree() > cutoff:
             return
         d = e.max_degree()
-        vec = lie_vector(e, d)
-        rows = comp.get(d, [])
-        if in_span(vec, rows):
-            return
-        comp[d] = rref(rows + [vec])
-        work.append(e)
+        ech = comp.setdefault(d, Echelon(len(lyndon_words(rank, d))))
+        if ech.insert(lie_vector(e, d)):
+            work.append(e)
 
     for g in generators:
         add(g)
@@ -424,13 +415,13 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
         for other in list(elems):
             if e.max_degree() + other.max_degree() <= cutoff:
                 add(bracket(e, other))
-    return GradedSubspace(rank, cutoff, {d: tuple(r) for d, r in comp.items()})
+    return GradedSubspace(rank, cutoff, {d: ech.rows() for d, ech in comp.items()})
 
 
 def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedSubspace:
     """Graded span of the ideal generated by the homogeneous components of
     the given elements (saturation with ad by the generators)."""
-    comp: dict[int, list[Row]] = {}
+    comp: dict[int, Echelon] = {}
     queue: list[LieElt] = []
 
     def add(e: LieElt) -> None:
@@ -438,10 +429,8 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
             if d > cutoff:
                 continue
             h = e.homogeneous(d)
-            vec = lie_vector(h, d)
-            rows = comp.get(d, [])
-            if not in_span(vec, rows):
-                comp[d] = rref(rows + [vec])
+            ech = comp.setdefault(d, Echelon(len(lyndon_words(rank, d))))
+            if ech.insert(lie_vector(h, d)):
                 queue.append(h)
 
     for e in elements:
@@ -453,7 +442,7 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
             continue
         for g in gens:
             add(bracket(h, g))
-    return GradedSubspace(rank, cutoff, {d: tuple(r) for d, r in comp.items()})
+    return GradedSubspace(rank, cutoff, {d: ech.rows() for d, ech in comp.items()})
 
 
 def power_subspace(base: GradedSubspace, power: int) -> GradedSubspace:

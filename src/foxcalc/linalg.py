@@ -1,144 +1,146 @@
-"""Exact linear algebra over the rationals, dense rows of Fractions."""
+"""Exact linear algebra over the rationals: one incremental echelon kernel.
+
+``Echelon`` keeps sparse rows ``{col: Fraction}`` in reduced row echelon form
+and grows it one row at a time; ``rref``, ``in_span``, ``intersect_rowspaces``
+and ``SpanSolver`` are views of it that speak in dense rows.  Negative
+columns are passengers: they follow every row operation but never hold a
+pivot, so a row can carry along what it is a combination of.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 Row = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
+Vector = Union[Sequence, SparseRow]
+
+_ZERO = Fraction(0)
 
 
-def _as_row(v: Sequence) -> Row:
-    return tuple(Fraction(x) for x in v)
+def _sparse(vec: Vector) -> SparseRow:
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {k: Fraction(x) for k, x in items if x}
+
+
+def _subtract(row: SparseRow, c: Fraction, other: SparseRow) -> None:
+    """row -= c * other, in place; c is non-zero and rows store no zeros."""
+    for k, x in other.items():
+        y = row.get(k, _ZERO) - c * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+class Echelon:
+    """Reduced row echelon form over Q, grown one row at a time.
+
+    ``pivot_rows`` maps each pivot column to its row, in insertion order.  A
+    row has 1 at its pivot and 0 at every other pivot column, so the rows are
+    the unique RREF of the span of everything inserted so far."""
+
+    __slots__ = ("ncols", "pivot_rows")
+
+    def __init__(self, ncols: int, rows: Iterable[Vector] = ()):
+        self.ncols = ncols
+        self.pivot_rows: dict[int, SparseRow] = {}
+        for r in rows:
+            self.insert(r)
+
+    def _residue(self, vec: SparseRow) -> SparseRow:
+        # rows are reduced, so clearing one pivot leaves the others untouched
+        out = dict(vec)
+        for p, c in vec.items():
+            row = self.pivot_rows.get(p)
+            if row is not None:
+                _subtract(out, c, row)
+        return out
+
+    def insert(self, vec: Vector) -> bool:
+        """Add vec to the span; True when it brings a new pivot."""
+        r = self._residue(_sparse(vec))
+        p = min((k for k in r if k >= 0), default=None)
+        if p is None:
+            return False
+        inv = r[p]
+        if inv != 1:
+            r = {k: x / inv for k, x in r.items()}
+        for row in self.pivot_rows.values():
+            c = row.get(p)
+            if c:
+                _subtract(row, c, r)
+        self.pivot_rows[p] = r
+        return True
+
+    def reduce(self, vec: Vector) -> Row:
+        """Dense residue of vec modulo the span."""
+        res = self._residue(_sparse(vec))
+        return tuple(res.get(k, _ZERO) for k in range(self.ncols))
+
+    def __contains__(self, vec: Vector) -> bool:
+        return all(k < 0 for k in self._residue(_sparse(vec)))
+
+    def rows(self) -> list[Row]:
+        """Dense RREF rows sorted by pivot (passengers dropped)."""
+        cols = range(self.ncols)
+        return [
+            tuple(self.pivot_rows[p].get(k, _ZERO) for k in cols)
+            for p in sorted(self.pivot_rows)
+        ]
 
 
 def rref(rows: Iterable[Sequence]) -> list[Row]:
     """Reduced row echelon form; zero rows dropped, rows sorted by pivot."""
-    mat = [list(_as_row(r)) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivots: dict[int, list[Fraction]] = {}
-    for row in mat:
-        row = _eliminate(row, pivots)
-        p = _first_nonzero(row)
-        if p is None:
-            continue
-        inv = row[p]
-        row = [x / inv for x in row]
-        for q, other in pivots.items():
-            if other[p]:
-                c = other[p]
-                pivots[q] = [a - c * b for a, b in zip(other, row)]
-        pivots[p] = row
-    return [tuple(pivots[p]) for p in sorted(pivots)]
+    rows = list(rows)
+    return Echelon(len(rows[0]), rows).rows() if rows else []
 
 
-def _first_nonzero(row: Sequence[Fraction]) -> Optional[int]:
-    for k, x in enumerate(row):
-        if x:
-            return k
-    return None
-
-
-def _eliminate(row: Sequence[Fraction], pivots: dict[int, list[Fraction]]) -> list[Fraction]:
-    row = list(row)
-    for p, prow in pivots.items():
-        if row[p]:
-            c = row[p]
-            row = [a - c * b for a, b in zip(row, prow)]
-    return row
-
-
-def reduce_vector(vec: Sequence, rref_rows: Sequence[Row]) -> Row:
-    """Residue of vec after elimination against an RREF basis."""
-    row = list(_as_row(vec))
-    for prow in rref_rows:
-        p = _first_nonzero(prow)
-        if p is not None and row[p]:
-            c = row[p]
-            row = [a - c * b for a, b in zip(row, prow)]
-    return tuple(row)
-
-
-def in_span(vec: Sequence, rref_rows: Sequence[Row]) -> bool:
-    return not any(reduce_vector(vec, rref_rows))
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[Row]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    mat = rref(rows)
-    if not mat:
-        ncols = len(rows[0]) if rows else 0
-        return [tuple(Fraction(int(i == k)) for i in range(ncols)) for k in range(ncols)]
-    ncols = len(mat[0])
-    pivot_cols = [_first_nonzero(r) for r in mat]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    out = []
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, pc in zip(mat, pivot_cols):
-            x[pc] = -r[fc]
-        out.append(tuple(x))
-    return out
+def in_span(vec: Sequence, rows: Sequence[Sequence]) -> bool:
+    return vec in Echelon(len(vec), rows)
 
 
 def intersect_rowspaces(rows_a: Sequence[Row], rows_b: Sequence[Row]) -> list[Row]:
-    """Basis (RREF) of the intersection of two row spaces."""
+    """Basis (RREF) of the intersection of two row spaces.
+
+    Zassenhaus: reducing the rows [a | a] and [b | 0] leaves the rows whose
+    pivot lies in the right half as [0 | x], with the x an RREF basis of
+    A cap B."""
     if not rows_a or not rows_b:
         return []
-    stacked = list(rows_a) + list(rows_b)
-    # left kernel: c with c . stacked = 0; then c_a . rows_a lies in both spaces
-    transposed = list(zip(*stacked))
-    kernel = nullspace(transposed)
-    na = len(rows_a)
-    vecs = []
-    for c in kernel:
-        v = [Fraction(0)] * len(rows_a[0])
-        for coef, row in zip(c[:na], rows_a):
-            if coef:
-                v = [a + coef * b for a, b in zip(v, row)]
-        if any(v):
-            vecs.append(tuple(v))
-    return rref(vecs)
+    n = len(rows_a[0])
+    ech = Echelon(2 * n)
+    for a in rows_a:
+        a = _sparse(a)
+        ech.insert({**a, **{k + n: x for k, x in a.items()}})
+    for b in rows_b:
+        ech.insert(b)
+    return [
+        tuple(row.get(k, _ZERO) for k in range(n, 2 * n))
+        for p, row in sorted(ech.pivot_rows.items())
+        if p >= n
+    ]
 
 
-class SpanSolver:
-    """Express vectors as combinations of a fixed list of rows."""
+class SpanSolver(Echelon):
+    """Express vectors as combinations of a fixed list of rows.  Row k
+    carries passenger column -1 - k, so every stored row records which
+    combination of the given rows it is."""
+
+    __slots__ = ("nrows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [_as_row(r) for r in rows]
-        self._pivots: list[tuple[int, Row, Row]] = []  # (pivot col, row, combo)
-        n = len(self.rows)
-        for k, row in enumerate(self.rows):
-            combo = [Fraction(int(i == k)) for i in range(n)]
-            row = list(row)
-            for p, prow, pcombo in self._pivots:
-                if row[p]:
-                    c = row[p]
-                    row = [a - c * b for a, b in zip(row, prow)]
-                    combo = [a - c * b for a, b in zip(combo, pcombo)]
-            p = _first_nonzero(row)
-            if p is None:
-                continue  # dependent row; never used as pivot
-            inv = row[p]
-            row = [x / inv for x in row]
-            combo = [x / inv for x in combo]
-            self._pivots.append((p, tuple(row), tuple(combo)))
+        rows = list(rows)
+        super().__init__(len(rows[0]) if rows else 0)
+        self.nrows = len(rows)
+        for k, r in enumerate(rows):
+            tagged = _sparse(r)
+            tagged[-1 - k] = Fraction(1)
+            self.insert(tagged)
 
     def coords(self, vec: Sequence) -> Optional[list[Fraction]]:
         """Coefficients over the original rows, or None if not in the span."""
-        row = list(_as_row(vec))
-        combo = [Fraction(0)] * len(self.rows)
-        for p, prow, pcombo in self._pivots:
-            if row[p]:
-                c = row[p]
-                row = [a - c * b for a, b in zip(row, prow)]
-                combo = [a + c * b for a, b in zip(combo, pcombo)]
-        if any(row):
+        res = self._residue(_sparse(vec))
+        if any(k >= 0 for k in res):
             return None
-        return combo
+        return [-res.get(-1 - k, _ZERO) for k in range(self.nrows)]

@@ -101,10 +101,6 @@ class TruncSeries:
         return format_series(self)
 
 
-def series_multiply(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
 def _gen_power(rank: int, cutoff: int, j: int, exp: int) -> TruncSeries:
     one = TruncSeries.one(rank, cutoff)
     if exp >= 0:

@@ -162,6 +162,23 @@ def test_solve_sigma_zero_validates_support():
         solve_sigma_zero({1: AssocPoly.gen(3, 2)}, K, n, rank)
 
 
+def test_solve_sigma_zero_broken_construction_raises(monkeypatch):
+    # a constructed v that fails its own congruence check is an internal
+    # fault, reported apart from SigmaError (bad input)
+    import foxcalc.fox_lie as fox_lie
+
+    rank, K = 3, frozenset({1, 2})
+    n, fk = sigma_setup()
+    v = fk.intersect(n).basis_elements(2)[0]
+    fox = lie_fox(expand_to_assoc(v))
+    u = {j: fox.partials[j] for j in sorted(K)}
+    monkeypatch.setattr(
+        fox_lie, "leftnorm", lambda head, tail: leftnorm(head, tail).scale(2)
+    )
+    with pytest.raises(RuntimeError, match="solve_sigma_zero"):
+        solve_sigma_zero(u, K, n, rank)
+
+
 def test_solve_sigma_zero_ideal_round_trip():
     rng = random.Random(13)
     rank, K = 3, frozenset({1, 2})

@@ -1,27 +1,52 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from foxcalc.lattice import hermite_normal_form, lattice_contains
 from foxcalc.linalg import (
+    Echelon,
     SpanSolver,
     in_span,
     intersect_rowspaces,
-    nullspace,
-    rank,
-    reduce_vector,
     rref,
 )
 
+SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# three zeros in four entries on average
+SPARSE_ENTRIES = st.tuples(st.integers(0, 3), SMALL_RATIONALS).map(
+    lambda t: t[1] if t[0] == 0 else Fraction(0)
+)
 
-def frac_matrix(rows, cols):
+
+def frac_matrix(rows, cols, entries=st.integers(-4, 4).map(Fraction), min_rows=None):
     return st.lists(
-        st.lists(
-            st.integers(-4, 4).map(Fraction), min_size=cols, max_size=cols
-        ),
-        min_size=rows,
+        st.lists(entries, min_size=cols, max_size=cols),
+        min_size=rows if min_rows is None else min_rows,
         max_size=rows,
     )
+
+
+def oracle_matrix(cols):
+    """Dense or sparse matrices over small rationals, 1 to 5 rows."""
+    return st.one_of(
+        frac_matrix(5, cols, SMALL_RATIONALS, min_rows=1),
+        frac_matrix(5, cols, SPARSE_ENTRIES, min_rows=1),
+    )
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_rref(sympy, m) -> list:
+    reduced, _ = sympy.Matrix(m).rref()
+    rows = [
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
+        for i in range(reduced.rows)
+    ]
+    return [r for r in rows if any(r)]
 
 
 @given(frac_matrix(4, 3))
@@ -37,14 +62,6 @@ def test_rows_in_own_span(m):
         assert in_span(row, r)
 
 
-@given(frac_matrix(3, 4))
-def test_nullspace_kernel(m):
-    for v in nullspace(m):
-        for row in m:
-            assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(nullspace(m)) == 4 - rank(m)
-
-
 @given(frac_matrix(3, 4), frac_matrix(3, 4))
 def test_intersection_contained_in_both(m1, m2):
     inter = intersect_rowspaces(rref(m1), rref(m2))
@@ -55,9 +72,9 @@ def test_intersection_contained_in_both(m1, m2):
 
 @given(frac_matrix(3, 4))
 def test_reduce_vector_fixed_point(m):
-    r = rref(m)
+    ech = Echelon(4, rref(m))
     for row in m:
-        assert all(c == 0 for c in reduce_vector(row, r))
+        assert all(c == 0 for c in ech.reduce(row))
 
 
 @given(frac_matrix(3, 4))
@@ -71,6 +88,42 @@ def test_span_solver_coordinates(m):
             for i in range(4):
                 rebuilt[i] += c * m[k][i]
         assert list(rebuilt) == list(map(Fraction, row))
+
+
+@given(oracle_matrix(5))
+def test_rref_matches_sympy(sympy, m):
+    assert rref(m) == sympy_rref(sympy, m)
+
+
+@given(oracle_matrix(4), st.randoms(use_true_random=False))
+def test_echelon_rows_independent_of_insertion_order(sympy, m, rng):
+    shuffled = list(m)
+    rng.shuffle(shuffled)
+    assert Echelon(4, shuffled).rows() == Echelon(4, m).rows() == sympy_rref(sympy, m)
+
+
+@given(oracle_matrix(4), oracle_matrix(4))
+def test_intersection_dimension_matches_sympy(sympy, m1, m2):
+    a, b = rref(m1), rref(m2)
+    inter = intersect_rowspaces(a, b)
+    dim_sum = sympy.Matrix(m1 + m2).rank()
+    assert len(inter) == len(a) + len(b) - dim_sum
+    assert inter == sympy_rref(sympy, inter)
+    for row in inter:
+        assert not any(Echelon(4, a).reduce(row))
+        assert not any(Echelon(4, b).reduce(row))
+
+
+@given(oracle_matrix(4), st.lists(SMALL_RATIONALS, min_size=5, max_size=5))
+def test_span_solver_coords_match_sympy(sympy, m, comb):
+    solver = SpanSolver(m)
+    vec = [sum((c * row[i] for c, row in zip(comb, m)), Fraction(0)) for i in range(4)]
+    coords = solver.coords(vec)
+    rebuilt = [sum((c * row[i] for c, row in zip(coords, m)), Fraction(0)) for i in range(4)]
+    assert rebuilt == vec
+    outside = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+    in_span_by_rank = sympy.Matrix(m).rank() == sympy.Matrix(m + [outside]).rank()
+    assert (solver.coords(outside) is not None) == in_span_by_rank
 
 
 @given(
