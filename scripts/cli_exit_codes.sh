@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end check of the CLI exit-code contract:
-#   0 criterion holds / plain computation, 1 criterion fails, 2 usage error.
+#   0 criterion holds / plain computation, 1 criterion fails, 2 usage error,
+#   3 internal invariant failure (a bug; no command below should exit 3).
 # Uses the installed `fox` entry point, or the source tree when there is none.
 set -u
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .lie_core import (
     GradedSubspace,
@@ -158,9 +158,6 @@ class AdaptedBasis:
         self.elements = tuple(
             sorted(elements, key=lambda e: (block_rank[e.block], e.degree))
         )
-
-    def indices_in_block(self, block: str) -> list[int]:
-        return [k for k, e in enumerate(self.elements) if e.block == block]
 
 
 def adapted_basis(

@@ -2,7 +2,8 @@
 
 JSON goes to stdout, a one-line human summary to stderr.  Exit codes:
 0 when the requested criterion holds (or the command just computes),
-1 when a criterion fails, 2 on usage or parse errors.
+1 when a criterion fails, 2 on usage or parse errors, 3 when an internal
+invariant breaks (JSON ``{"error": ..., "kind": "internal"}``).
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import sys
 
 from .assoc_env import format_poly
 from .fox_group import (
-    all_indices,
     factor_index,
     fox_derivative,
     free_index,
@@ -21,7 +21,7 @@ from .fox_group import (
     theorem1_check,
 )
 from .fox_lie import kharlampovich_check, lie_fox, theorem_decomposition
-from .freiheit import SeriesSpec, group_criterion_bruteforce, lie_criterion, lie_freiheitssatz_verify
+from .freiheit import SeriesSpec, group_criterion_bruteforce, lie_freiheitssatz_verify
 from .group_ring import (
     abelianization_oracle,
     finite_index_oracle,
@@ -371,6 +371,8 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        return _emit({"error": str(e), "kind": "internal"}, f"internal error: {e}", 3)
 
 
 if __name__ == "__main__":

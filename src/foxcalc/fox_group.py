@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .group_ring import QuotientOracle, RingElt, reduce_mod
-from .magnus import embed_ring, gamma_weight, ideal_weight
+from .magnus import embed_ring, gamma_weight
 from .words import (
     Alphabet,
     FactorLetter,
@@ -25,7 +25,6 @@ from .words import (
     multiply,
     reduce,
     shortlex_words,
-    word_length,
 )
 
 # A differentiation index: ("free", j) or ("factor", i).

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .assoc_env import (
-    AdaptedBasis,
     AssocPoly,
     PBWContext,
     adapted_basis,
@@ -25,9 +24,7 @@ from .lie_core import (
     bracket,
     expand_to_assoc,
     leftnorm,
-    lie_vector,
     subalgebra_closure,
-    witt_dimension,
 )
 
 

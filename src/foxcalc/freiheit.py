@@ -13,26 +13,23 @@ trivially on gamma_i / gamma_{i+1}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .assoc_env import AdaptedBasis, AssocPoly, PBWContext, adapted_basis
+from .assoc_env import AssocPoly, PBWContext, adapted_basis
 from .fox_lie import free_base_dims, lie_fox
 from .lie_core import (
     GradedSubspace,
     LieElt,
-    bracket,
     expand_to_assoc,
     ideal_closure,
     lie_from_vector,
-    lie_vector,
     lyndon_words,
     power_subspace,
     project_to_lyndon,
     standard_bracketing,
     subalgebra_closure,
-    witt_dimension,
 )
 from .linalg import Echelon
 from .magnus import embed, gamma_weight
@@ -119,6 +116,20 @@ def filtration_level(
     return level
 
 
+def _free_factor(rank: int, h_rank: Optional[int], cutoff: int) -> GradedSubspace:
+    """Graded span of H, the subalgebra on the first h_rank generators
+    (default rank - 1)."""
+    top = rank - 1 if h_rank is None else h_rank
+    return subalgebra_closure([LieElt.gen(rank, j) for j in range(1, top + 1)], rank, cutoff)
+
+
+def _criterion(r: LieElt, comps: list, h: GradedSubspace) -> LieCriterionResult:
+    """lie_criterion over an already computed series and H."""
+    i = filtration_level(r, comps)
+    n_next = _flatten_series(comps)[i][2]
+    return LieCriterionResult(i, not h.sum(n_next).member(r))
+
+
 def lie_criterion(
     r: LieElt,
     spec: SeriesSpec,
@@ -126,16 +137,8 @@ def lie_criterion(
     h_rank: Optional[int] = None,
 ) -> LieCriterionResult:
     """r notin H + (next series term after the filtration level of r)."""
-    rank = r.rank
-    if h_rank is None:
-        h_rank = rank - 1
-    comps = series_components(spec, rank, cutoff)
-    i = filtration_level(r, comps)
-    h = subalgebra_closure(
-        [LieElt.gen(rank, j) for j in range(1, h_rank + 1)], rank, cutoff
-    )
-    n_next = _flatten_series(comps)[i][2]
-    return LieCriterionResult(i, not h.sum(n_next).member(r))
+    comps = series_components(spec, r.rank, cutoff)
+    return _criterion(r, comps, _free_factor(r.rank, h_rank, cutoff))
 
 
 @dataclass
@@ -168,14 +171,9 @@ def lie_freiheitssatz_verify(
     """Compare dim (H cap (R + N_{kl}))_d with dim (H cap N_{kl})_d for all
     series terms and degrees up to the cutoff; with the criterion satisfied
     they must agree everywhere."""
-    rank = r.rank
-    if h_rank is None:
-        h_rank = rank - 1
-    crit = lie_criterion(r, spec, cutoff, h_rank)
-    comps = series_components(spec, rank, cutoff)
-    h = subalgebra_closure(
-        [LieElt.gen(rank, j) for j in range(1, h_rank + 1)], rank, cutoff
-    )
+    comps = series_components(spec, r.rank, cutoff)
+    h = _free_factor(r.rank, h_rank, cutoff)
+    crit = _criterion(r, comps, h)
     big_r = ideal_generated(r, cutoff)
     entries = []
     for k, l, term in comps:
@@ -193,11 +191,7 @@ def series_intersection_check(
 ) -> bool:
     """H cap N_{kl} = (H cap N_{k1})^{(l)}: the series of the intersection
     is the intersection with the series, for free factors H."""
-    if h_rank is None:
-        h_rank = rank - 1
-    h = subalgebra_closure(
-        [LieElt.gen(rank, j) for j in range(1, h_rank + 1)], rank, cutoff
-    )
+    h = _free_factor(rank, h_rank, cutoff)
     for k, l, term in series_components(spec, rank, cutoff):
         if l == 1:
             base = h.intersect(term)
@@ -230,13 +224,8 @@ def free_generating_set(
     generator's D_j residue.  Case 1 generators show up in D_n, case 2 in
     some D_j, j < n, on a monomial involving a block-d symbol, case 3 on
     pure block-c monomials (these lie in H cap B modulo [B, B])."""
-    rank = b.rank
-    n = rank
-    if h_rank is None:
-        h_rank = rank - 1
-    h = subalgebra_closure(
-        [LieElt.gen(rank, j) for j in range(1, h_rank + 1)], rank, cutoff
-    )
+    rank = n = b.rank
+    h = _free_factor(rank, h_rank, cutoff)
     ctx = PBWContext(
         adapted_basis((b.intersect(h), b, b.sum(h)), "dcba", c_carrier=h)
     )
@@ -353,10 +342,7 @@ def group_criterion_bruteforce(
     comp = project_to_lyndon(
         AssocPoly(rank, {m: Fraction(c) for m, c in comp_terms.items()})
     )
-    h_sub = subalgebra_closure(
-        [LieElt.gen(rank, j) for j in range(1, h_rank + 1)], rank, level
-    )
-    if not h_sub.member(comp):
+    if not _free_factor(rank, h_rank, level).member(comp):
         return ConjugacyReport(False)
     # integer Lyndon coordinates of the component give h directly
     hw = identity(alphabet)

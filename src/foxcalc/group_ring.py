@@ -7,15 +7,13 @@ through a hashable key; two words get the same key iff they agree modulo N.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .words import (
     Alphabet,
-    FactorLetter,
     FreeLetter,
     Word,
     identity,
-    invert,
     multiply,
     parse_word,
     format_word,

@@ -5,13 +5,17 @@ the standard bracketing of w = uv (v the longest proper Lyndon suffix) is
 [b(u), b(v)].  Expansions of these bracketings into the free associative
 algebra are triangular: the lexicographically least monomial of b(w) is w,
 with coefficient 1, which drives the projection back to the Lyndon basis.
+
+Brackets come from a cached table of integer coordinates of [b(u), b(v)]
+for pairs of Lyndon words, extended bilinearly.  The envelope expansion is
+used only to fill that table and, through expand_to_assoc and
+project_to_lyndon, by the PBW rewriting and the Lie Fox derivatives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import Echelon, Row, in_span, intersect_rowspaces, rref
 
@@ -188,8 +192,11 @@ def _expand_word(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _expand_tree(tree) -> dict[tuple[int, ...], int]:
     if isinstance(tree, int):
         return {(tree,): 1}
-    left = _expand_tree(tree[0])
-    right = _expand_tree(tree[1])
+    return _commutator(_expand_tree(tree[0]), _expand_tree(tree[1]))
+
+
+def _commutator(left: dict, right: dict) -> dict[tuple[int, ...], int]:
+    """left*right - right*left of two integer associative expansions."""
     out: dict[tuple[int, ...], int] = {}
     for m1, c1 in left.items():
         for m2, c2 in right.items():
@@ -200,33 +207,59 @@ def _expand_tree(tree) -> dict[tuple[int, ...], int]:
     return out
 
 
+def _peel_lyndon(residual: dict) -> dict:
+    """Lyndon coordinates of residual by the triangular projection: take off
+    c*b(w) for the least monomial w while w is a Lyndon word.  residual is
+    consumed in place; what stays (a constant term too, since the empty word
+    is not Lyndon) is not a Lie element."""
+    coords = {}
+    while residual and _is_lyndon(w := min(residual)):
+        c = coords[w] = residual[w]
+        for m, k in _expand_word(w).items():
+            residual[m] = residual.get(m, 0) - c * k
+            if not residual[m]:
+                del residual[m]
+    return coords
+
+
 def project_to_lyndon(p) -> LieElt:
     """Inverse of expand_to_assoc on Lie elements; raises
     :class:`LieProjectionError` otherwise."""
-    coords: dict[tuple[int, ...], Fraction] = {}
     residual = dict(p.terms)
-    if residual.pop((), None):
-        raise LieProjectionError(p)
-    while residual:
-        w = min(residual)
-        if not _is_lyndon(w):
-            from .assoc_env import AssocPoly
+    coords = _peel_lyndon(residual)
+    if residual:
+        from .assoc_env import AssocPoly
 
-            raise LieProjectionError(AssocPoly(p.rank, residual))
-        c = residual[w]
-        coords[w] = c
-        for m, k in _expand_word(w).items():
-            residual[m] = residual.get(m, Fraction(0)) - c * k
-            if not residual[m]:
-                del residual[m]
+        raise LieProjectionError(AssocPoly(p.rank, residual))
     return LieElt(p.rank, coords)
 
 
+@lru_cache(maxsize=None)
+def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """[b(u), b(v)] for Lyndon words u < v as (Lyndon word, int) pairs.
+
+    The Lyndon basis is a Z-basis of the free Lie ring, so the coordinates
+    are integers, and they do not depend on the rank."""
+    residual = _commutator(_expand_word(u), _expand_word(v))
+    coords = _peel_lyndon(residual)
+    if residual:
+        raise RuntimeError(f"[b{u}, b{v}] left a non-Lie residual")
+    return tuple(coords.items())
+
+
 def bracket(a: LieElt, b: LieElt) -> LieElt:
+    """Bilinear extension of the cached table of Lyndon-word brackets."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
-    pa, pb = expand_to_assoc(a), expand_to_assoc(b)
-    return project_to_lyndon(pa * pb - pb * pa)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for u, cu in a.coords.items():
+        for v, cv in b.coords.items():
+            if u == v:
+                continue
+            c, entry = (cu * cv, _bracket_words(u, v)) if u < v else (-cu * cv, _bracket_words(v, u))
+            for w, k in entry:
+                out[w] = out.get(w, 0) + c * k
+    return LieElt(a.rank, out)
 
 
 def leftnorm(head: LieElt, tail: Iterable[LieElt]) -> LieElt:
@@ -325,12 +358,6 @@ class GradedSubspace:
     def basis_elements(self, d: int) -> list[LieElt]:
         return [lie_from_vector(self.rank, d, r) for r in self.rows(d)]
 
-    def all_basis_elements(self) -> list[LieElt]:
-        out = []
-        for d in range(1, self.cutoff + 1):
-            out.extend(self.basis_elements(d))
-        return out
-
     def member(self, a: LieElt) -> bool:
         if a.rank != self.rank:
             raise ValueError("rank mismatch")
@@ -358,30 +385,24 @@ class GradedSubspace:
     def contains(self, other: "GradedSubspace") -> bool:
         self._check(other)
         for d, rows in other.comp.items():
-            mine = self.rows(d)
-            if any(not in_span(r, mine) for r in rows):
+            mine = Echelon(len(rows[0]), self.rows(d))
+            if any(r not in mine for r in rows):
                 return False
         return True
 
     def bracket_span(self, other: "GradedSubspace") -> "GradedSubspace":
         """Graded span of [self, other] up to the cutoff."""
         self._check(other)
-        by_degree: dict[int, list[Row]] = {}
-        for d1, rows1 in self.comp.items():
-            for d2, rows2 in other.comp.items():
-                d = d1 + d2
-                if d > self.cutoff:
-                    continue
-                for r1 in rows1:
-                    e1 = lie_from_vector(self.rank, d1, r1)
-                    for r2 in rows2:
-                        e2 = lie_from_vector(self.rank, d2, r2)
-                        b = bracket(e1, e2)
-                        if not b.is_zero:
-                            by_degree.setdefault(d, []).append(lie_vector(b, d))
-        return GradedSubspace(
-            self.rank, self.cutoff, {d: rref(rows) for d, rows in by_degree.items()}
+        theirs = {d: other.basis_elements(d) for d in other.comp}
+        brackets = (
+            bracket(e1, e2)
+            for d1 in self.comp
+            for e1 in self.basis_elements(d1)
+            for d2, es in theirs.items()
+            if d1 + d2 <= self.cutoff
+            for e2 in es
         )
+        return GradedSubspace.span(brackets, self.rank, self.cutoff)
 
 
 def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> GradedSubspace:

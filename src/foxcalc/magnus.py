@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .words import Alphabet, FreeLetter, Word
+from .words import FreeLetter, Word
 
 
 class TruncSeries:

@@ -11,10 +11,10 @@ Both are Schreier systems: prefix closure is re-verified at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fox_group import FoxIndex, fox_derivative, free_index
-from .group_ring import QuotientOracle, RingElt, reduce_mod
+from .group_ring import QuotientOracle, RingElt
 from .lattice import hermite_normal_form, lattice_contains
 from .words import (
     Alphabet,

@@ -38,6 +38,20 @@ def test_bad_value_exits_2(capsys):
     assert code == 2
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import foxcalc.cli as cli
+
+    def broken(rank, degree):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "witt_dimension", broken)
+    code = main(["lie", "dims", "--rank", "2", "--degree", "3"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out.out) == {"error": "broken invariant", "kind": "internal"}
+    assert out.err == "internal error: broken invariant\n"
+
+
 def test_schumann_exit_codes(capsys):
     code, doc = run(
         capsys,

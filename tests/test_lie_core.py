@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foxcalc import lie_core
 from foxcalc.lie_core import (
     GradedSubspace,
     LieElt,
@@ -123,6 +125,8 @@ def test_graded_subspace_lattice_ops():
     assert f2.intersect(full) == f2
     assert h.intersect(f2).dim(1) == 0
     assert full.contains(f2)
+    assert not f2.contains(full)
+    assert not h.contains(f2) and not f2.contains(h)
     for d in range(1, 6):
         assert f2.sum(h).dim(d) + f2.intersect(h).dim(d) == f2.dim(d) + h.dim(d)
 
@@ -133,3 +137,52 @@ def test_bracket_span_nesting():
     f3 = f2.bracket_span(full)
     assert f2.contains(f3)
     assert f2 == power_subspace(full, 2)
+
+
+def envelope_bracket(a, b):
+    """The bracket computed in the free associative algebra: the reference
+    the Lyndon-word table is checked against."""
+    pa, pb = expand_to_assoc(a), expand_to_assoc(b)
+    return project_to_lyndon(pa * pb - pb * pa)
+
+
+def lie_pairs(max_deg=6, max_terms=3):
+    return st.integers(2, 4).flatmap(
+        lambda r: st.tuples(lie_elts(r, max_deg, max_terms), lie_elts(r, max_deg, max_terms))
+    )
+
+
+@given(lie_pairs())
+@settings(max_examples=60, deadline=None)
+def test_bracket_matches_envelope(pair):
+    a, b = pair
+    assert bracket(a, b) == envelope_bracket(a, b)
+    assert bracket(b, a) == envelope_bracket(b, a)
+    assert bracket(a, a).is_zero and bracket(a + b, a) == envelope_bracket(b, a)
+
+
+@given(lie_pairs(max_deg=4))
+@settings(max_examples=40, deadline=None)
+def test_bracket_does_not_depend_on_rank(pair):
+    a, b = pair
+    wide = bracket(LieElt(a.rank + 2, a.coords), LieElt(b.rank + 2, b.coords))
+    assert wide.coords == envelope_bracket(a, b).coords
+
+
+def test_bracket_table_is_integral():
+    words = [w for d in range(1, 6) for w in lyndon_words(3, d)]
+    for u in words:
+        for v in words:
+            if not u < v or len(u) + len(v) > 6:
+                continue
+            entry = lie_core._bracket_words(u, v)
+            assert all(type(k) is int and k and len(w) == len(u) + len(v) for w, k in entry)
+            bu, bv = LieElt(3, {u: 1}), LieElt(3, {v: 1})
+            assert LieElt(3, dict(entry)) == envelope_bracket(bu, bv)
+
+
+def test_bracket_table_broken_expansion_is_internal_error(monkeypatch):
+    # a non-Lie residual is a broken invariant, not bad input (ValueError)
+    monkeypatch.setattr(lie_core, "_expand_word", lambda w: {w: 1})
+    with pytest.raises(RuntimeError):
+        lie_core._bracket_words.__wrapped__((1,), (1, 2))
