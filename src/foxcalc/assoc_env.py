@@ -25,105 +25,33 @@ from .lie_core import (
     lie_vector,
     lyndon_words,
 )
+from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms, terms_of
 from .linalg import Echelon, SpanSolver
 
 
-class AssocPoly:
+class AssocPoly(Graded):
     """Polynomial in noncommuting x_1..x_rank with rational coefficients."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = _SHAPE = ("rank",)
+    _coerce = Fraction
 
-    def __init__(self, rank: int, terms: Mapping[tuple[int, ...], Fraction] = ()):
+    def __init__(self, rank: int, terms: Terms = ()):
         self.rank = rank
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        for m, c in dict(terms).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if any(not 1 <= x <= rank for x in m):
-                raise ValueError(f"letter out of range in {m}")
-            self.terms[m] = self.terms.get(m, Fraction(0)) + c
-            if not self.terms[m]:
-                del self.terms[m]
-
-    @classmethod
-    def zero(cls, rank: int) -> "AssocPoly":
-        return cls(rank)
+        super().__init__(terms)
 
     @classmethod
     def one(cls, rank: int) -> "AssocPoly":
         return cls(rank, {(): Fraction(1)})
 
-    @classmethod
-    def gen(cls, rank: int, j: int) -> "AssocPoly":
-        if not 1 <= j <= rank:
-            raise ValueError(f"generator index {j} out of range")
-        return cls(rank, {(j,): Fraction(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AssocPoly)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return AssocPoly(self.rank, out)
-
-    def __neg__(self) -> "AssocPoly":
-        return AssocPoly(self.rank, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        return self + (-other)
-
-    def scale(self, k) -> "AssocPoly":
-        k = Fraction(k)
-        return AssocPoly(self.rank, {m: k * c for m, c in self.terms.items()})
-
     def __mul__(self, other: "AssocPoly") -> "AssocPoly":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return AssocPoly(self.rank, out)
-
-    def truncate(self, cutoff: int) -> "AssocPoly":
-        return AssocPoly(
-            self.rank, {m: c for m, c in self.terms.items() if len(m) <= cutoff}
+        self._check_shape(other)
+        return self._like(
+            sum_terms(
+                (m1 + m2, c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
         )
-
-    def degrees(self) -> list[int]:
-        return sorted({len(m) for m in self.terms})
-
-    def homogeneous(self, d: int) -> "AssocPoly":
-        return AssocPoly(self.rank, {m: c for m, c in self.terms.items() if len(m) == d})
-
-    def max_degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
-    def constant(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-    def __repr__(self) -> str:
-        return f"AssocPoly({format_poly(self)!r})"
 
 
 def poly_commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
@@ -258,13 +186,7 @@ class PBWContext:
         if p.max_degree() > self.cutoff:
             raise ValueError("degree exceeds cutoff")
         stack: list[tuple[tuple[int, ...], Fraction]] = []
-        result: dict[tuple[int, ...], Fraction] = {}
-
-        def emit(mono: tuple[int, ...], coeff: Fraction) -> None:
-            result[mono] = result.get(mono, Fraction(0)) + coeff
-            if not result[mono]:
-                del result[mono]
-
+        standard: list[tuple[tuple[int, ...], Fraction]] = []
         for word, coeff in p.terms.items():
             terms = [((), coeff)]
             for letter in word:
@@ -285,14 +207,14 @@ class PBWContext:
                     bad = t
                     break
             if bad is None:
-                emit(mono, coeff)
+                standard.append((mono, coeff))
                 continue
             i, j = mono[bad], mono[bad + 1]
             head, tail = mono[:bad], mono[bad + 2 :]
             stack.append((head + (j, i) + tail, coeff))
             for k, ck in self.bracket_coords(i, j).items():
                 stack.append((head + (k,) + tail, coeff * ck))
-        return result
+        return sum_terms(standard)
 
     def expand_monomial(self, mono: tuple[int, ...]) -> AssocPoly:
         out = AssocPoly.one(self.rank)
@@ -301,10 +223,10 @@ class PBWContext:
         return out
 
     def expand(self, coords: Mapping[tuple[int, ...], Fraction]) -> AssocPoly:
-        out = AssocPoly.zero(self.rank)
-        for mono, c in coords.items():
-            out = out + self.expand_monomial(mono).scale(c)
-        return out
+        return AssocPoly(
+            self.rank,
+            terms_of(self.expand_monomial(mono).scale(c) for mono, c in coords.items()),
+        )
 
     def monomial_blocks(self, mono: tuple[int, ...]) -> str:
         return "".join(self.block_of[k] for k in mono)
@@ -352,63 +274,35 @@ def reduce_mod_ideal(p: AssocPoly, n: GradedSubspace) -> AssocPoly:
     return ctx.expand(out)
 
 
-_NUM = re.compile(r"-?\d+(/\d+)?")
-
-
 def parse_poly(text: str, rank: int) -> AssocPoly:
-    """Parse sums like ``"x1*x2 - x2*x1 + 3"``."""
-    text = text.strip()
-    if not text:
+    """Parse sums like ``"x1*x2 - x2*x1 + 3"``; every sign must be followed
+    by a term, and only the first term may lack one."""
+    parts = re.split(r"([+-])", text)
+    if parts[0].strip():
+        parts.insert(0, "+")
+    elif len(parts) == 1:
         return AssocPoly.zero(rank)
-    out = AssocPoly.zero(rank)
-    pos = 0
-    sign = 1
-    first = True
-    while pos < len(text):
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            break
-        if text[pos] in "+-":
-            sign = 1 if text[pos] == "+" else -1
-            pos += 1
-            continue
-        if not first and sign is None:
-            raise ValueError("missing sign between terms")
-        # one term: factors separated by '*'
-        end = pos
-        while end < len(text) and text[end] not in "+-":
-            end += 1
-        term = text[pos:end].strip()
-        pos = end
-        coeff = Fraction(sign)
-        mono: list[int] = []
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError("empty factor")
-            if factor.startswith("x"):
-                mono.append(int(factor[1:]))
-            else:
-                coeff *= Fraction(factor)
-        out = out + AssocPoly(rank, {tuple(mono): coeff})
-        sign = None
-        first = False
-    return out
+    else:
+        del parts[0]
+    return AssocPoly(
+        rank, (_poly_term(sign, term) for sign, term in zip(parts[::2], parts[1::2]))
+    )
 
 
-def format_poly(p: AssocPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for mono in sorted(p.terms, key=lambda m: (len(m), m)):
-        c = p.terms[mono]
-        body = "*".join(f"x{j}" for j in mono) if mono else ""
-        mag = abs(c)
-        if mag != 1 or not mono:
-            body = f"{mag}*{body}" if mono else f"{mag}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
+def _poly_term(sign: str, term: str) -> tuple[tuple[int, ...], Fraction]:
+    if not term.strip():
+        raise ValueError(f"{sign!r} is not followed by a term")
+    coeff = Fraction(1 if sign == "+" else -1)
+    mono: list[int] = []
+    for factor in term.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise ValueError("empty factor")
+        if factor.startswith("x"):
+            mono.append(int(factor[1:]))
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            coeff *= parse_coeff(factor)
+    return tuple(mono), coeff
+
+
+format_poly = format_terms

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .group_ring import QuotientOracle, RingElt, reduce_mod
+from .lincomb import terms_of
 from .magnus import embed_ring, gamma_weight
 from .words import (
     Alphabet,
@@ -72,18 +73,22 @@ def _letter_derivative(letter: Letter, k: FoxIndex, alphabet: Alphabet) -> RingE
 def fox_derivative(u: Union[Word, RingElt], k: FoxIndex) -> RingElt:
     """D_k of a word (or, linearly extended, of a ring element)."""
     if isinstance(u, RingElt):
-        out = RingElt.zero(u.alphabet)
-        for w, c in u.terms.items():
-            out = out + fox_derivative(w, k).scale(c)
-        return out
+        return RingElt(
+            u.alphabet,
+            terms_of(fox_derivative(w, k).scale(c) for w, c in u.terms.items()),
+        )
     alphabet = u.alphabet
-    out = RingElt.zero(alphabet)
-    # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r)
+    # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r); a suffix of a
+    # reduced word is reduced
     letters = u.letters
+    pairs = []
     for t, letter in enumerate(letters):
-        tail = reduce(letters[t + 1 :], alphabet)
-        out = out + _letter_derivative(letter, k, alphabet) * tail
-    return out
+        tail = Word(alphabet, letters[t + 1 :])
+        pairs.extend(
+            (multiply(v, tail), c)
+            for v, c in _letter_derivative(letter, k, alphabet).terms.items()
+        )
+    return RingElt(alphabet, pairs)
 
 
 @dataclass
@@ -92,15 +97,15 @@ class FundamentalDecomposition:
     parts: dict[FoxIndex, RingElt]
 
     def reassemble(self, alphabet: Alphabet) -> RingElt:
-        out = RingElt.one(alphabet).scale(self.constant)
-        for k, part in self.parts.items():
-            kind, idx = k
+        one = RingElt.one(alphabet)
+        summands = [one.scale(self.constant)]
+        for (kind, idx), part in self.parts.items():
             if kind == "factor":
-                out = out + part
+                summands.append(part)
             else:
-                g = Word(alphabet, (FreeLetter(idx, 1),))
-                out = out + (RingElt.from_word(g) - RingElt.one(alphabet)) * part
-        return out
+                g = RingElt.from_word(Word(alphabet, (FreeLetter(idx, 1),)))
+                summands.append((g - one) * part)
+        return RingElt(alphabet, terms_of(summands))
 
 
 def fundamental_decomposition(a: RingElt) -> FundamentalDecomposition:
@@ -133,11 +138,13 @@ def subgroup_fox(base: Sequence[Word], expr: Word) -> dict:
     # from the left: D_j(f) = sum_k D_j(h_k) * partial_k(expr)|_base
     for k_idx in all_indices(alphabet):
         lhs = fox_derivative(f, k_idx)
-        rhs = RingElt.zero(alphabet)
-        for k in range(1, len(base) + 1):
-            rhs = rhs + fox_derivative(base[k - 1], k_idx) * substitute_ring(
-                partials[k], base
-            )
+        rhs = RingElt(
+            alphabet,
+            terms_of(
+                fox_derivative(base[k - 1], k_idx) * substitute_ring(partials[k], base)
+                for k in range(1, len(base) + 1)
+            ),
+        )
         checks[k_idx] = lhs == rhs
     return {"f": f, "partials": partials, "chain_check": all(checks.values())}
 
@@ -145,13 +152,14 @@ def subgroup_fox(base: Sequence[Word], expr: Word) -> dict:
 def substitute_ring(a: RingElt, base: Sequence[Word]) -> RingElt:
     """Substitute base words for the free symbols of a ring element."""
     alphabet = base[0].alphabet
-    out = RingElt.zero(alphabet)
-    for w, c in a.terms.items():
+
+    def image(w: Word) -> Word:
         img = identity(alphabet)
         for letter in w.letters:
             img = multiply(img, base[letter.index - 1] ** letter.exp)
-        out = out + RingElt.from_word(img, c)
-    return out
+        return img
+
+    return RingElt(alphabet, ((image(w), c) for w, c in a.terms.items()))
 
 
 @dataclass

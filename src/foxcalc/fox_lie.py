@@ -18,6 +18,7 @@ from .assoc_env import (
     adapted_basis,
     reduce_mod_ideal,
 )
+from .lincomb import terms_of
 from .lie_core import (
     GradedSubspace,
     LieElt,
@@ -37,10 +38,11 @@ class LieFoxVector:
     partials: dict[int, AssocPoly]
 
     def reassemble(self) -> AssocPoly:
-        out = AssocPoly(self.rank, {(): self.constant})
-        for j, p in self.partials.items():
-            out = out + AssocPoly.gen(self.rank, j) * p
-        return out
+        return AssocPoly(
+            self.rank,
+            [((), self.constant)]
+            + [((j,) + m, c) for j, p in self.partials.items() for m, c in p.terms.items()],
+        )
 
 
 def lie_fox(u: AssocPoly) -> LieFoxVector:
@@ -82,13 +84,14 @@ def eval_expr(expr: LieExpr, base: Sequence[LieElt]) -> LieElt:
 def substitute_assoc(p: AssocPoly, images: Sequence[AssocPoly]) -> AssocPoly:
     """Substitute images for the letters of p (algebra homomorphism)."""
     rank = images[0].rank
-    out = AssocPoly.zero(rank)
-    for m, c in p.terms.items():
+
+    def image(m: tuple[int, ...], c: Fraction) -> AssocPoly:
         term = AssocPoly(rank, {(): c})
         for letter in m:
             term = term * images[letter - 1]
-        out = out + term
-    return out
+        return term
+
+    return AssocPoly(rank, terms_of(image(m, c) for m, c in p.terms.items()))
 
 
 def free_base_dims(degrees: Sequence[int], cutoff: int) -> dict[int, int]:
@@ -154,11 +157,13 @@ def lie_chain_rule_check(
     images = [expand_to_assoc(h) for h in base]
     df = lie_fox(pf)
     for j in range(1, rank + 1):
-        rhs = AssocPoly.zero(rank)
-        for k in range(1, m + 1):
-            rhs = rhs + lie_fox(images[k - 1]).partials[j] * substitute_assoc(
-                partials[k], images
-            )
+        rhs = AssocPoly(
+            rank,
+            terms_of(
+                lie_fox(images[k - 1]).partials[j] * substitute_assoc(partials[k], images)
+                for k in range(1, m + 1)
+            ),
+        )
         if df.partials[j] != rhs:
             return False
     return True
@@ -227,25 +232,26 @@ def solve_sigma_zero(
     the left-normed bracket [[..[n, w_1], ..], w_z]."""
     K = frozenset(K)
     env = SubalgebraIdealContext(rank, K, n)
-    sigma = AssocPoly.zero(rank)
+    sigma = []
     for j in sorted(K):
         p = u.get(j, AssocPoly.zero(rank))
         if any(not set(m) <= K for m in p.terms):
             raise ValueError(f"u_{j} is not supported on the subalgebra letters")
-        sigma = sigma + AssocPoly.gen(rank, j) * p
-    rw = env.ctx.rewrite(sigma)
-    v = LieElt.zero(rank)
+        sigma.extend(((j,) + m, c) for m, c in p.terms.items())
+    rw = env.ctx.rewrite(AssocPoly(rank, sigma))
+    folded = []
     bad = {}
     for mono, c in rw.items():
         blocks = env.ctx.monomial_blocks(mono)
         if "a" in blocks and set(blocks) <= {"a", "b"}:
             # block order puts the a symbol first: n w_1 ... w_z
             elems = [env.ctx.basis.elements[k].value for k in mono]
-            v = v + leftnorm(elems[0], elems[1:]).scale(c)
+            folded.append(leftnorm(elems[0], elems[1:]).scale(c))
         elif "a" in blocks or "c" in blocks:
             continue  # inside N_U; absent for inputs meeting the premise
         else:
             bad[mono] = c
+    v = LieElt(rank, terms_of(folded))
     if bad:
         raise SigmaError("sigma is not 0 mod N_U", env.ctx.expand(bad))
     for j in sorted(K):
@@ -282,15 +288,13 @@ def solve_sigma_zero_ideal(
                     "unexpected monomial shape in the residue", None
                 )
             slices.setdefault(dpart, {}).setdefault(j, {})[bpart] = c
-    v = LieElt.zero(rank)
-    for dpart in sorted(slices):
-        u_slice = {
-            j: env.ctx.expand(parts)
-            for j, parts in slices[dpart].items()
-        }
-        v_l = solve_sigma_zero(u_slice, K, n, rank)
+
+    def fold(dpart: tuple[int, ...]) -> LieElt:
+        u_slice = {j: env.ctx.expand(parts) for j, parts in slices[dpart].items()}
         tail = [env.ctx.basis.elements[k].value for k in dpart]
-        v = v + leftnorm(v_l, tail)
+        return leftnorm(solve_sigma_zero(u_slice, K, n, rank), tail)
+
+    v = LieElt(rank, terms_of(fold(dpart) for dpart in sorted(slices)))
     for j in sorted(K):
         diff = lie_fox(expand_to_assoc(v)).partials[j] - u.get(
             j, AssocPoly.zero(rank)
@@ -339,13 +343,10 @@ def theorem_decomposition(
         return DecompositionReport(False, residues)
     env = SubalgebraIdealContext(rank, K, n)
     coords = env.ctx.coords_of_lie(v)
-    v0 = LieElt.zero(rank)
-    for k, c in coords.items():
-        e = env.ctx.basis.elements[k]
-        if e.block == "b":
-            v0 = v0 + e.value.scale(c)
-        elif e.block == "d":
-            raise RuntimeError("criterion holds but v is not in F_K + N")
+    elements = [(env.ctx.basis.elements[k], c) for k, c in coords.items()]
+    if any(e.block == "d" for e, _ in elements):
+        raise RuntimeError("criterion holds but v is not in F_K + N")
+    v0 = LieElt(rank, terms_of(e.value.scale(c) for e, c in elements if e.block == "b"))
     w = v - v0
     u = {j: lie_fox(expand_to_assoc(w)).partials[j] for j in sorted(K)}
     v1 = solve_sigma_zero_ideal(u, K, n, rank)

@@ -14,7 +14,6 @@ trivially on gamma_i / gamma_{i+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .assoc_env import AssocPoly, PBWContext, adapted_basis
@@ -338,16 +337,13 @@ def group_criterion_bruteforce(
         level = probe
     elif probe is None or probe != level:
         raise ValueError(f"r is not in gamma_{level} \\ gamma_{level + 1}")
-    comp_terms = embed(r, level).homogeneous(level)
-    comp = project_to_lyndon(
-        AssocPoly(rank, {m: Fraction(c) for m, c in comp_terms.items()})
-    )
+    comp = project_to_lyndon(AssocPoly(rank, embed(r, level).homogeneous(level).terms))
     if not _free_factor(rank, h_rank, level).member(comp):
         return ConjugacyReport(False)
     # integer Lyndon coordinates of the component give h directly
     hw = identity(alphabet)
-    for w in sorted(comp.coords, key=lambda w: (len(w), w)):
-        c = comp.coords[w]
+    for w in comp.support():
+        c = comp.terms[w]
         if c.denominator != 1:
             raise RuntimeError("non-integral Lie component")
         hw = multiply(hw, _group_bracketing(standard_bracketing(w), alphabet) ** int(c))

@@ -7,8 +7,9 @@ through a hashable key; two words get the same key iff they agree modulo N.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
+from .lincomb import LinComb, Terms, format_terms, sum_terms
 from .words import (
     Alphabet,
     FreeLetter,
@@ -21,25 +22,23 @@ from .words import (
 )
 
 
-class RingElt:
+class RingElt(LinComb):
     """Element of Z(F): a dict mapping reduced words to nonzero integers."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = _SHAPE = ("alphabet",)
+    _order = staticmethod(shortlex_key)
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, int] = ()):
+    def __init__(self, alphabet: Alphabet, terms: Terms = ()):
         self.alphabet = alphabet
-        self.terms: dict[Word, int] = {}
-        for w, c in dict(terms).items():
-            if w.alphabet != alphabet:
-                raise ValueError("alphabet mismatch in ring element")
-            if c:
-                self.terms[w] = self.terms.get(w, 0) + c
-                if not self.terms[w]:
-                    del self.terms[w]
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "RingElt":
-        return cls(alphabet)
+    def _admit(self, w: Word) -> bool:
+        if w.alphabet != self.alphabet:
+            raise ValueError("alphabet mismatch in ring element")
+        return True
+
+    def _render(self, w: Word) -> str:
+        return "" if w.is_identity else format_word(w)
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "RingElt":
@@ -49,71 +48,27 @@ class RingElt:
     def from_word(cls, w: Word, coeff: int = 1) -> "RingElt":
         return cls(w.alphabet, {w: coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingElt)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __add__(self, other: "RingElt") -> "RingElt":
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-            if not out[w]:
-                del out[w]
-        return RingElt(self.alphabet, out)
-
-    def __neg__(self) -> "RingElt":
-        return RingElt(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "RingElt") -> "RingElt":
-        return self + (-other)
-
     def __mul__(self, other: Union["RingElt", Word, int]) -> "RingElt":
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, Word):
             other = RingElt.from_word(other)
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        out: dict[Word, int] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = multiply(u, v)
-                out[w] = out.get(w, 0) + cu * cv
-                if not out[w]:
-                    del out[w]
-        return RingElt(self.alphabet, out)
+        self._check_shape(other)
+        return self._like(
+            sum_terms(
+                (multiply(u, v), cu * cv)
+                for u, cu in self.terms.items()
+                for v, cv in other.terms.items()
+            )
+        )
 
     def __rmul__(self, other: Union[Word, int]) -> "RingElt":
         if isinstance(other, int):
             return self.scale(other)
         return RingElt.from_word(other) * self
 
-    def scale(self, k: int) -> "RingElt":
-        return RingElt(self.alphabet, {w: k * c for w, c in self.terms.items()})
-
     def augmentation(self) -> int:
         return sum(self.terms.values())
-
-    def support(self) -> list[Word]:
-        return sorted(self.terms, key=shortlex_key)
-
-    def __str__(self) -> str:
-        return format_ring(self)
-
-    def __repr__(self) -> str:
-        return f"RingElt({format_ring(self)!r})"
 
 
 def ring_multiply(a: RingElt, b: Union[RingElt, Word]) -> RingElt:
@@ -239,68 +194,38 @@ def finite_index_oracle(
 
 def reduce_mod(a: RingElt, q: QuotientOracle) -> dict:
     """Image of a ring element in Z(F/N): coset key -> coefficient sum."""
-    out: dict = {}
-    for w, c in a.terms.items():
-        k = q.coset_key(w)
-        out[k] = out.get(k, 0) + c
-        if not out[k]:
-            del out[k]
-    return out
-
-
-_COEFF = re.compile(r"^(-?\d+)(?:\*)?$")
+    return sum_terms((q.coset_key(w), c) for w, c in a.terms.items())
 
 
 def parse_ring(text: str, alphabet: Alphabet) -> RingElt:
-    """Parse sums like ``"3*g1 g2 - 2*g2 + 1"`` (terms split on +/- tokens)."""
-    tokens = text.split()
-    if not tokens:
-        return RingElt.zero(alphabet)
-    out = RingElt.zero(alphabet)
-    sign = 1
-    group: list[str] = []
-
-    def flush():
-        nonlocal out, group
-        if not group:
-            if out.is_zero and sign == 1:
-                return
-            raise ValueError("empty term")
-        coeff = 1
-        first = group[0]
-        if "*" in first:
-            head, rest = first.split("*", 1)
-            coeff = int(head)
-            group = ([rest] if rest else []) + group[1:]
-        elif re.fullmatch(r"-?\d+", first):
-            coeff = int(first)
-            group = group[1:]
-        w = parse_word(" ".join(group), alphabet)
-        out = out + RingElt.from_word(w, sign * coeff)
-        group = []
-
-    for tok in tokens:
-        if tok in ("+", "-"):
-            flush()
-            sign = 1 if tok == "+" else -1
-        else:
+    """Parse sums like ``"3*g1 g2 - 2*g2 + 1"`` (terms split on +/- tokens;
+    only the first term may be preceded by a lone sign)."""
+    pairs = []
+    sign, group = 1, []
+    # the appended "+" closes the last term
+    for k, tok in enumerate(text.split() + ["+"]):
+        if tok not in ("+", "-"):
             group.append(tok)
-    flush()
-    return out
+            continue
+        if group:
+            pairs.append(_ring_term(group, sign, alphabet))
+        elif k:
+            raise ValueError("empty term")
+        sign, group = (1 if tok == "+" else -1), []
+    return RingElt(alphabet, pairs)
 
 
-def format_ring(a: RingElt) -> str:
-    if a.is_zero:
-        return "0"
-    parts = []
-    for w in a.support():
-        c = a.terms[w]
-        body = format_word(w) if not w.is_identity else "1"
-        mag = abs(c)
-        if mag != 1 or w.is_identity:
-            body = f"{mag}*{body}" if not w.is_identity else f"{mag}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+def _ring_term(group: list[str], sign: int, alphabet: Alphabet) -> tuple[Word, int]:
+    coeff = 1
+    first = group[0]
+    if "*" in first:
+        head, rest = first.split("*", 1)
+        coeff = int(head)
+        group = ([rest] if rest else []) + group[1:]
+    elif re.fullmatch(r"-?\d+", first):
+        coeff = int(first)
+        group = group[1:]
+    return parse_word(" ".join(group), alphabet), sign * coeff
+
+
+format_ring = format_terms

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
 from .linalg import Echelon, Row, in_span, intersect_rowspaces, rref
 
 
@@ -87,81 +88,23 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
     return True
 
 
-class LieElt:
+class LieElt(Graded):
     """Q-linear combination of Lyndon basis elements, graded by word length."""
 
-    __slots__ = ("rank", "coords")
+    __slots__ = _SHAPE = ("rank",)
+    _coerce = Fraction
 
-    def __init__(self, rank: int, coords: Mapping[tuple[int, ...], Fraction] = ()):
+    def __init__(self, rank: int, terms: Terms = ()):
         self.rank = rank
-        self.coords: dict[tuple[int, ...], Fraction] = {}
-        for w, c in dict(coords).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if not _is_lyndon(w) or any(not 1 <= x <= rank for x in w):
-                raise ValueError(f"not a Lyndon word over 1..{rank}: {w}")
-            self.coords[w] = self.coords.get(w, Fraction(0)) + c
-            if not self.coords[w]:
-                del self.coords[w]
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, rank: int) -> "LieElt":
-        return cls(rank)
+    def _admit(self, w: tuple[int, ...]) -> bool:
+        if not _is_lyndon(w):
+            raise ValueError(f"not a Lyndon word: {w}")
+        return super()._admit(w)
 
-    @classmethod
-    def gen(cls, rank: int, j: int) -> "LieElt":
-        return cls(rank, {(j,): Fraction(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieElt)
-            and self.rank == other.rank
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.coords.items())))
-
-    def __add__(self, other: "LieElt") -> "LieElt":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return LieElt(self.rank, out)
-
-    def __neg__(self) -> "LieElt":
-        return LieElt(self.rank, {w: -c for w, c in self.coords.items()})
-
-    def __sub__(self, other: "LieElt") -> "LieElt":
-        return self + (-other)
-
-    def scale(self, k) -> "LieElt":
-        k = Fraction(k)
-        return LieElt(self.rank, {w: k * c for w, c in self.coords.items()})
-
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.coords})
-
-    def homogeneous(self, d: int) -> "LieElt":
-        return LieElt(self.rank, {w: c for w, c in self.coords.items() if len(w) == d})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.coords), default=0)
-
-    def __str__(self) -> str:
-        return format_lie(self)
-
-    def __repr__(self) -> str:
-        return f"LieElt({format_lie(self)!r})"
+    def _render(self, w: tuple[int, ...]) -> str:
+        return render_bracketing(standard_bracketing(w))
 
 
 class LieProjectionError(ValueError):
@@ -177,11 +120,10 @@ def expand_to_assoc(a: LieElt):
     """Expansion in the free associative algebra (an AssocPoly)."""
     from .assoc_env import AssocPoly
 
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for w, c in a.coords.items():
-        for m, k in _expand_word(w).items():
-            terms[m] = terms.get(m, Fraction(0)) + c * k
-    return AssocPoly(a.rank, terms)
+    return AssocPoly(
+        a.rank,
+        ((m, c * k) for w, c in a.terms.items() for m, k in _expand_word(w).items()),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -197,14 +139,12 @@ def _expand_tree(tree) -> dict[tuple[int, ...], int]:
 
 def _commutator(left: dict, right: dict) -> dict[tuple[int, ...], int]:
     """left*right - right*left of two integer associative expansions."""
-    out: dict[tuple[int, ...], int] = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            for m, s in ((m1 + m2, 1), (m2 + m1, -1)):
-                out[m] = out.get(m, 0) + s * c1 * c2
-                if not out[m]:
-                    del out[m]
-    return out
+    return sum_terms(
+        (m, s * c1 * c2)
+        for m1, c1 in left.items()
+        for m2, c2 in right.items()
+        for m, s in ((m1 + m2, 1), (m2 + m1, -1))
+    )
 
 
 def _peel_lyndon(residual: dict) -> dict:
@@ -215,10 +155,7 @@ def _peel_lyndon(residual: dict) -> dict:
     coords = {}
     while residual and _is_lyndon(w := min(residual)):
         c = coords[w] = residual[w]
-        for m, k in _expand_word(w).items():
-            residual[m] = residual.get(m, 0) - c * k
-            if not residual[m]:
-                del residual[m]
+        sum_terms(((m, -c * k) for m, k in _expand_word(w).items()), residual)
     return coords
 
 
@@ -231,7 +168,7 @@ def project_to_lyndon(p) -> LieElt:
         from .assoc_env import AssocPoly
 
         raise LieProjectionError(AssocPoly(p.rank, residual))
-    return LieElt(p.rank, coords)
+    return LieElt._trusted((p.rank,), coords)
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +188,17 @@ def bracket(a: LieElt, b: LieElt) -> LieElt:
     """Bilinear extension of the cached table of Lyndon-word brackets."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for u, cu in a.coords.items():
-        for v, cv in b.coords.items():
+    return a._like(sum_terms(_bracket_terms(a.terms, b.terms)))
+
+
+def _bracket_terms(a: dict, b: dict):
+    for u, cu in a.items():
+        for v, cv in b.items():
             if u == v:
                 continue
             c, entry = (cu * cv, _bracket_words(u, v)) if u < v else (-cu * cv, _bracket_words(v, u))
             for w, k in entry:
-                out[w] = out.get(w, 0) + c * k
-    return LieElt(a.rank, out)
+                yield w, c * k
 
 
 def leftnorm(head: LieElt, tail: Iterable[LieElt]) -> LieElt:
@@ -279,15 +218,16 @@ def lie_vector(a: LieElt, degree: int) -> Row:
     """Coordinate row of the degree-d component over lyndon_words."""
     idx = _word_index(a.rank, degree)
     vec = [Fraction(0)] * len(idx)
-    for w, c in a.coords.items():
+    for w, c in a.terms.items():
         if len(w) == degree:
             vec[idx[w]] = c
     return tuple(vec)
 
 
 def lie_from_vector(rank: int, degree: int, vec: Sequence[Fraction]) -> LieElt:
+    """Inverse of lie_vector; the entries must be Fractions."""
     words = lyndon_words(rank, degree)
-    return LieElt(rank, {w: c for w, c in zip(words, vec) if c})
+    return LieElt._trusted((rank,), {w: c for w, c in zip(words, vec) if c})
 
 
 class GradedSubspace:
@@ -411,7 +351,7 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
     if all(
-        g.coords == {(j,): Fraction(1)}
+        g.terms == {(j,): Fraction(1)}
         for g, j in zip(generators, range(1, rank + 1))
     ) and len(generators) == rank:
         return GradedSubspace.full(rank, cutoff)
@@ -483,21 +423,7 @@ def render_bracketing(tree) -> str:
     return f"[{render_bracketing(tree[0])},{render_bracketing(tree[1])}]"
 
 
-def format_lie(a: LieElt) -> str:
-    if a.is_zero:
-        return "0"
-    parts = []
-    for w in sorted(a.coords, key=lambda w: (len(w), w)):
-        c = a.coords[w]
-        body = render_bracketing(standard_bracketing(w))
-        mag = abs(c)
-        if mag != 1:
-            body = f"{mag}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+format_lie = format_terms
 
 
 class _LieParser:
@@ -543,7 +469,7 @@ class _LieParser:
             start = self.pos
             while self._peek().isdigit() or self._peek() == "/":
                 self.pos += 1
-            coeff = Fraction(self.text[start : self.pos])
+            coeff = parse_coeff(self.text[start : self.pos])
             if self._peek() != "*":
                 raise ValueError("expected '*' after coefficient")
             self.pos += 1

@@ -6,99 +6,45 @@ the cutoff" and are not otherwise trusted.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
+from .lincomb import Graded, Terms, format_terms, sum_terms, terms_of
 from .words import FreeLetter, Word
 
 
-class TruncSeries:
+class TruncSeries(Graded):
     """Integer series in noncommuting x_1..x_rank truncated at ``cutoff``.
 
     terms maps index tuples (j_1, ..., j_d) to nonzero integer coefficients;
-    the empty tuple is the constant term.
+    the empty tuple is the constant term.  Monomials above the cutoff given
+    from outside are dropped; letters outside 1..rank are refused.
     """
 
-    __slots__ = ("rank", "cutoff", "terms")
+    __slots__ = _SHAPE = ("rank", "cutoff")
 
-    def __init__(self, rank: int, cutoff: int, terms: Mapping[tuple, int] = ()):
+    def __init__(self, rank: int, cutoff: int, terms: Terms = ()):
         self.rank = rank
         self.cutoff = cutoff
-        self.terms: dict[tuple, int] = {}
-        for mono, c in dict(terms).items():
-            if len(mono) > cutoff or not c:
-                continue
-            self.terms[mono] = self.terms.get(mono, 0) + c
-            if not self.terms[mono]:
-                del self.terms[mono]
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, rank: int, cutoff: int) -> "TruncSeries":
-        return cls(rank, cutoff)
+    def _admit(self, mono: tuple) -> bool:
+        return super()._admit(mono) and len(mono) <= self.cutoff
 
     @classmethod
     def one(cls, rank: int, cutoff: int) -> "TruncSeries":
         return cls(rank, cutoff, {(): 1})
 
-    @classmethod
-    def gen(cls, rank: int, cutoff: int, j: int) -> "TruncSeries":
-        if not 1 <= j <= rank:
-            raise ValueError(f"generator index {j} out of range")
-        return cls(rank, cutoff, {(j,): 1})
-
-    def _check(self, other: "TruncSeries") -> None:
-        if self.rank != other.rank or self.cutoff != other.cutoff:
-            raise ValueError("series shape mismatch")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.rank == other.rank
-            and self.cutoff == other.cutoff
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.cutoff, frozenset(self.terms.items())))
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return TruncSeries(self.rank, self.cutoff, out)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.rank, self.cutoff, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
-    def scale(self, k: int) -> "TruncSeries":
-        return TruncSeries(self.rank, self.cutoff, {m: k * c for m, c in self.terms.items()})
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        out: dict[tuple, int] = {}
-        for m1, c1 in self.terms.items():
-            room = self.cutoff - len(m1)
-            for m2, c2 in other.terms.items():
-                if len(m2) > room:
-                    continue
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return TruncSeries(self.rank, self.cutoff, out)
-
-    def min_degree(self) -> Optional[int]:
-        """Smallest degree with a nonzero term, or None when empty."""
-        if not self.terms:
-            return None
-        return min(len(m) for m in self.terms)
-
-    def homogeneous(self, d: int) -> dict[tuple, int]:
-        return {m: c for m, c in self.terms.items() if len(m) == d}
-
-    def __str__(self) -> str:
-        return format_series(self)
+        self._check_shape(other)
+        cutoff = self.cutoff
+        return self._like(
+            sum_terms(
+                (m1 + m2, c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+                if len(m1) + len(m2) <= cutoff
+            )
+        )
 
 
 def _gen_power(rank: int, cutoff: int, j: int, exp: int) -> TruncSeries:
@@ -138,10 +84,11 @@ def embed_ring(a, cutoff: int) -> TruncSeries:
     alphabet = a.alphabet
     if alphabet.n_factors:
         raise ValueError("Magnus embedding requires a free alphabet")
-    out = TruncSeries.zero(alphabet.free_rank, cutoff)
-    for w, c in a.terms.items():
-        out = out + embed(w, cutoff).scale(c)
-    return out
+    return TruncSeries(
+        alphabet.free_rank,
+        cutoff,
+        terms_of(embed(w, cutoff).scale(c) for w, c in a.terms.items()),
+    )
 
 
 def gamma_weight(w: Word, cutoff: int) -> Optional[int]:
@@ -157,18 +104,4 @@ def ideal_weight(a, cutoff: int) -> Optional[int]:
     return embed_ring(a, cutoff).min_degree()
 
 
-def format_series(s: TruncSeries) -> str:
-    if not s.terms:
-        return "0"
-    parts = []
-    for mono in sorted(s.terms, key=lambda m: (len(m), m)):
-        c = s.terms[mono]
-        body = "*".join(f"x{j}" for j in mono) if mono else "1"
-        mag = abs(c)
-        if mag != 1 or not mono:
-            body = f"{mag}*{body}" if mono else f"{mag}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+format_series = format_terms

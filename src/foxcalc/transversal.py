@@ -252,13 +252,12 @@ class Transversal:
     ) -> dict[Word, RingElt]:
         """Write a ring element as sum_t delta_t t^-1 with t over the
         transversal and delta_t in Z(N): group the support by cosets."""
-        out: dict[Word, RingElt] = {}
+        groups: dict[Word, list] = {}
         for w, c in a.terms.items():
             t = self.representative(invert(w))
-            delta = multiply(w, t)
-            cur = out.get(t, RingElt.zero(self.alphabet))
-            out[t] = cur + RingElt.from_word(delta, c)
-        return {t: d for t, d in out.items() if not d.is_zero}
+            groups.setdefault(t, []).append((multiply(w, t), c))
+        # w -> w t is injective, so no group sums to zero
+        return {t: RingElt(self.alphabet, pairs) for t, pairs in groups.items()}
 
 
 def derivative_leading_term_check(

@@ -116,6 +116,11 @@ def test_parse_poly_examples():
     assert p.terms[()] == 3
     assert p.terms[(1, 2)] == 1
     assert p.terms[(2, 1)] == -1
+    assert parse_poly("- 3/2 + x2*x1", 2) == AssocPoly(2, {(): Fraction(-3, 2), (2, 1): 1})
+    # a sign must be followed by a term; a zero denominator is bad input
+    for text in ("x1 - - x2", "x1 - + x2", "x1*x1 +", "1/0*x1"):
+        with pytest.raises(ValueError):
+            parse_poly(text, 2)
 
 
 def test_poly_commutator_matches_lie_bracket():

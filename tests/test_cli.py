@@ -36,6 +36,8 @@ def test_unknown_flag_exits_2(capsys):
 def test_bad_value_exits_2(capsys):
     code, _ = run(capsys, "group", "derive", "--rank", "2", "--word", "zz", "--gen", "g1")
     assert code == 2
+    code, _ = run(capsys, "lie", "derive", "--rank", "2", "--expr", "1/0*y1")
+    assert code == 2
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
