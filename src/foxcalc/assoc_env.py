@@ -26,7 +26,7 @@ from .lie_core import (
     lyndon_words,
 )
 from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms, terms_of
-from .linalg import Echelon, SpanSolver
+from .linalg import Echelon, SpanSolver, normalized
 
 
 class AssocPoly(Graded):
@@ -105,26 +105,20 @@ def adapted_basis(
         raise ValueError("not a chain of subspaces")
     elements: list[AdaptedElement] = []
     for d in range(1, cutoff + 1):
-        n = len(lyndon_words(rank, d))
-        span = Echelon(n, s1.rows(d))
-        for r in s1.rows(d):
-            elements.append(AdaptedElement(lie_from_vector(rank, d, r), "a", d))
+        span = Echelon()
 
         def extend(rows, block):
             for r in rows:
                 if span.insert(r):
-                    elements.append(
-                        AdaptedElement(lie_from_vector(rank, d, r), block, d)
-                    )
+                    x = lie_from_vector(rank, d, normalized(r))
+                    elements.append(AdaptedElement(x, block, d))
 
-        extend(s2.rows(d), "b")
-        extend(c_carrier.rows(d) if c_carrier is not None else s3.rows(d), "c")
-        if any(t not in span for t in s3.rows(d)):
+        extend(s1.echelon(d).rows(), "a")
+        extend(s2.echelon(d).rows(), "b")
+        extend((c_carrier if c_carrier is not None else s3).echelon(d).rows(), "c")
+        if any(t not in span for t in s3.echelon(d).rows()):
             raise ValueError("carrier does not cover block c")
-        units = [
-            tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)
-        ]
-        extend(units, "d")
+        extend(({k: 1} for k in range(len(lyndon_words(rank, d)))), "d")
     return AdaptedBasis(rank, cutoff, elements, orientation)
 
 

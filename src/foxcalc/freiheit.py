@@ -14,6 +14,7 @@ trivially on gamma_i / gamma_{i+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .assoc_env import AssocPoly, PBWContext, adapted_basis
@@ -24,7 +25,6 @@ from .lie_core import (
     expand_to_assoc,
     ideal_closure,
     lie_from_vector,
-    lyndon_words,
     power_subspace,
     project_to_lyndon,
     standard_bracketing,
@@ -250,9 +250,8 @@ def free_generating_set(
     chosen: list[LieElt] = []
     for d in range(1, cutoff + 1):
         lower = subalgebra_closure(chosen, rank, cutoff) if chosen else GradedSubspace.zero(rank, cutoff)
-        nwords = len(lyndon_words(rank, d))
-        span = Echelon(nwords, lower.rows(d))
-        new = [row for row in b.rows(d) if span.insert(row)]
+        span = Echelon(lower.echelon(d).rows())
+        new = [row for row in b.echelon(d).rows() if span.insert(row)]
         if not new:
             continue
         # separate the tags inside the degree by row reduction over the
@@ -262,14 +261,16 @@ def free_generating_set(
         vecs = [columns_of(lie_from_vector(rank, d, row)) for row in new]
         keys = sorted({k for v in vecs for k in v}, key=lambda k: _column_order(k, n, ctx))
         col = {k: i for i, k in enumerate(keys)}
-        tags = Echelon(len(keys))
+        tags = Echelon()
         for lyndon_row, vec in zip(new, vecs):
             row = {col[k]: c for k, c in vec.items()}
-            row.update((-1 - i, c) for i, c in enumerate(lyndon_row) if c)
+            row.update((-1 - i, c) for i, c in lyndon_row.items())
             if not tags.insert(row):
                 raise RuntimeError("free generator with vanishing derivatives")
         for p, row in tags.pivot_rows.items():
-            x = lie_from_vector(rank, d, [row.get(-1 - i, 0) for i in range(nwords)])
+            x = lie_from_vector(
+                rank, d, {-1 - i: Fraction(c, row[p]) for i, c in row.items() if i < 0}
+            )
             j, mono = keys[p]
             blocks = ctx.monomial_blocks(mono)
             if j == n:

@@ -10,6 +10,13 @@ Brackets come from a cached table of integer coordinates of [b(u), b(v)]
 for pairs of Lyndon words, extended bilinearly.  The envelope expansion is
 used only to fill that table and, through expand_to_assoc and
 project_to_lyndon, by the PBW rewriting and the Lie Fox derivatives.
+
+A GradedSubspace keeps each degree as a linalg.Echelon of canonical integer
+rows over the Lyndon coordinates; spans, sums, intersections, membership
+and both closures hand those rows to the kernel as they are, and only
+GradedSubspace.rows builds dense Fraction RREF rows, on request.  Basis
+elements taken from the rows have integer coefficients: the Lyndon basis is
+a Z-basis, so their brackets stay integral.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
-from .linalg import Echelon, Row, in_span, intersect_rowspaces, rref
+from .linalg import Echelon, Vector, in_span, intersect_rowspaces, normalized, rref
 
 
 @lru_cache(maxsize=None)
@@ -214,36 +221,48 @@ def _word_index(rank: int, degree: int) -> dict[tuple[int, ...], int]:
     return {w: k for k, w in enumerate(lyndon_words(rank, degree))}
 
 
-def lie_vector(a: LieElt, degree: int) -> Row:
-    """Coordinate row of the degree-d component over lyndon_words."""
+def lie_vector(a: LieElt, degree: int) -> dict[int, Fraction]:
+    """Sparse coordinates of the degree-d component over lyndon_words."""
     idx = _word_index(a.rank, degree)
-    vec = [Fraction(0)] * len(idx)
-    for w, c in a.terms.items():
-        if len(w) == degree:
-            vec[idx[w]] = c
-    return tuple(vec)
+    return {idx[w]: c for w, c in a.terms.items() if len(w) == degree}
 
 
-def lie_from_vector(rank: int, degree: int, vec: Sequence[Fraction]) -> LieElt:
-    """Inverse of lie_vector; the entries must be Fractions."""
+def lie_from_vector(rank: int, degree: int, vec: Vector) -> LieElt:
+    """Inverse of lie_vector, from sparse or dense coordinates; the entries
+    must be ints or Fractions (an integer row gives integer coefficients)."""
     words = lyndon_words(rank, degree)
-    return LieElt._trusted((rank,), {w: c for w, c in zip(words, vec) if c})
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return LieElt._trusted((rank,), {words[k]: c for k, c in items if c})
+
+
+_NONE = Echelon()  # the component of a degree a subspace misses; never grown
+_ZERO = Fraction(0)
 
 
 class GradedSubspace:
-    """Graded subspace of the free Lie algebra up to a degree cutoff; each
-    component is kept as an RREF row basis over the Lyndon coordinates."""
+    """Graded subspace of the free Lie algebra up to a degree cutoff.  Each
+    component is an Echelon of canonical integer rows over the Lyndon
+    coordinates (primitive, positive at the pivot, zero at the other
+    pivots): one form per subspace, so equal subspaces compare and hash
+    equal.  Components are never grown once the subspace is built."""
 
-    __slots__ = ("rank", "cutoff", "comp")
+    __slots__ = ("rank", "cutoff", "comp", "_hash")
 
-    def __init__(self, rank: int, cutoff: int, comp: Mapping[int, Sequence[Row]] = ()):
-        self.rank = rank
-        self.cutoff = cutoff
-        self.comp: dict[int, tuple[Row, ...]] = {}
-        for d, rows in dict(comp).items():
-            rows = tuple(rows)
-            if rows:
-                self.comp[d] = rows
+    def __init__(self, rank: int, cutoff: int, comp: Mapping[int, Iterable[Vector]] = ()):
+        """comp maps a degree to rows spanning that component, in any form
+        Echelon accepts; they are reduced to canonical rows here."""
+        self.rank, self.cutoff, self._hash = rank, cutoff, None
+        self.comp = {
+            d: ech for d, rows in dict(comp).items() if (ech := Echelon(rows)).pivot_rows
+        }
+
+    @classmethod
+    def _trusted(cls, rank: int, cutoff: int, comp: Mapping[int, Echelon]) -> "GradedSubspace":
+        """A subspace holding echelons that no one grows any more."""
+        out = object.__new__(cls)
+        out.rank, out.cutoff, out._hash = rank, cutoff, None
+        out.comp = {d: ech for d, ech in comp.items() if ech.pivot_rows}
+        return out
 
     @classmethod
     def zero(cls, rank: int, cutoff: int) -> "GradedSubspace":
@@ -251,17 +270,15 @@ class GradedSubspace:
 
     @classmethod
     def full(cls, rank: int, cutoff: int) -> "GradedSubspace":
-        comp = {}
-        for d in range(1, cutoff + 1):
-            n = len(lyndon_words(rank, d))
-            comp[d] = tuple(
-                tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)
-            )
-        return cls(rank, cutoff, comp)
+        comp = {
+            d: Echelon._trusted({k: 1} for k in range(len(lyndon_words(rank, d))))
+            for d in range(1, cutoff + 1)
+        }
+        return cls._trusted(rank, cutoff, comp)
 
     @classmethod
     def span(cls, elements: Iterable[LieElt], rank: int, cutoff: int) -> "GradedSubspace":
-        by_degree: dict[int, list[Row]] = {}
+        by_degree: dict[int, list[dict]] = {}
         for e in elements:
             if e.rank != rank:
                 raise ValueError("rank mismatch")
@@ -269,7 +286,8 @@ class GradedSubspace:
                 if d > cutoff:
                     raise ValueError("element degree exceeds cutoff")
                 by_degree.setdefault(d, []).append(lie_vector(e, d))
-        return cls(rank, cutoff, {d: rref(rows) for d, rows in by_degree.items()})
+        comp = {d: Echelon._trusted(rref(rows)) for d, rows in by_degree.items()}
+        return cls._trusted(rank, cutoff, comp)
 
     def _check(self, other: "GradedSubspace") -> None:
         if self.rank != other.rank or self.cutoff != other.cutoff:
@@ -284,19 +302,38 @@ class GradedSubspace:
         )
 
     def __hash__(self):
-        return hash((self.rank, self.cutoff, tuple(sorted(self.comp.items()))))
+        if self._hash is None:
+            entries = frozenset(
+                (d, p, k, x)
+                for d, ech in self.comp.items()
+                for p, row in ech.pivot_rows.items()
+                for k, x in row.items()
+            )
+            self._hash = hash((self.rank, self.cutoff, entries))
+        return self._hash
+
+    def echelon(self, d: int) -> Echelon:
+        """The degree-d component (empty when the subspace misses d); it
+        must not be grown."""
+        return self.comp.get(d, _NONE)
 
     def dim(self, d: int) -> int:
-        return len(self.comp.get(d, ()))
+        return len(self.echelon(d).pivot_rows)
 
     def dims(self) -> dict[int, int]:
         return {d: self.dim(d) for d in range(1, self.cutoff + 1)}
 
-    def rows(self, d: int) -> tuple[Row, ...]:
-        return self.comp.get(d, ())
+    def rows(self, d: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense RREF rows of the degree-d component, sorted by pivot."""
+        cols = range(len(lyndon_words(self.rank, d)))
+        return tuple(
+            tuple(row.get(k, _ZERO) for k in cols)
+            for row in map(normalized, self.echelon(d).rows())
+        )
 
     def basis_elements(self, d: int) -> list[LieElt]:
-        return [lie_from_vector(self.rank, d, r) for r in self.rows(d)]
+        """The canonical rows of degree d as elements (integer coefficients)."""
+        return [lie_from_vector(self.rank, d, r) for r in self.echelon(d).rows()]
 
     def member(self, a: LieElt) -> bool:
         if a.rank != self.rank:
@@ -304,7 +341,7 @@ class GradedSubspace:
         for d in a.degrees():
             if d > self.cutoff:
                 raise ValueError("element degree exceeds cutoff")
-            if not in_span(lie_vector(a, d), self.rows(d)):
+            if not in_span(lie_vector(a, d), self.echelon(d)):
                 return False
         return True
 
@@ -312,21 +349,23 @@ class GradedSubspace:
         self._check(other)
         comp = {}
         for d in set(self.comp) | set(other.comp):
-            comp[d] = rref(list(self.rows(d)) + list(other.rows(d)))
-        return GradedSubspace(self.rank, self.cutoff, comp)
+            rows = self.echelon(d).rows() + other.echelon(d).rows()
+            comp[d] = Echelon._trusted(rref(rows))
+        return GradedSubspace._trusted(self.rank, self.cutoff, comp)
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
         self._check(other)
         comp = {}
         for d in set(self.comp) & set(other.comp):
-            comp[d] = intersect_rowspaces(self.rows(d), other.rows(d))
-        return GradedSubspace(self.rank, self.cutoff, comp)
+            rows = intersect_rowspaces(self.comp[d].rows(), other.comp[d].rows())
+            comp[d] = Echelon._trusted(rows)
+        return GradedSubspace._trusted(self.rank, self.cutoff, comp)
 
     def contains(self, other: "GradedSubspace") -> bool:
         self._check(other)
-        for d, rows in other.comp.items():
-            mine = Echelon(len(rows[0]), self.rows(d))
-            if any(r not in mine for r in rows):
+        for d, theirs in other.comp.items():
+            mine = self.echelon(d)
+            if any(r not in mine for r in theirs.pivot_rows.values()):
                 return False
         return True
 
@@ -363,8 +402,7 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
         if e.is_zero or e.max_degree() > cutoff:
             return
         d = e.max_degree()
-        ech = comp.setdefault(d, Echelon(len(lyndon_words(rank, d))))
-        if ech.insert(lie_vector(e, d)):
+        if comp.setdefault(d, Echelon()).insert(lie_vector(e, d)):
             work.append(e)
 
     for g in generators:
@@ -376,7 +414,7 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
         for other in list(elems):
             if e.max_degree() + other.max_degree() <= cutoff:
                 add(bracket(e, other))
-    return GradedSubspace(rank, cutoff, {d: ech.rows() for d, ech in comp.items()})
+    return GradedSubspace._trusted(rank, cutoff, comp)
 
 
 def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedSubspace:
@@ -390,8 +428,7 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
             if d > cutoff:
                 continue
             h = e.homogeneous(d)
-            ech = comp.setdefault(d, Echelon(len(lyndon_words(rank, d))))
-            if ech.insert(lie_vector(h, d)):
+            if comp.setdefault(d, Echelon()).insert(lie_vector(h, d)):
                 queue.append(h)
 
     for e in elements:
@@ -403,7 +440,7 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
             continue
         for g in gens:
             add(bracket(h, g))
-    return GradedSubspace(rank, cutoff, {d: ech.rows() for d, ech in comp.items()})
+    return GradedSubspace._trusted(rank, cutoff, comp)
 
 
 def power_subspace(base: GradedSubspace, power: int) -> GradedSubspace:

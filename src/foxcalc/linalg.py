@@ -1,122 +1,166 @@
-"""Exact linear algebra over the rationals: one incremental echelon kernel.
+"""Exact linear algebra over the rationals on primitive integer rows: one
+incremental echelon kernel.
 
-``Echelon`` keeps sparse rows ``{col: Fraction}`` in reduced row echelon form
-and grows it one row at a time; ``rref``, ``in_span``, ``intersect_rowspaces``
-and ``SpanSolver`` are views of it that speak in dense rows.  Negative
-columns are passengers: they follow every row operation but never hold a
-pivot, so a row can carry along what it is a combination of.
+A row is a sparse dict ``{col: int}``.  ``Echelon`` keeps its rows
+canonical: each is primitive (the gcd of its entries is 1), positive at its
+pivot (its least non-negative column) and zero at every other pivot column,
+so ``row / row[pivot]`` is the unique RREF row.  Rows from outside (dense or
+sparse, int or Fraction) have their denominators cleared once on entry;
+elimination is ``a*row - c*pivot_row`` followed by division by the content,
+and values become Fractions only where one is returned (``reduce``,
+``SpanSolver.coords``, ``normalized``).  ``rref``, ``in_span``,
+``intersect_rowspaces`` and ``SpanSolver`` are views of the kernel.
+
+Negative columns are passengers: they follow every row operation but never
+hold a pivot, so a row can carry along what it is a combination of.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-Row = tuple[Fraction, ...]
-SparseRow = dict[int, Fraction]
-Vector = Union[Sequence, SparseRow]
-
-_ZERO = Fraction(0)
+Row = dict[int, int]
+Vector = Union[Sequence, dict]  # dense, or sparse {col: value}
 
 
-def _sparse(vec: Vector) -> SparseRow:
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {k: Fraction(x) for k, x in items if x}
+def _integral(vec: Vector) -> tuple[int, Row]:
+    """(den, den * vec) as a sparse integer row, den the lcm of the
+    denominators of the entries of vec."""
+    sparse = isinstance(vec, dict)
+    den = lcm(*[x.denominator for x in (vec.values() if sparse else vec)])
+    items = vec.items() if sparse else enumerate(vec)
+    if den == 1:
+        return 1, {k: x.numerator for k, x in items if x}
+    return den, {k: x.numerator * (den // x.denominator) for k, x in items if x}
 
 
-def _subtract(row: SparseRow, c: Fraction, other: SparseRow) -> None:
-    """row -= c * other, in place; c is non-zero and rows store no zeros."""
+def _subtract(row: Row, c: int, other: Row) -> None:
+    """row -= c * other, in place; rows store no zeros."""
     for k, x in other.items():
-        y = row.get(k, _ZERO) - c * x
+        y = row.get(k, 0) - c * x
         if y:
             row[k] = y
         else:
             del row[k]
 
 
+def _primitive(row: Row) -> Row:
+    g = gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g != 1 else row
+
+
+def pivot(row: Row) -> int:
+    return min(k for k in row if k >= 0)
+
+
+def normalized(row: Row) -> dict[int, Fraction]:
+    """row / row[pivot]: the RREF row of a canonical row, as Fractions."""
+    a = row[pivot(row)]
+    return {k: Fraction(x, a) for k, x in row.items()}
+
+
 class Echelon:
-    """Reduced row echelon form over Q, grown one row at a time.
+    """Span of the rows inserted so far, kept as canonical integer rows.
 
-    ``pivot_rows`` maps each pivot column to its row, in insertion order.  A
-    row has 1 at its pivot and 0 at every other pivot column, so the rows are
-    the unique RREF of the span of everything inserted so far."""
+    ``pivot_rows`` maps each pivot column to its row, in insertion order.
+    The rows are the unique RREF of the span, each scaled to a primitive
+    integer row, so two echelons of one span (without passengers) are equal.
+    Rows are never changed after they are stored, so they may be shared."""
 
-    __slots__ = ("ncols", "pivot_rows")
+    __slots__ = ("pivot_rows",)
 
-    def __init__(self, ncols: int, rows: Iterable[Vector] = ()):
-        self.ncols = ncols
-        self.pivot_rows: dict[int, SparseRow] = {}
+    def __init__(self, rows: Iterable[Vector] = ()):
+        self.pivot_rows: dict[int, Row] = {}
         for r in rows:
             self.insert(r)
 
-    def _residue(self, vec: SparseRow) -> SparseRow:
-        # rows are reduced, so clearing one pivot leaves the others untouched
-        out = dict(vec)
-        for p, c in vec.items():
-            row = self.pivot_rows.get(p)
-            if row is not None:
-                _subtract(out, c, row)
+    @classmethod
+    def _trusted(cls, rows: Iterable[Row]) -> "Echelon":
+        """An echelon holding rows that are canonical already."""
+        out = object.__new__(cls)
+        out.pivot_rows = {pivot(r): r for r in rows}
         return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Echelon) and self.pivot_rows == other.pivot_rows
+
+    __hash__ = None
+
+    def _residue(self, vec: Vector) -> tuple[int, Row]:
+        """(m, m * (vec - its projection along the pivot rows)) with m > 0
+        an integer making it integral.  The pivot rows are zero at each
+        other's pivots, so the coefficient of each is read off vec."""
+        den, vec = _integral(vec)
+        rows = self.pivot_rows
+        hits = [(c, rows[p], rows[p][p]) for p, c in vec.items() if p in rows]
+        m = lcm(*[a // gcd(a, c) for c, _, a in hits])
+        out = {k: m * x for k, x in vec.items()} if m != 1 else vec
+        for c, row, a in hits:
+            _subtract(out, c * m // a, row)
+        return den * m, out
 
     def insert(self, vec: Vector) -> bool:
         """Add vec to the span; True when it brings a new pivot."""
-        r = self._residue(_sparse(vec))
+        r = self._residue(vec)[1]
         p = min((k for k in r if k >= 0), default=None)
         if p is None:
             return False
-        inv = r[p]
-        if inv != 1:
-            r = {k: x / inv for k, x in r.items()}
-        for row in self.pivot_rows.values():
-            c = row.get(p)
-            if c:
-                _subtract(row, c, r)
-        self.pivot_rows[p] = r
+        r = _primitive(r)
+        if r[p] < 0:
+            r = {k: -x for k, x in r.items()}
+        a = r[p]
+        rows = self.pivot_rows
+        for q, row in [(q, row) for q, row in rows.items() if p in row]:
+            c = row[p]
+            g = gcd(a, c)
+            row = {k: a // g * x for k, x in row.items()}
+            _subtract(row, c // g, r)
+            rows[q] = _primitive(row)
+        rows[p] = r
         return True
 
-    def reduce(self, vec: Vector) -> Row:
-        """Dense residue of vec modulo the span."""
-        res = self._residue(_sparse(vec))
-        return tuple(res.get(k, _ZERO) for k in range(self.ncols))
+    def reduce(self, vec: Vector) -> dict[int, Fraction]:
+        """Residue of vec modulo the span (passengers dropped), sparse."""
+        m, res = self._residue(vec)
+        return {k: Fraction(x, m) for k, x in res.items() if k >= 0}
 
     def __contains__(self, vec: Vector) -> bool:
-        return all(k < 0 for k in self._residue(_sparse(vec)))
+        return all(k < 0 for k in self._residue(vec)[1])
 
     def rows(self) -> list[Row]:
-        """Dense RREF rows sorted by pivot (passengers dropped)."""
-        cols = range(self.ncols)
-        return [
-            tuple(self.pivot_rows[p].get(k, _ZERO) for k in cols)
-            for p in sorted(self.pivot_rows)
-        ]
+        """The canonical rows, sorted by pivot."""
+        return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
 
-def rref(rows: Iterable[Sequence]) -> list[Row]:
-    """Reduced row echelon form; zero rows dropped, rows sorted by pivot."""
-    rows = list(rows)
-    return Echelon(len(rows[0]), rows).rows() if rows else []
+def rref(rows: Iterable[Vector]) -> list[Row]:
+    """Canonical rows of the span of rows (zero rows dropped), sorted by
+    pivot; ``normalized`` turns each into its RREF row."""
+    return Echelon(rows).rows()
 
 
-def in_span(vec: Sequence, rows: Sequence[Sequence]) -> bool:
-    return vec in Echelon(len(vec), rows)
+def in_span(vec: Vector, rows: Union[Echelon, Iterable[Vector]]) -> bool:
+    """Is vec in the span of rows?  An Echelon is used as it is; other rows
+    are reduced first."""
+    return vec in (rows if isinstance(rows, Echelon) else Echelon(rows))
 
 
-def intersect_rowspaces(rows_a: Sequence[Row], rows_b: Sequence[Row]) -> list[Row]:
-    """Basis (RREF) of the intersection of two row spaces.
+def intersect_rowspaces(rows_a: Iterable[Vector], rows_b: Iterable[Vector]) -> list[Row]:
+    """Canonical rows of the intersection of two row spaces, sorted by pivot.
 
     Zassenhaus: reducing the rows [a | a] and [b | 0] leaves the rows whose
-    pivot lies in the right half as [0 | x], with the x an RREF basis of
-    A cap B."""
+    pivot lies in the right half as [0 | x], with the x canonical rows of
+    A cap B (a primitive row stays primitive without its zero half)."""
+    rows_a = [_integral(a)[1] for a in rows_a]
+    rows_b = [_integral(b)[1] for b in rows_b]
     if not rows_a or not rows_b:
         return []
-    n = len(rows_a[0])
-    ech = Echelon(2 * n)
-    for a in rows_a:
-        a = _sparse(a)
-        ech.insert({**a, **{k + n: x for k, x in a.items()}})
+    n = 1 + max(k for r in rows_a + rows_b for k in r)
+    ech = Echelon([{**a, **{k + n: x for k, x in a.items()}} for a in rows_a])
     for b in rows_b:
         ech.insert(b)
     return [
-        tuple(row.get(k, _ZERO) for k in range(n, 2 * n))
+        {k - n: x for k, x in row.items()}
         for p, row in sorted(ech.pivot_rows.items())
         if p >= n
     ]
@@ -129,18 +173,17 @@ class SpanSolver(Echelon):
 
     __slots__ = ("nrows",)
 
-    def __init__(self, rows: Sequence[Sequence]):
-        rows = list(rows)
-        super().__init__(len(rows[0]) if rows else 0)
+    def __init__(self, rows: Sequence[Vector]):
+        super().__init__()
         self.nrows = len(rows)
         for k, r in enumerate(rows):
-            tagged = _sparse(r)
-            tagged[-1 - k] = Fraction(1)
+            tagged = dict(r.items() if isinstance(r, dict) else enumerate(r))
+            tagged[-1 - k] = 1
             self.insert(tagged)
 
-    def coords(self, vec: Sequence) -> Optional[list[Fraction]]:
+    def coords(self, vec: Vector) -> Optional[list[Fraction]]:
         """Coefficients over the original rows, or None if not in the span."""
-        res = self._residue(_sparse(vec))
+        m, res = self._residue(vec)
         if any(k >= 0 for k in res):
             return None
-        return [-res.get(-1 - k, _ZERO) for k in range(self.nrows)]
+        return [Fraction(-res.get(-1 - k, 0), m) for k in range(self.nrows)]

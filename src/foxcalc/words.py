@@ -88,6 +88,8 @@ class Word:
     letters: tuple[Letter, ...]
 
     def __mul__(self, other: "Word") -> "Word":
+        if not isinstance(other, Word):
+            return NotImplemented
         return multiply(self, other)
 
     def __invert__(self) -> "Word":

@@ -168,3 +168,52 @@ def test_group_criterion_level_validation():
     al = Alphabet(3)
     with pytest.raises(ValueError):
         group_criterion_bruteforce(parse_word("g1", al), level=2)
+
+
+# (generator, tag monomial, j, case), fixed: the generators do not depend
+# on how the echelon kernel scales the rows it stores
+FREE_GENERATORS = {
+    2: [
+        ('- [y1,y2]', (1,), 2, 1),
+        ('[y1,[y1,y2]]', (1, 1), 2, 1),
+        ('- [[y1,y2],y2]', (0, 1), 2, 1),
+        ('- [y1,[y1,[y1,y2]]]', (1, 1, 1), 2, 1),
+        ('[y1,[[y1,y2],y2]]', (0, 1, 1), 2, 1),
+        ('- [[[y1,y2],y2],y2]', (0, 0, 1), 2, 1),
+    ],
+    3: [
+        ('[y1,y2]', (2,), 1, 3),
+        ('- [y1,y3]', (1,), 3, 1),
+        ('- [y2,y3]', (2,), 3, 1),
+        ('- [y1,[y1,y2]]', (1, 2), 1, 3),
+        ('[y1,[y1,y3]]', (1, 1), 3, 1),
+        ('[[y1,y2],y2]', (2, 2), 1, 3),
+        ('[y1,[y2,y3]]', (1, 2), 3, 1),
+        ('[y1,[y2,y3]] + [[y1,y3],y2]', (0, 2), 1, 2),
+        ('- [[y1,y3],y3]', (0, 1), 3, 1),
+        ('[y2,[y2,y3]]', (2, 2), 3, 1),
+        ('- [[y2,y3],y3]', (0, 2), 3, 1),
+        ('[y1,[y1,[y1,y2]]]', (1, 1, 2), 1, 3),
+        ('- [y1,[y1,[y1,y3]]]', (1, 1, 1), 3, 1),
+        ('- [y1,[[y1,y2],y2]]', (1, 2, 2), 1, 3),
+        ('- [y1,[y1,[y2,y3]]]', (1, 1, 2), 3, 1),
+        ('- [y1,[y1,[y2,y3]]] - [y1,[[y1,y3],y2]]', (0, 1, 2), 1, 2),
+        ('[y1,[[y1,y3],y3]]', (0, 1, 1), 3, 1),
+        ('[[[y1,y2],y2],y2]', (2, 2, 2), 1, 3),
+        ('- [y1,[y2,[y2,y3]]]', (1, 2, 2), 3, 1),
+        ('[y1,[[y2,y3],y3]]', (0, 1, 2), 3, 1),
+        ('- [y1,[y2,[y2,y3]]] + [[[y1,y3],y2],y2]', (0, 2, 2), 1, 2),
+        ('[y1,[[y2,y3],y3]] + [[[y1,y3],y3],y2]', (0, 0, 2), 1, 2),
+        ('- [[[y1,y3],y3],y3]', (0, 0, 1), 3, 1),
+        ('- [y2,[y2,[y2,y3]]]', (2, 2, 2), 3, 1),
+        ('[y2,[[y2,y3],y3]]', (0, 2, 2), 3, 1),
+        ('- [[[y2,y3],y3],y3]', (0, 0, 2), 3, 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("rank", sorted(FREE_GENERATORS))
+def test_free_generating_set_output_unchanged(rank):
+    b = power_subspace(GradedSubspace.full(rank, 4), 2)
+    got = [(str(g.value), g.monomial, g.j, g.case) for g in free_generating_set(b, 4)]
+    assert got == FREE_GENERATORS[rank]

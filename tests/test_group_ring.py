@@ -88,3 +88,10 @@ def test_trivial_oracle_everything_in_n():
 
     q = trivial_oracle(MIXED)
     assert q.contains(parse_word("g1 a1 g2^-1", MIXED))
+
+
+@given(words(MIXED, 4), ring_elts(MIXED))
+def test_word_times_ring_element(w, r):
+    assert w * r == RingElt.from_word(w) * r
+    with pytest.raises(TypeError):
+        w * 2

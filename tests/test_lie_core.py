@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from foxcalc.lie_core import (
     witt_dimension,
 )
 
-from conftest import homogeneous_lie, lie_elts
+from conftest import coeffs, homogeneous_lie, lie_elts
 
 
 def test_lyndon_counts_match_witt():
@@ -186,3 +187,121 @@ def test_bracket_table_broken_expansion_is_internal_error(monkeypatch):
     monkeypatch.setattr(lie_core, "_expand_word", lambda w: {w: 1})
     with pytest.raises(RuntimeError):
         lie_core._bracket_words.__wrapped__((1,), (1, 2))
+
+
+def test_constructor_canonicalises_rows():
+    line = GradedSubspace(2, 1, {1: [(2, 0)]})
+    span = GradedSubspace.span([LieElt.gen(2, 1)], 2, 1)
+    assert line == span and hash(line) == hash(span)
+    assert GradedSubspace(2, 1, {1: [(1, 0), (2, 0)]}).dim(1) == 1
+    assert GradedSubspace(2, 1, {1: [(0, 0)]}) == GradedSubspace.zero(2, 1)
+
+
+def assert_canonical(space):
+    """Every stored row is primitive, positive at its pivot and zero at the
+    other pivots of its degree."""
+    for ech in space.comp.values():
+        for p, row in ech.pivot_rows.items():
+            assert min(row) == p and row[p] > 0
+            assert all(type(x) is int and x for x in row.values())
+            assert gcd(*row.values()) == 1
+            assert not set(row) & (set(ech.pivot_rows) - {p})
+
+
+@given(
+    st.lists(st.one_of(homogeneous_lie(3, 2), homogeneous_lie(3, 3), lie_elts(3, 4)), min_size=1, max_size=6),
+    st.lists(coeffs(), min_size=6, max_size=6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_span_independent_of_order_and_scale(elems, scales, rng):
+    space = GradedSubspace.span(elems, 3, 5)
+    assert_canonical(space)
+    moved = [e.scale(c) for e, c in zip(elems, scales)]
+    rng.shuffle(moved)
+    other = GradedSubspace.span(moved, 3, 5)
+    assert other == space and hash(other) == hash(space)
+
+
+@given(st.lists(lie_elts(3, 4), min_size=1, max_size=4), st.lists(coeffs(), min_size=6, max_size=6),
+       st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_constructor_from_rescaled_rows(elems, scales, rng):
+    space = GradedSubspace.span(elems, 3, 5)
+    comp = {}
+    for d in range(1, 6):
+        comp[d] = [tuple(scales[k % 6] * x for x in row) for k, row in enumerate(space.rows(d))]
+        rng.shuffle(comp[d])
+    rebuilt = GradedSubspace(3, 5, comp)
+    assert rebuilt == space and hash(rebuilt) == hash(space)
+
+
+def left_normed(heads, gens, degree):
+    """All non-zero left-normed brackets [h, g_1, .., g_k] of the given
+    degree."""
+    heads = [h for h in heads if not h.is_zero]
+    out = [h for h in heads if h.max_degree() == degree]
+    for h in heads:
+        if h.max_degree() < degree:
+            out += left_normed([bracket(h, g) for g in gens], gens, degree)
+    return out
+
+
+def oracle_rows(sympy, vectors):
+    reduced, _ = sympy.Matrix(vectors).rref()
+    rows = [tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(reduced.rows)]
+    return tuple(r for r in rows if any(r))
+
+
+def oracle_intersection(sympy, a, b):
+    """Vectors x.A = y.B from the null space of [A^T | -B^T]."""
+    if not a or not b:
+        return []
+    ma, mb = sympy.Matrix(a), sympy.Matrix(b)
+    null = sympy.Matrix.hstack(ma.T, -mb.T).nullspace()
+    return [list((n[: ma.rows, :].T * ma).row(0)) for n in null]
+
+
+@pytest.mark.parametrize(
+    "rank, cutoff, relator", [(3, 5, "[y1, y3]"), (4, 4, "[y1, y4] + 2*[y2, y3]")]
+)
+def test_rows_match_sympy_rref(rank, cutoff, relator):
+    """rows(d) of closures, power subspaces, sums and intersections against
+    sympy's RREF of spanning vectors built from brackets alone."""
+    sympy = pytest.importorskip("sympy")
+    gens = [LieElt.gen(rank, j) for j in range(1, rank + 1)]
+    r = parse_lie(relator, rank)
+    big_r = ideal_closure([r], rank, cutoff)
+    h = subalgebra_closure(gens[:2], rank, cutoff)
+    spaces = {
+        "ideal": big_r,
+        "subalgebra": h,
+        "power": power_subspace(big_r, 2),
+        "sum": h.sum(big_r),
+        "intersection": h.intersect(big_r),
+    }
+    for d in range(1, cutoff + 1):
+        words = lyndon_words(rank, d)
+
+        def vecs(elements):
+            return [[e.terms.get(w, 0) for w in words] for e in elements]
+
+        span_r = vecs(left_normed([r], gens, d))
+        span_h = vecs(left_normed(gens[:2], gens[:2], d))
+        span_rr = vecs(
+            bracket(a, b)
+            for d1 in range(2, d - 1)
+            for a in left_normed([r], gens, d1)
+            for b in left_normed([r], gens, d - d1)
+        )
+        spanning = {
+            "ideal": span_r,
+            "subalgebra": span_h,
+            "power": span_rr,
+            "sum": span_r + span_h,
+            "intersection": oracle_intersection(sympy, span_h, span_r),
+        }
+        for name, space in spaces.items():
+            assert_canonical(space)
+            want = oracle_rows(sympy, spanning[name]) if spanning[name] else ()
+            assert space.rows(d) == want, (name, d)

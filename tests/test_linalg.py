@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from foxcalc.lattice import hermite_normal_form, lattice_contains
 from foxcalc.linalg import (
@@ -9,6 +10,7 @@ from foxcalc.linalg import (
     SpanSolver,
     in_span,
     intersect_rowspaces,
+    normalized,
     rref,
 )
 
@@ -38,6 +40,11 @@ def oracle_matrix(cols):
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
+
+
+def dense(rows, ncols) -> list:
+    """The RREF rows of canonical rows, dense."""
+    return [tuple(normalized(r).get(k, Fraction(0)) for k in range(ncols)) for r in rows]
 
 
 def sympy_rref(sympy, m) -> list:
@@ -72,9 +79,9 @@ def test_intersection_contained_in_both(m1, m2):
 
 @given(frac_matrix(3, 4))
 def test_reduce_vector_fixed_point(m):
-    ech = Echelon(4, rref(m))
+    ech = Echelon(rref(m))
     for row in m:
-        assert all(c == 0 for c in ech.reduce(row))
+        assert not ech.reduce(row)
 
 
 @given(frac_matrix(3, 4))
@@ -92,14 +99,28 @@ def test_span_solver_coordinates(m):
 
 @given(oracle_matrix(5))
 def test_rref_matches_sympy(sympy, m):
-    assert rref(m) == sympy_rref(sympy, m)
+    assert dense(rref(m), 5) == sympy_rref(sympy, m)
 
 
 @given(oracle_matrix(4), st.randoms(use_true_random=False))
 def test_echelon_rows_independent_of_insertion_order(sympy, m, rng):
     shuffled = list(m)
     rng.shuffle(shuffled)
-    assert Echelon(4, shuffled).rows() == Echelon(4, m).rows() == sympy_rref(sympy, m)
+    assert Echelon(shuffled).rows() == Echelon(m).rows()
+    assert dense(Echelon(m).rows(), 4) == sympy_rref(sympy, m)
+
+
+@given(oracle_matrix(4), st.lists(SMALL_RATIONALS.filter(bool), min_size=5, max_size=5))
+def test_echelon_rows_are_canonical(m, scales):
+    """Primitive integer rows, positive at the pivot, zero at the other
+    pivots; rescaling the input changes nothing."""
+    ech = Echelon(m)
+    for p, row in ech.pivot_rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert not set(row) & (set(ech.pivot_rows) - {p})
+    assert Echelon([[c * x for x in r] for c, r in zip(scales, m)]) == ech
 
 
 @given(oracle_matrix(4), oracle_matrix(4))
@@ -108,10 +129,10 @@ def test_intersection_dimension_matches_sympy(sympy, m1, m2):
     inter = intersect_rowspaces(a, b)
     dim_sum = sympy.Matrix(m1 + m2).rank()
     assert len(inter) == len(a) + len(b) - dim_sum
-    assert inter == sympy_rref(sympy, inter)
+    assert dense(inter, 4) == sympy_rref(sympy, dense(inter, 4))
     for row in inter:
-        assert not any(Echelon(4, a).reduce(row))
-        assert not any(Echelon(4, b).reduce(row))
+        assert not Echelon(a).reduce(row)
+        assert not Echelon(b).reduce(row)
 
 
 @given(oracle_matrix(4), st.lists(SMALL_RATIONALS, min_size=5, max_size=5))
@@ -145,6 +166,20 @@ def test_lattice_membership_negative():
     assert lattice_contains(h, [4, 2])
     assert not lattice_contains(h, [1, 0])
     assert not lattice_contains(h, [2, 1])
+
+
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1, max_size=5),
+       st.integers(1, 4))
+@settings(max_examples=400)
+def test_hnf_matches_sympy(sympy, rows, ncols):
+    """sympy's HNF is column-style with pivots at the bottom right: reverse
+    the columns, transpose, transpose back, then reverse columns and rows."""
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    rows = [r[:ncols] for r in rows]
+    h = sympy_hnf(sympy.Matrix([r[::-1] for r in rows]).T).T
+    want = [[int(x) for x in h.row(i)][::-1] for i in reversed(range(h.rows))]
+    assert hermite_normal_form(rows) == [r for r in want if any(r)]
 
 
 def test_hnf_shape():
