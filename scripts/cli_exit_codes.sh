@@ -35,5 +35,10 @@ expect 2 fox lie dims --rank 2 --degree 3 --bogus
 expect 2 fox group derive --rank 2 --word "zz" --gen g1
 expect 2 fox lie derive --rank 2 --expr "1/0*y1"
 expect 2 fox nonsense
+expect 2 fox lie freiheit --rank 3 --relator "[y1,y3]" --spec 2 --cutoff 4 --h-rank -1
+expect 2 fox lie freiheit --rank 3 --relator "[y1,y3]" --spec 2 --cutoff 4 --h-rank 5
+expect 2 fox group conjcrit --rank 3 --relator "g1 g3 g1^-1 g3^-1" --h-rank -1
+expect 2 fox lie decompose --rank 3 --expr "[[y1,y3],y2]" --keep 1,5 --cutoff 4
+expect 2 fox lie decompose --rank 3 --expr "[[y1,y3],y2]" --keep 0,1 --cutoff 4
 
 exit $fail

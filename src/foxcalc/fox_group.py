@@ -56,18 +56,13 @@ def _letter_derivative(letter: Letter, k: FoxIndex, alphabet: Alphabet) -> RingE
         return RingElt(alphabet, {w: 1, identity(alphabet): -1})
     if kind != "free" or idx != letter.index:
         return RingElt.zero(alphabet)
-    g = FreeLetter(letter.index, 1)
     e = letter.exp
-    if e > 0:
-        # D(g^e) = 1 + g + ... + g^(e-1)
-        terms = {reduce((g,) * t, alphabet): 1 for t in range(e)}
-    else:
-        # D(g^e) = -(g^-1 + ... + g^e)
-        terms = {
-            reduce((FreeLetter(letter.index, -1),) * t, alphabet): -1
-            for t in range(1, -e + 1)
-        }
-    return RingElt(alphabet, terms)
+    # D(g^e) = 1 + g + ... + g^(e-1) for e > 0, -(g^e + ... + g^-1) for e < 0
+    powers, sign = (range(e), 1) if e > 0 else (range(e, 0), -1)
+    return RingElt(
+        alphabet,
+        {Word(alphabet, (FreeLetter(letter.index, t),) if t else ()): sign for t in powers},
+    )
 
 
 def fox_derivative(u: Union[Word, RingElt], k: FoxIndex) -> RingElt:

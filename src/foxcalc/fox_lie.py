@@ -188,12 +188,7 @@ class SubalgebraIdealContext:
         if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
-        cutoff = n.cutoff
-        gens = [LieElt.gen(rank, j) for j in sorted(K)]
-        if len(K) == rank:
-            fk = GradedSubspace.full(rank, cutoff)
-        else:
-            fk = subalgebra_closure(gens, rank, cutoff)
+        fk = subalgebra_closure([LieElt.gen(rank, j) for j in sorted(K)], rank, n.cutoff)
         self.rank, self.K, self.n, self.fk = rank, K, n, fk
         self.ctx = PBWContext(
             adapted_basis(
@@ -326,6 +321,8 @@ def theorem_decomposition(
     decomposition is produced constructively when the criterion holds."""
     rank = v.rank
     K = frozenset(K)
+    if not K <= set(range(1, rank + 1)):
+        raise ValueError(f"kept generators must lie in 1..{rank}")
     if v.max_degree() > n.cutoff:
         raise ValueError("cutoff too small for v")
     pv = expand_to_assoc(v)

@@ -58,16 +58,18 @@ def series_components(
 ) -> list[tuple[int, int, GradedSubspace]]:
     """All terms N_{kl}, k = 1..s, l = 1..m_k+1, with N_{11} the root,
     N_{k,l+1} = [N_{kl}, N_{k1}] and N_{k+1,1} = N_{k,m_k+1}."""
-    root = GradedSubspace.full(rank, cutoff)
-    if spec.root_power > 1:
-        root = power_subspace(root, spec.root_power)
+    full = GradedSubspace.full(rank, cutoff)
+    block_root = power_subspace(full, spec.root_power)
     out = []
-    block_root = root
     for k, m in enumerate(spec.block_lengths, start=1):
         term = block_root
         out.append((k, 1, term))
         for l in range(2, m + 2):
-            term = term.bracket_span(block_root)
+            # N_{1,l} = gamma_l(F) over the root F; [gamma_p, gamma_p] is not gamma_{2p}
+            if k == 1 and spec.root_power == 1:
+                term = power_subspace(full, l)
+            else:
+                term = term.bracket_span(block_root)
             out.append((k, l, term))
         block_root = term
     return out
@@ -119,6 +121,8 @@ def _free_factor(rank: int, h_rank: Optional[int], cutoff: int) -> GradedSubspac
     """Graded span of H, the subalgebra on the first h_rank generators
     (default rank - 1)."""
     top = rank - 1 if h_rank is None else h_rank
+    if not 0 <= top <= rank:
+        raise ValueError(f"h_rank must lie in 0..{rank}, got {top}")
     return subalgebra_closure([LieElt.gen(rank, j) for j in range(1, top + 1)], rank, cutoff)
 
 
@@ -175,9 +179,10 @@ def lie_freiheitssatz_verify(
     crit = _criterion(r, comps, h)
     big_r = ideal_generated(r, cutoff)
     entries = []
+    prev = None
     for k, l, term in comps:
-        lhs = h.intersect(big_r.sum(term))
-        rhs = h.intersect(term)
+        if term is not prev:  # the joint N_{k,m_k+1} = N_{k+1,1} is one object
+            lhs, rhs, prev = h.intersect(big_r.sum(term)), h.intersect(term), term
         for d in range(1, cutoff + 1):
             entries.append(FreiheitEntry(k, l, d, lhs.dim(d), rhs.dim(d)))
     all_equal = all(e.equal for e in entries)

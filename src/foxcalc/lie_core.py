@@ -17,6 +17,13 @@ and both closures hand those rows to the kernel as they are, and only
 GradedSubspace.rows builds dense Fraction RREF rows, on request.  Basis
 elements taken from the rows have integer coefficients: the Lyndon basis is
 a Z-basis, so their brackets stay integral.
+
+Three subspaces come in closed form, as spans of Lyndon words: the whole
+algebra; the subalgebra F_K generated by letters y_j, j in K, spanned by the
+Lyndon words over K (their standard bracketings stay in K); and the lower
+central term gamma_l(L) = L_{>=l}, since L is generated in degree 1.
+subalgebra_closure and power_subspace return these directly and close by
+brackets only for other generators or bases.
 """
 from __future__ import annotations
 
@@ -270,8 +277,13 @@ class GradedSubspace:
 
     @classmethod
     def full(cls, rank: int, cutoff: int) -> "GradedSubspace":
+        return cls._words(rank, cutoff, lambda w: True)
+
+    @classmethod
+    def _words(cls, rank: int, cutoff: int, keep) -> "GradedSubspace":
+        """Span of b(w) over the Lyndon words w with keep(w); unit rows are canonical."""
         comp = {
-            d: Echelon._trusted({k: 1} for k in range(len(lyndon_words(rank, d))))
+            d: Echelon._trusted({k: 1} for k, w in enumerate(lyndon_words(rank, d)) if keep(w))
             for d in range(1, cutoff + 1)
         }
         return cls._trusted(rank, cutoff, comp)
@@ -385,15 +397,14 @@ class GradedSubspace:
 
 
 def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> GradedSubspace:
-    """Graded span of the subalgebra generated by homogeneous elements."""
+    """Graded span of the subalgebra generated by homogeneous elements; for
+    letters y_j, j in K, the span of the Lyndon words over K."""
     for g in generators:
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    if all(
-        g.terms == {(j,): Fraction(1)}
-        for g, j in zip(generators, range(1, rank + 1))
-    ) and len(generators) == rank:
-        return GradedSubspace.full(rank, cutoff)
+    if all(len(g.terms) == 1 and g.max_degree() == 1 for g in generators):
+        K = {j for g in generators for (j,) in g.terms}
+        return GradedSubspace._words(rank, cutoff, lambda w: K.issuperset(w))
     comp: dict[int, Echelon] = {}
     elems: list[LieElt] = []
     work: list[LieElt] = []
@@ -445,9 +456,12 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
 
 def power_subspace(base: GradedSubspace, power: int) -> GradedSubspace:
     """power-th term of the lower central series of the subspace: iterated
-    bracket spans [[base, base], base], ..."""
+    bracket spans [[base, base], base], ...; for the whole algebra, which is
+    generated in degree 1, the span of the degrees >= power."""
     if power < 1:
         raise ValueError("power must be positive")
+    if all(base.dim(d) == witt_dimension(base.rank, d) for d in range(1, base.cutoff + 1)):
+        return GradedSubspace._words(base.rank, base.cutoff, lambda w: len(w) >= power)
     out = base
     for _ in range(power - 1):
         out = out.bracket_span(base)

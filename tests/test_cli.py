@@ -181,3 +181,20 @@ def test_lie_kharlampovich_cli(capsys):
         "4",
     )
     assert code == 0 and doc["in_commutator_subalgebra"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lie", "freiheit", "--rank", "3", "--relator", "[y1,y3]", "--spec", "2", "--cutoff", "4", "--h-rank", "-1"),
+        ("lie", "freiheit", "--rank", "3", "--relator", "[y1,y3]", "--spec", "2", "--cutoff", "4", "--h-rank", "5"),
+        ("group", "conjcrit", "--rank", "3", "--relator", "g1 g3 g1^-1 g3^-1", "--h-rank", "-1"),
+        ("lie", "decompose", "--rank", "3", "--expr", "[[y1,y3],y2]", "--keep", "1,5", "--cutoff", "4"),
+        ("lie", "decompose", "--rank", "3", "--expr", "[[y1,y3],y2]", "--keep", "0,1", "--cutoff", "4"),
+    ],
+)
+def test_out_of_range_generator_sets_exit_2(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "must lie in" in out.err

@@ -79,6 +79,20 @@ def test_conjugation_congruence(n, f):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("e", [-7, -1, 1, 7])
+def test_letter_power_derivative(e):
+    """D_1(g1^e) is 1 + g + ... + g^(e-1), or -(g^-1 + ... + g^e) for e < 0,
+    against powers built by repeated multiplication."""
+    step = Word(FREE2, (FreeLetter(1, 1 if e > 0 else -1),))
+    powers = [Word(FREE2, ())]
+    for _ in range(abs(e)):
+        powers.append(multiply(powers[-1], step))
+    want = {p: 1 for p in powers[:-1]} if e > 0 else {p: -1 for p in powers[1:]}
+    power = Word(FREE2, (FreeLetter(1, e),))
+    assert fox_derivative(power, free_index(1)) == RingElt(FREE2, want)
+    assert fox_derivative(power, free_index(2)).is_zero
+
+
 def test_schumann_examples():
     q = index4_oracle()
     c = commutator(

@@ -26,6 +26,7 @@ from foxcalc.lie_core import (
     expand_to_assoc,
     leftnorm,
     lyndon_words,
+    parse_lie,
     power_subspace,
     subalgebra_closure,
     witt_dimension,
@@ -224,6 +225,15 @@ def test_theorem_decomposition_negative():
     rep = theorem_decomposition(LieElt.gen(rank, 3), K, n)
     assert not rep.holds
     assert any(not r.is_zero for r in rep.residues.values())
+
+
+@pytest.mark.parametrize("K", [{1, 5}, {0, 1}])
+def test_theorem_decomposition_rejects_out_of_range_keep(K):
+    # the residues of [[y1,y3],y2] are nonzero, so the early return would
+    # otherwise answer before any index is looked at
+    n = power_subspace(GradedSubspace.full(3, 4), 2)
+    with pytest.raises(ValueError, match="kept generators"):
+        theorem_decomposition(parse_lie("[[y1,y3],y2]", 3), frozenset(K), n)
 
 
 def test_kharlampovich_examples():

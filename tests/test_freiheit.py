@@ -85,6 +85,36 @@ def test_freiheit_verify_negative_witness_degree():
     assert any(e.l == 3 and e.degree == 2 for e in bad)
 
 
+@pytest.mark.parametrize("h_rank", [-1, 4])
+def test_h_rank_out_of_range(h_rank):
+    r = parse_lie("[y1, y3]", 3)
+    with pytest.raises(ValueError, match="h_rank"):
+        lie_freiheitssatz_verify(r, SeriesSpec((2,)), 4, h_rank=h_rank)
+    with pytest.raises(ValueError, match="h_rank"):
+        group_criterion_bruteforce(parse_word("g1 g3 g1^-1 g3^-1", Alphabet(3)), h_rank=h_rank)
+
+
+def test_freiheit_verify_intersects_each_term_once(monkeypatch):
+    """The block joint N_{1,m_1+1} = N_{2,1} is one object: its two
+    intersections are computed once and reported under both (k, l)."""
+    calls = []
+    intersect = GradedSubspace.intersect
+
+    def counted(self, other):
+        calls.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(GradedSubspace, "intersect", counted)
+    spec = SeriesSpec((1, 2))
+    rep = lie_freiheitssatz_verify(parse_lie("[y1, y3]", 3), spec, 5)
+    terms = {id(t) for _, _, t in series_components(spec, 3, 5)}
+    assert len(calls) == 2 * len(terms) == 2 * 4
+    rows = {(e.k, e.l): [] for e in rep.entries}
+    for e in rep.entries:
+        rows[(e.k, e.l)].append((e.dim_with_relator, e.dim_series))
+    assert rows[(1, 2)] == rows[(2, 1)]
+
+
 def test_freiheit_cutoff_too_small():
     with pytest.raises(ValueError):
         lie_freiheitssatz_verify(parse_lie("[y1, [y1, y3]]", 3), SeriesSpec((2,)), 2)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -96,6 +97,29 @@ def test_subalgebra_closure_free_factor():
     h = subalgebra_closure([LieElt.gen(3, 1), LieElt.gen(3, 2)], 3, 6)
     for d in range(1, 7):
         assert h.dim(d) == witt_dimension(2, d)
+
+
+@pytest.mark.parametrize("rank, cutoff", [(2, 8), (3, 7), (4, 6)])
+def test_closed_forms_match_closures(rank, cutoff):
+    """F_K read off the Lyndon words over K, and gamma_l(F) = L_{>=l}, equal
+    (with equal hashes) the worklist closure and iterated bracket spans.  A
+    redundant bracket among the generators ([y, y] = 0 for one letter) keeps
+    subalgebra_closure off the letter path."""
+    y = [LieElt.gen(rank, j) for j in range(1, rank + 1)]
+    for size in range(1, rank + 1):
+        for K in itertools.combinations(range(rank), size):
+            letters = [y[j] for j in K]
+            closed = subalgebra_closure(letters, rank, cutoff)
+            extra = bracket(letters[0], letters[-1])
+            closure = subalgebra_closure(letters + [extra], rank, cutoff)
+            assert closed == closure and hash(closed) == hash(closure), K
+            assert closed.dims() == {d: witt_dimension(size, d) for d in range(1, cutoff + 1)}
+    full = GradedSubspace.full(rank, cutoff)
+    chain = full
+    for l in range(2, 5):
+        chain = chain.bracket_span(full)
+        closed = power_subspace(full, l)
+        assert closed == chain and hash(closed) == hash(chain), l
 
 
 def test_ideal_closure_examples():
