@@ -29,6 +29,10 @@ expect 0 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient trivi
 expect 1 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient abel
 expect 0 fox group conjcrit --rank 3 --relator "g1 g3 g1^-1 g3^-1"
 expect 1 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1"
+expect 0 fox group gamma-criterion --rank 2 --word "g1^-3 g2^2 g1^3 g2^-2" --keep g1 --class 1 --cutoff 4
+expect 1 fox group gamma-criterion --rank 2 --word "g1^3 g2^-2 g1^-3 g2^2" --keep g1 --class 2 --cutoff 4
+expect 0 fox group conjcrit --rank 3 --relator "g1^-2 g3^3 g1^2 g3^-3"
+expect 1 fox group conjcrit --rank 3 --relator "g1^-2 g2^3 g1^2 g2^-3"
 expect 0 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 3 --cutoff 4
 expect 1 fox lie freiheit --rank 3 --relator "[y1, y2]" --spec 3 --cutoff 4
 expect 2 fox lie dims --rank 2 --degree 3 --bogus

@@ -73,14 +73,15 @@ def fox_derivative(u: Union[Word, RingElt], k: FoxIndex) -> RingElt:
             terms_of(fox_derivative(w, k).scale(c) for w, c in u.terms.items()),
         )
     alphabet = u.alphabet
-    # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r); a suffix of a
-    # reduced word is reduced
+    # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r).  Each word of
+    # D(l_t) is 1 or a power in l_t's slot, and l_{t+1} never shares that
+    # slot in a reduced word, so the concatenation is already reduced.
     letters = u.letters
     pairs = []
     for t, letter in enumerate(letters):
-        tail = Word(alphabet, letters[t + 1 :])
+        tail = letters[t + 1 :]
         pairs.extend(
-            (multiply(v, tail), c)
+            (Word(alphabet, v.letters + tail), c)
             for v, c in _letter_derivative(letter, k, alphabet).terms.items()
         )
     return RingElt(alphabet, pairs)
@@ -118,16 +119,14 @@ def subgroup_fox(base: Sequence[Word], expr: Word) -> dict:
     """
     if not base:
         raise ValueError("empty base")
+    image = _substitution(base)
     alphabet = base[0].alphabet
-    if any(h.alphabet != alphabet for h in base):
-        raise ValueError("alphabet mismatch in base")
     symbols = expr.alphabet
     if symbols.n_factors or symbols.free_rank != len(base):
         raise ValueError("expr must live in a free alphabet of rank len(base)")
-    f = identity(alphabet)
-    for letter in expr.letters:
-        f = multiply(f, base[letter.index - 1] ** letter.exp)
+    f = image(expr)
     partials = {k: fox_derivative(expr, free_index(k)) for k in range(1, len(base) + 1)}
+    substituted = {k: substitute_ring(p, base) for k, p in partials.items()}
     checks = {}
     # with the right-sided derivation law the base derivative multiplies
     # from the left: D_j(f) = sum_k D_j(h_k) * partial_k(expr)|_base
@@ -136,7 +135,7 @@ def subgroup_fox(base: Sequence[Word], expr: Word) -> dict:
         rhs = RingElt(
             alphabet,
             terms_of(
-                fox_derivative(base[k - 1], k_idx) * substitute_ring(partials[k], base)
+                fox_derivative(base[k - 1], k_idx) * substituted[k]
                 for k in range(1, len(base) + 1)
             ),
         )
@@ -144,17 +143,23 @@ def subgroup_fox(base: Sequence[Word], expr: Word) -> dict:
     return {"f": f, "partials": partials, "chain_check": all(checks.values())}
 
 
+def _substitution(base: Sequence[Word]):
+    """The word map g_k^e -> base[k-1]^e: one reduction of the concatenated
+    letters of |e| copies of base[k-1] or of its inverse."""
+    alphabet = base[0].alphabet
+    if any(h.alphabet != alphabet for h in base):
+        raise ValueError("alphabet mismatch in base")
+    images = [(h.letters, invert(h).letters) for h in base]
+    return lambda w: reduce(
+        (x for s in w.letters for x in images[s.index - 1][s.exp < 0] * abs(s.exp)),
+        alphabet,
+    )
+
+
 def substitute_ring(a: RingElt, base: Sequence[Word]) -> RingElt:
     """Substitute base words for the free symbols of a ring element."""
-    alphabet = base[0].alphabet
-
-    def image(w: Word) -> Word:
-        img = identity(alphabet)
-        for letter in w.letters:
-            img = multiply(img, base[letter.index - 1] ** letter.exp)
-        return img
-
-    return RingElt(alphabet, ((image(w), c) for w, c in a.terms.items()))
+    image = _substitution(base)
+    return RingElt(base[0].alphabet, ((image(w), c) for w, c in a.terms.items()))
 
 
 @dataclass
@@ -171,14 +176,19 @@ def schumann_check(v: Word, q: QuotientOracle) -> CriterionReport:
     factors trivially this characterises v in [N, N]."""
     if not q.contains(v):
         raise ValueError("v must lie in N")
-    residues = {}
-    holds = True
-    for k in all_indices(v.alphabet):
-        r = reduce_mod(fox_derivative(v, k), q)
-        residues[k] = r
-        if r:
-            holds = False
-    return CriterionReport(holds, residues)
+    return _residue_report(v, q)
+
+
+def _residue_report(
+    v: Word, q: QuotientOracle, skip: frozenset[FoxIndex] = frozenset()
+) -> CriterionReport:
+    """D_k(v) mod N for every index k outside ``skip``; holds iff all vanish."""
+    residues = {
+        k: reduce_mod(fox_derivative(v, k), q)
+        for k in all_indices(v.alphabet)
+        if k not in skip
+    }
+    return CriterionReport(not any(residues.values()), residues)
 
 
 def retraction(u: Word, keep: frozenset[FoxIndex]) -> Word:
@@ -212,16 +222,7 @@ def theorem1_check(
         raise ValueError("theorem1_check needs a finite-index oracle")
     alphabet = v.alphabet
     K = frozenset(K)
-    residues = {}
-    holds = True
-    for k in all_indices(alphabet):
-        if k in K:
-            continue
-        r = reduce_mod(fox_derivative(v, k), q)
-        residues[k] = r
-        if r:
-            holds = False
-    report = CriterionReport(holds, residues)
+    report = _residue_report(v, q, K)
     # witness: try the retraction first, then bounded shortlex search
     vhat = retraction(v, K)
     if not q.contains(multiply(v, invert(vhat))):

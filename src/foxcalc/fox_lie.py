@@ -249,13 +249,22 @@ def solve_sigma_zero(
     v = LieElt(rank, terms_of(folded))
     if bad:
         raise SigmaError("sigma is not 0 mod N_U", env.ctx.expand(bad))
-    for j in sorted(K):
-        diff = lie_fox(expand_to_assoc(v)).partials[j] - u.get(
-            j, AssocPoly.zero(rank)
-        )
-        if not env.is_zero_mod(diff):
-            raise RuntimeError("solve_sigma_zero: constructed v fails D_j(v) = u_j mod N_U")
+    _verify_solution("solve_sigma_zero", v, u, K, env)
     return v
+
+
+def _verify_solution(
+    caller: str,
+    v: LieElt,
+    u: Mapping[int, AssocPoly],
+    K: frozenset[int],
+    env: SubalgebraIdealContext,
+) -> None:
+    """Raise RuntimeError unless D_j(v) = u_j mod N_U for every j in K."""
+    partials = lie_fox(expand_to_assoc(v)).partials
+    zero = AssocPoly.zero(v.rank)
+    if not all(env.is_zero_mod(partials[j] - u.get(j, zero)) for j in sorted(K)):
+        raise RuntimeError(f"{caller}: constructed v fails D_j(v) = u_j mod N_U")
 
 
 def solve_sigma_zero_ideal(
@@ -290,12 +299,7 @@ def solve_sigma_zero_ideal(
         return leftnorm(solve_sigma_zero(u_slice, K, n, rank), tail)
 
     v = LieElt(rank, terms_of(fold(dpart) for dpart in sorted(slices)))
-    for j in sorted(K):
-        diff = lie_fox(expand_to_assoc(v)).partials[j] - u.get(
-            j, AssocPoly.zero(rank)
-        )
-        if not env.is_zero_mod(diff):
-            raise RuntimeError("solve_sigma_zero_ideal: constructed v fails D_j(v) = u_j mod N_U")
+    _verify_solution("solve_sigma_zero_ideal", v, u, K, env)
     return v
 
 
@@ -345,7 +349,8 @@ def theorem_decomposition(
         raise RuntimeError("criterion holds but v is not in F_K + N")
     v0 = LieElt(rank, terms_of(e.value.scale(c) for e, c in elements if e.block == "b"))
     w = v - v0
-    u = {j: lie_fox(expand_to_assoc(w)).partials[j] for j in sorted(K)}
+    partials = lie_fox(expand_to_assoc(w)).partials
+    u = {j: partials[j] for j in sorted(K)}
     v1 = solve_sigma_zero_ideal(u, K, n, rank)
     w2 = w - v1
     certified = w2.is_zero or commutator_subspace(n).member(w2)

@@ -3,9 +3,14 @@
 Series are truncated at a fixed total degree; every operation discards
 monomials above the cutoff.  Weights reported as ``None`` mean "greater than
 the cutoff" and are not otherwise trusted.
+
+A syllable g_j^e has the closed-form image (1 + x_j)^e = sum_k C(e, k) x_j^k,
+exact for every integer e: for e = -n < 0 the generalised binomial reads
+C(-n, k) = (-1)^k C(n + k - 1, k).
 """
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
 from .lincomb import Graded, Terms, format_terms, sum_terms, terms_of
@@ -48,23 +53,15 @@ class TruncSeries(Graded):
 
 
 def _gen_power(rank: int, cutoff: int, j: int, exp: int) -> TruncSeries:
-    one = TruncSeries.one(rank, cutoff)
-    if exp >= 0:
-        base = one + TruncSeries.gen(rank, cutoff, j)
-        n = exp
-    else:
-        # (1+x)^-1 = 1 - x + x^2 - ...
-        inv = TruncSeries(
-            rank, cutoff, {(j,) * d: (-1) ** d for d in range(cutoff + 1)}
-        )
-        base, n = inv, -exp
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
+    """(1 + x_j)^exp truncated at ``cutoff``, by the binomial series."""
+    return TruncSeries(
+        rank,
+        cutoff,
+        {
+            (j,) * k: comb(exp, k) if exp >= 0 else (-1) ** k * comb(k - exp - 1, k)
+            for k in range(cutoff + 1)
+        },
+    )
 
 
 def embed(w: Word, cutoff: int) -> TruncSeries:

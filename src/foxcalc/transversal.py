@@ -81,8 +81,9 @@ class Transversal:
         self._reps: dict = {}  # coset key -> Word
         self._kinds: dict = {}  # coset key -> "alpha" | "beta"
         self._explored_to = 0
+        self._gens: Optional[dict] = None
         if oracle.finite_index:
-            self._explore_all()
+            self._explore(None)
             self._verify_prefix_closure()
         elif oracle.kind != "abelianization" and style == "alphabeta":
             raise ValueError(
@@ -140,16 +141,10 @@ class Transversal:
             self._kinds[key] = kind
             push_children(cand)
 
-    def _explore_all(self) -> None:
-        if self.style == "alphabeta":
-            self._bfs(sub_only=True, kind="alpha", max_length=None)
-        self._bfs(sub_only=False, kind="beta" if self.style == "alphabeta" else "alpha", max_length=None)
-
-    def _grow_lazy(self, max_length: int) -> None:
-        if self.oracle.finite_index or max_length <= self._explored_to:
-            return
-        # re-run from scratch at the bigger bound; alpha assignments must
-        # precede beta ones, so lazy growth restarts both phases
+    def _explore(self, max_length: Optional[int]) -> None:
+        """Build the rep table from scratch, up to ``max_length`` (None: the
+        whole coset graph).  Alpha assignments must precede beta ones, so a
+        bigger bound reruns both phases."""
         self._reps.clear()
         self._kinds.clear()
         if self.style == "alphabeta":
@@ -159,7 +154,6 @@ class Transversal:
             kind="beta" if self.style == "alphabeta" else "alpha",
             max_length=max_length,
         )
-        self._explored_to = max_length
 
     def _verify_prefix_closure(self) -> None:
         for rep in list(self._reps.values()):
@@ -177,7 +171,10 @@ class Transversal:
     def representative(self, u: Word) -> Word:
         if u.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        self._grow_lazy(max(word_length(u), 1))
+        length = max(word_length(u), 1)
+        if not self.oracle.finite_index and length > self._explored_to:
+            self._explore(length)
+            self._explored_to = length
         key = self.oracle.coset_key(u)
         if key not in self._reps:
             raise RuntimeError(f"coset of {u} not found within the length bound")
@@ -201,28 +198,28 @@ class Transversal:
     def schreier_generators(self) -> list[SchreierGenerator]:
         """Nontrivial generators s x rep(sx)^-1, s over the transversal and
         x over the positive letters, in deterministic order."""
+        return list(self._generator_table().values())
+
+    def _generator_table(self) -> dict:
+        """(rep, letter) -> nontrivial Schreier generator, built once."""
         if not self.oracle.finite_index:
             raise ValueError("schreier_generators needs a finite-index oracle")
-        if getattr(self, "_schreier_cache", None) is not None:
-            return list(self._schreier_cache)
-        out = []
-        for s in self.representatives():
-            for x in _positive_letters(self.alphabet):
-                sx = multiply(s, Word(self.alphabet, (x,)))
-                w = multiply(sx, invert(self.representative(sx)))
-                if not w.is_identity:
-                    out.append(SchreierGenerator(s, x, w))
-        self._schreier_cache = out
-        return list(out)
+        if self._gens is None:
+            self._gens = {}
+            for s in self.representatives():
+                for x in _positive_letters(self.alphabet):
+                    sx = multiply(s, Word(self.alphabet, (x,)))
+                    w = multiply(sx, invert(self.representative(sx)))
+                    if not w.is_identity:
+                        self._gens[s, x] = SchreierGenerator(s, x, w)
+        return self._gens
 
     def rewrite_in_schreier(self, u: Word) -> list[tuple[SchreierGenerator, int]]:
         """Reidemeister-Schreier rewriting of u in N as a word over the
         Schreier generators (trivial generators dropped)."""
         if not self.oracle.contains(u):
             raise ValueError("u must lie in N")
-        table = {
-            (g.rep, g.letter): g for g in self.schreier_generators()
-        }
+        table = self._generator_table()
         out: list[tuple[SchreierGenerator, int]] = []
         state = identity(self.alphabet)
         for atom in to_atomic(u):

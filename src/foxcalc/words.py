@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,8 @@ class Word:
         return invert(self)
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return identity(self.alphabet)
-        base = self if n > 0 else invert(self)
-        out = base
-        for _ in range(abs(n) - 1):
-            out = multiply(out, base)
-        return out
+        base = self if n >= 0 else invert(self)
+        return reduce(base.letters * abs(n), self.alphabet)
 
     @property
     def is_identity(self) -> bool:
@@ -178,7 +173,10 @@ def to_atomic(u: Word) -> tuple[Letter, ...]:
 
 def word_length(u: Word) -> int:
     """Length over the atomic alphabet (factor syllables count once)."""
-    return len(to_atomic(u))
+    return sum(
+        1 if isinstance(letter, FactorLetter) else abs(letter.exp)
+        for letter in u.letters
+    )
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +212,7 @@ def shortlex_words(alphabet: Alphabet, max_length: int) -> Iterator[Word]:
         for atoms in frontier:
             for child in _atomic_children(atoms, alphabet):
                 nxt.append(child)
-                yield Word(alphabet, _letters_from_atoms(child, alphabet))
+                yield reduce(child, alphabet)
         frontier = nxt
 
 
@@ -229,23 +227,6 @@ def _atomic_children(
             if last.exp * x.exp < 0:
                 continue  # cancellation
         yield atoms + (x,)
-
-
-def _letters_from_atoms(
-    atoms: Sequence[Letter], alphabet: Alphabet
-) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for a in atoms:
-        if out and _same_slot(out[-1], a):
-            prev = out.pop()
-            e = prev.exp + a.exp
-            if isinstance(a, FactorLetter):
-                e %= alphabet.factor_order(a.index)
-            if e:
-                out.append(type(a)(a.index, e))
-        else:
-            out.append(a)
-    return tuple(out)
 
 
 def cyclically_reduce(u: Word) -> tuple[Word, Word]:

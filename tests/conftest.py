@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: random words and Lie elements."""
+"""Shared hypothesis strategies and seeded generators: random words and Lie
+elements."""
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -25,6 +26,25 @@ def words(alphabet, max_len=8):
     return st.lists(
         st.sampled_from(letter_pool(alphabet)), max_size=max_len
     ).map(lambda ls: reduce(ls, alphabet))
+
+
+def syllable_words(rng, alphabet, count, max_syllables=8, max_exp=4):
+    """``count`` reduced words, each from up to ``max_syllables`` random
+    syllables with exponents in +-1..+-max_exp, so that powers reach the
+    code paths the atomic strategy above builds only by merging."""
+    slots = [(FactorLetter, i) for i in range(1, alphabet.n_factors + 1)]
+    slots += [(FreeLetter, j) for j in range(1, alphabet.free_rank + 1)]
+    exps = [e for e in range(-max_exp, max_exp + 1) if e]
+    out = []
+    for _ in range(count):
+        syllables = [
+            kind(idx, rng.choice(exps))
+            for kind, idx in (
+                rng.choice(slots) for _ in range(rng.randrange(max_syllables + 1))
+            )
+        ]
+        out.append(reduce(syllables, alphabet))
+    return out
 
 
 def coeffs():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from foxcalc.fox_group import (
     schumann_check,
     subgroup_fox,
     subgroup_gamma_criterion,
+    substitute_ring,
     theorem1_check,
 )
 from foxcalc.group_ring import (
@@ -23,18 +26,22 @@ from foxcalc.group_ring import (
 from foxcalc.magnus import gamma_weight, ideal_weight
 from foxcalc.words import (
     Alphabet,
+    FactorLetter,
     FreeLetter,
     Word,
     commutator,
     conjugate,
+    identity,
     invert,
     multiply,
     parse_word,
+    reduce,
     shortlex_words,
+    to_atomic,
     word_length,
 )
 
-from conftest import FREE2, FREE3, MIXED, words
+from conftest import FREE2, FREE3, MIXED, syllable_words, words
 
 
 def index4_oracle():
@@ -164,3 +171,59 @@ def test_gamma_criterion_and_escalation():
         ideal_weight(fox_derivative(w, free_index(1)), 4)
         == ideal_weight(fox_derivative(commutator(g1, g2), free_index(1)), 4) + 1
     )
+
+
+def _atomic_fox(w, k):
+    """D_k(w) = sum_t D_k(x_t) x_{t+1} ... x_n over the atoms x_t of w, with
+    D(g) = 1, D(g^-1) = -g^-1 and D(a) = a - 1, every tail by multiply."""
+    al = w.alphabet
+    atoms = to_atomic(w)
+    out = RingElt.zero(al)
+    for t, x in enumerate(atoms):
+        kind = "factor" if isinstance(x, FactorLetter) else "free"
+        if (kind, x.index) != k:
+            continue
+        letter = Word(al, (x,))
+        if kind == "factor":
+            d = RingElt(al, {letter: 1, identity(al): -1})
+        elif x.exp > 0:
+            d = RingElt.one(al)
+        else:
+            d = RingElt.from_word(letter, -1)
+        tail = identity(al)
+        for y in atoms[t + 1 :]:
+            tail = multiply(tail, Word(al, (y,)))
+        out = out + d * tail
+    return out
+
+
+def test_fox_derivative_against_atomic_oracle():
+    al = Alphabet(2, (5, 3))
+    for w in syllable_words(random.Random(5), al, 150):
+        for k in all_indices(al):
+            d = fox_derivative(w, k)
+            assert d == _atomic_fox(w, k)
+            assert all(u == reduce(u.letters, al) for u in d.terms)
+
+
+def test_substitution_against_products():
+    """subgroup_fox's f and substitute_ring against products of base
+    powers by multiply."""
+    rng = random.Random(8)
+    for _ in range(40):
+        base = syllable_words(rng, MIXED, 2, max_syllables=3)
+        expr, *terms = syllable_words(rng, FREE2, 4, max_syllables=4)
+
+        def image(w):
+            out = identity(MIXED)
+            for letter in w.letters:
+                h = base[letter.index - 1]
+                for _ in range(abs(letter.exp)):
+                    out = multiply(out, h if letter.exp > 0 else invert(h))
+            return out
+
+        assert subgroup_fox(base, expr)["f"] == image(expr)
+        a = RingElt(FREE2, [(w, c) for c, w in enumerate(terms, start=1)])
+        assert substitute_ring(a, base) == RingElt(
+            MIXED, [(image(w), c) for w, c in a.terms.items()]
+        )

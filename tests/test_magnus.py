@@ -3,7 +3,15 @@ import itertools
 from hypothesis import given, settings
 
 from foxcalc.fox_group import fox_derivative, free_index
-from foxcalc.magnus import embed, embed_ring, format_series, gamma_weight, ideal_weight
+from foxcalc.magnus import (
+    TruncSeries,
+    _gen_power,
+    embed,
+    embed_ring,
+    format_series,
+    gamma_weight,
+    ideal_weight,
+)
 from foxcalc.words import Alphabet, FreeLetter, Word, commutator, identity, multiply
 
 from conftest import FREE2, FREE3, words
@@ -96,3 +104,22 @@ def test_embed_ring_and_format():
     )
     assert ideal_weight(fox_derivative(Word(FREE2, (FreeLetter(1, 1),)), free_index(1)), 3) == 0
     assert isinstance(format_series(a), str)
+
+
+def test_gen_power_closed_form_against_products():
+    """The binomial series for (1 + x_j)^e against |e| products of the
+    images of g_j^{+-1}, themselves pinned to 1 + x_j and its inverse."""
+    for rank in (1, 2, 3):
+        al = Alphabet(rank)
+        for cutoff in range(7):
+            one = TruncSeries.one(rank, cutoff)
+            for j in range(1, rank + 1):
+                up = embed(Word(al, (FreeLetter(j, 1),)), cutoff)
+                down = embed(Word(al, (FreeLetter(j, -1),)), cutoff)
+                assert up == one + TruncSeries.gen(rank, cutoff, j)
+                assert up * down == one and down * up == one
+                for e in range(-7, 8):
+                    want = one
+                    for _ in range(abs(e)):
+                        want = want * (up if e > 0 else down)
+                    assert _gen_power(rank, cutoff, j, e) == want

@@ -1,3 +1,6 @@
+import random
+
+import pytest
 from hypothesis import given, strategies as st
 
 from foxcalc.words import (
@@ -19,7 +22,7 @@ from foxcalc.words import (
     word_length,
 )
 
-from conftest import FREE2, MIXED, letter_pool, words
+from conftest import FREE2, MIXED, letter_pool, syllable_words, words
 
 
 @given(st.lists(st.sampled_from(letter_pool(MIXED)), max_size=12))
@@ -91,3 +94,17 @@ def test_shortlex_word_count():
 def test_word_length_counts_syllables():
     w = parse_word("a1^4 g1^3", MIXED)
     assert word_length(w) == 4  # one factor syllable plus three free atoms
+
+
+@pytest.mark.parametrize("alphabet", [FREE2, Alphabet(2, (5, 3))], ids=["free", "factors"])
+def test_power_and_length_against_atoms(alphabet):
+    """w ** n against |n| products by multiply, and the syllable count of
+    word_length against the atomic expansion."""
+    for w in syllable_words(random.Random(3), alphabet, 60):
+        for n in range(-5, 6):
+            step = w if n >= 0 else invert(w)
+            want = identity(alphabet)
+            for _ in range(abs(n)):
+                want = multiply(want, step)
+            assert w ** n == want
+        assert word_length(w) == len(to_atomic(w))
