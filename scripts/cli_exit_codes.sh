@@ -36,6 +36,8 @@ expect 1 fox group conjcrit --rank 3 --relator "g1^-2 g2^3 g1^2 g2^-3"
 expect 0 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 3 --cutoff 4
 expect 1 fox lie freiheit --rank 3 --relator "[y1, y2]" --spec 3 --cutoff 4
 expect 2 fox lie dims --rank 2 --degree 3 --bogus
+expect 2 fox lie dims --rank 2 --degree 0
+expect 2 fox lie dims --rank -2 --degree 3
 expect 2 fox group derive --rank 2 --word "zz" --gen g1
 expect 2 fox lie derive --rank 2 --expr "1/0*y1"
 expect 2 fox nonsense

@@ -16,6 +16,7 @@ from .assoc_env import (
     AssocPoly,
     PBWContext,
     adapted_basis,
+    is_ideal,
     reduce_mod_ideal,
 )
 from .lincomb import terms_of
@@ -187,6 +188,8 @@ class SubalgebraIdealContext:
         key = (rank, K, n)
         if key in cls._cache:
             return cls._cache[key]
+        if not is_ideal(n):
+            raise ValueError("subspace is not an ideal")
         self = super().__new__(cls)
         fk = subalgebra_closure([LieElt.gen(rank, j) for j in sorted(K)], rank, n.cutoff)
         self.rank, self.K, self.n, self.fk = rank, K, n, fk

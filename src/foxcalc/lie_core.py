@@ -7,9 +7,11 @@ algebra are triangular: the lexicographically least monomial of b(w) is w,
 with coefficient 1, which drives the projection back to the Lyndon basis.
 
 Brackets come from a cached table of integer coordinates of [b(u), b(v)]
-for pairs of Lyndon words, extended bilinearly.  The envelope expansion is
-used only to fill that table and, through expand_to_assoc and
-project_to_lyndon, by the PBW rewriting and the Lie Fox derivatives.
+for pairs of Lyndon words u < v, extended bilinearly and filled by
+Lyndon-Shirshov rewriting on the standard factorisation u = u1 u2:
+[b(u), b(v)] = b(uv) when u is a letter or u2 >= v, else Jacobi.  The
+envelope expansion, on the same factorisation, serves only expand_to_assoc
+and project_to_lyndon (PBW rewriting, the Lie Fox derivatives).
 
 A GradedSubspace keeps each degree as a linalg.Echelon of canonical integer
 rows over the Lyndon coordinates; spans, sums, intersections, membership
@@ -57,6 +59,8 @@ def lyndon_words(rank: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 def witt_dimension(rank: int, degree: int) -> int:
     """Dimension of the degree-d component: (1/d) sum_{e|d} mu(e) r^{d/e}."""
+    if degree < 1 or rank < 0:
+        raise ValueError("degree must be positive and rank non-negative")
     total = 0
     for e in range(1, degree + 1):
         if degree % e == 0:
@@ -81,15 +85,21 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _factor(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Standard factorisation (u1, u2) of a Lyndon word of length >= 2: u2 is
+    its longest proper Lyndon suffix."""
+    for k in range(1, len(word)):
+        if _is_lyndon(word[k:]):
+            return word[:k], word[k:]
+    raise ValueError(f"not a Lyndon word: {word}")
+
+
+@lru_cache(maxsize=None)
 def standard_bracketing(word: tuple[int, ...]):
     """Nested-pair form of the standard bracketing of a Lyndon word."""
     if len(word) == 1:
         return word[0]
-    # longest proper suffix that is Lyndon
-    for k in range(1, len(word)):
-        if _is_lyndon(word[k:]):
-            return (standard_bracketing(word[:k]), standard_bracketing(word[k:]))
-    raise ValueError(f"not a Lyndon word: {word}")
+    return tuple(map(standard_bracketing, _factor(word)))
 
 
 def _is_lyndon(word: tuple[int, ...]) -> bool:
@@ -142,17 +152,10 @@ def expand_to_assoc(a: LieElt):
 
 @lru_cache(maxsize=None)
 def _expand_word(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return _expand_tree(standard_bracketing(w))
-
-
-def _expand_tree(tree) -> dict[tuple[int, ...], int]:
-    if isinstance(tree, int):
-        return {(tree,): 1}
-    return _commutator(_expand_tree(tree[0]), _expand_tree(tree[1]))
-
-
-def _commutator(left: dict, right: dict) -> dict[tuple[int, ...], int]:
-    """left*right - right*left of two integer associative expansions."""
+    """b(u1 u2) = b(u1)b(u2) - b(u2)b(u1), integer coefficients."""
+    if len(w) == 1:
+        return {w: 1}
+    left, right = map(_expand_word, _factor(w))
     return sum_terms(
         (m, s * c1 * c2)
         for m1, c1 in left.items()
@@ -161,23 +164,15 @@ def _commutator(left: dict, right: dict) -> dict[tuple[int, ...], int]:
     )
 
 
-def _peel_lyndon(residual: dict) -> dict:
-    """Lyndon coordinates of residual by the triangular projection: take off
-    c*b(w) for the least monomial w while w is a Lyndon word.  residual is
-    consumed in place; what stays (a constant term too, since the empty word
-    is not Lyndon) is not a Lie element."""
-    coords = {}
-    while residual and _is_lyndon(w := min(residual)):
-        c = coords[w] = residual[w]
-        sum_terms(((m, -c * k) for m, k in _expand_word(w).items()), residual)
-    return coords
-
-
 def project_to_lyndon(p) -> LieElt:
     """Inverse of expand_to_assoc on Lie elements; raises
     :class:`LieProjectionError` otherwise."""
-    residual = dict(p.terms)
-    coords = _peel_lyndon(residual)
+    # triangular projection: take off c*b(w) for the least monomial w while w
+    # is Lyndon; what stays (a constant term too) is not a Lie element
+    residual, coords = dict(p.terms), {}
+    while residual and _is_lyndon(w := min(residual)):
+        c = coords[w] = residual[w]
+        sum_terms(((m, -c * k) for m, k in _expand_word(w).items()), residual)
     if residual:
         from .assoc_env import AssocPoly
 
@@ -187,15 +182,18 @@ def project_to_lyndon(p) -> LieElt:
 
 @lru_cache(maxsize=None)
 def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """[b(u), b(v)] for Lyndon words u < v as (Lyndon word, int) pairs.
-
-    The Lyndon basis is a Z-basis of the free Lie ring, so the coordinates
-    are integers, and they do not depend on the rank."""
-    residual = _commutator(_expand_word(u), _expand_word(v))
-    coords = _peel_lyndon(residual)
-    if residual:
-        raise RuntimeError(f"[b{u}, b{v}] left a non-Lie residual")
-    return tuple(coords.items())
+    """[b(u), b(v)] for Lyndon words u < v as (Lyndon word, int) pairs, in
+    word order: b(uv) when u is a letter or u = u1 u2 with u2 >= v, else
+    [[u1, u2], v] = [u1, [u2, v]] - [u2, [u1, v]].  Integer coordinates,
+    independent of the rank; the least word is uv, with coefficient 1."""
+    if len(u) == 1 or _factor(u)[1] >= v:
+        return ((u + v, 1),)
+    u1, u2 = _factor(u)
+    entry = sum_terms(_bracket_terms({u1: 1}, dict(_bracket_words(u2, v))))
+    sum_terms(_bracket_terms({u2: -1}, dict(_bracket_words(u1, v))), entry)
+    if entry.get(u + v) != 1 or min(entry) != u + v:
+        raise RuntimeError(f"[b{u}, b{v}] breaks the triangularity of the Lyndon basis")
+    return tuple(sorted(entry.items()))
 
 
 def bracket(a: LieElt, b: LieElt) -> LieElt:

@@ -38,6 +38,9 @@ def test_bad_value_exits_2(capsys):
     assert code == 2
     code, _ = run(capsys, "lie", "derive", "--rank", "2", "--expr", "1/0*y1")
     assert code == 2
+    for rank, degree in (("2", "0"), ("2", "-3"), ("-2", "3")):
+        code, _ = run(capsys, "lie", "dims", "--rank", rank, "--degree", degree)
+        assert code == 2
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -236,6 +236,18 @@ def test_theorem_decomposition_rejects_out_of_range_keep(K):
         theorem_decomposition(parse_lie("[[y1,y3],y2]", 3), frozenset(K), n)
 
 
+def test_subalgebra_ideal_context_rejects_non_ideal():
+    # F_{1,3} is a subalgebra, not an ideal: with K = all letters no residue
+    # is computed, so only the context itself can refuse the premise
+    rank, K = 3, frozenset({1, 2, 3})
+    n = subalgebra_closure([LieElt.gen(rank, 1), LieElt.gen(rank, 3)], rank, 4)
+    u = lie_fox(expand_to_assoc(parse_lie("[y1, y3]", rank))).partials
+    with pytest.raises(ValueError, match="not an ideal"):
+        solve_sigma_zero(u, K, n, rank)
+    with pytest.raises(ValueError, match="not an ideal"):
+        theorem_decomposition(parse_lie("[[y1,y3],y2]", rank), K, n)
+
+
 def test_kharlampovich_examples():
     n = power_subspace(GradedSubspace.full(3, 5), 2)
     c = bracket(LieElt.gen(3, 1), LieElt.gen(3, 2))

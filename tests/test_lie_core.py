@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxcalc import lie_core
+from foxcalc.lincomb import sum_terms
 from foxcalc.lie_core import (
     GradedSubspace,
     LieElt,
@@ -195,22 +196,62 @@ def test_bracket_does_not_depend_on_rank(pair):
 
 
 def test_bracket_table_is_integral():
-    words = [w for d in range(1, 6) for w in lyndon_words(3, d)]
-    for u in words:
-        for v in words:
-            if not u < v or len(u) + len(v) > 6:
-                continue
-            entry = lie_core._bracket_words(u, v)
-            assert all(type(k) is int and k and len(w) == len(u) + len(v) for w, k in entry)
-            bu, bv = LieElt(3, {u: 1}), LieElt(3, {v: 1})
-            assert LieElt(3, dict(entry)) == envelope_bracket(bu, bv)
+    # every entry up to (rank, total degree) = (3, 8) and (4, 7): integers,
+    # least word uv with coefficient 1, and equal to the envelope commutator
+    # b(u)b(v) - b(v)b(u) (the expansion is injective on Lie elements, so
+    # this is the projection round trip)
+    expand = lie_core._expand_word
+    pairs = set()
+    for rank, top in ((3, 8), (4, 7)):
+        words = sorted(w for d in range(1, top) for w in lyndon_words(rank, d))
+        pairs.update((u, v) for u, v in itertools.combinations(words, 2) if len(u) + len(v) <= top)
+    for u, v in pairs:
+        entry = lie_core._bracket_words(u, v)
+        assert all(type(k) is int and k and len(w) == len(u) + len(v) for w, k in entry)
+        assert entry[0] == (u + v, 1) and list(entry) == sorted(entry)
+        commutator = sum_terms(
+            (m, s * c1 * c2)
+            for m1, c1 in expand(u).items()
+            for m2, c2 in expand(v).items()
+            for m, s in ((m1 + m2, 1), (m2 + m1, -1))
+        )
+        assert sum_terms((m, c * k) for w, c in entry for m, k in expand(w).items()) == commutator
 
 
-def test_bracket_table_broken_expansion_is_internal_error(monkeypatch):
-    # a non-Lie residual is a broken invariant, not bad input (ValueError)
-    monkeypatch.setattr(lie_core, "_expand_word", lambda w: {w: 1})
-    with pytest.raises(RuntimeError):
-        lie_core._bracket_words.__wrapped__((1,), (1, 2))
+_WORD_CACHES = (lie_core._factor, lie_core.standard_bracketing, lie_core._expand_word, lie_core._bracket_words)
+
+
+@pytest.fixture
+def cleared_word_caches():
+    for f in _WORD_CACHES:
+        f.cache_clear()
+    yield
+    for f in _WORD_CACHES:
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("shortest, match", [(3, "triangularity"), (2, "recursion")])
+def test_bracket_table_swapped_factors_is_internal_error(monkeypatch, cleared_word_caches, shortest, match):
+    # swapped factors flip the sign of b(u), so [b(112), b(2)] leads with
+    # -b(1122); swapping degree-2 words too sends the rewriting round a
+    # cycle.  Either way a broken invariant, not bad input (ValueError)
+    factor = lie_core._factor
+    monkeypatch.setattr(
+        lie_core, "_factor", lambda w: factor(w)[::-1] if len(w) >= shortest else factor(w)
+    )
+    with pytest.raises(RuntimeError, match=match):
+        bracket(LieElt(3, {(1, 1, 2): 1}), LieElt.gen(3, 2))
+
+
+def test_bracket_table_never_expands(monkeypatch, cleared_word_caches):
+    def expand(w):
+        raise AssertionError(f"the bracket table expanded b{w}")
+
+    monkeypatch.setattr(lie_core, "_expand_word", expand)
+    words = sorted(w for d in range(1, 7) for w in lyndon_words(3, d))
+    for u, v in itertools.combinations(words, 2):
+        if len(u) + len(v) <= 7:
+            lie_core._bracket_words(u, v)
 
 
 def test_constructor_canonicalises_rows():
