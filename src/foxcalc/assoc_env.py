@@ -244,13 +244,20 @@ def is_ideal(n: GradedSubspace) -> bool:
 _IDEAL_CTX: dict = {}
 
 
+def require_ideal(n: GradedSubspace) -> None:
+    """Raise ValueError unless N is an ideal.  An N with an ideal context
+    passed this check when the context was built, so it is not checked
+    again."""
+    if (n.rank, n.cutoff, n) not in _IDEAL_CTX and not is_ideal(n):
+        raise ValueError("subspace is not an ideal")
+
+
 def ideal_context(n: GradedSubspace) -> PBWContext:
     """PBW context for the chain 0 <= 0 <= N: monomials containing a c
     symbol span the two-sided ideal N_U, pure-d monomials are a transversal."""
     key = (n.rank, n.cutoff, n)
     if key not in _IDEAL_CTX:
-        if not is_ideal(n):
-            raise ValueError("subspace is not an ideal")
+        require_ideal(n)
         zero = GradedSubspace.zero(n.rank, n.cutoff)
         _IDEAL_CTX[key] = PBWContext(adapted_basis((zero, zero, n), "abcd"))
     return _IDEAL_CTX[key]

@@ -16,8 +16,8 @@ from .assoc_env import (
     AssocPoly,
     PBWContext,
     adapted_basis,
-    is_ideal,
     reduce_mod_ideal,
+    require_ideal,
 )
 from .lincomb import terms_of
 from .lie_core import (
@@ -188,8 +188,7 @@ class SubalgebraIdealContext:
         key = (rank, K, n)
         if key in cls._cache:
             return cls._cache[key]
-        if not is_ideal(n):
-            raise ValueError("subspace is not an ideal")
+        require_ideal(n)
         self = super().__new__(cls)
         fk = subalgebra_closure([LieElt.gen(rank, j) for j in sorted(K)], rank, n.cutoff)
         self.rank, self.K, self.n, self.fk = rank, K, n, fk

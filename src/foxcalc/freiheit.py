@@ -255,7 +255,7 @@ def free_generating_set(
     chosen: list[LieElt] = []
     for d in range(1, cutoff + 1):
         lower = subalgebra_closure(chosen, rank, cutoff) if chosen else GradedSubspace.zero(rank, cutoff)
-        span = Echelon(lower.echelon(d).rows())
+        span = lower.echelon(d).copy()
         new = [row for row in b.echelon(d).rows() if span.insert(row)]
         if not new:
             continue

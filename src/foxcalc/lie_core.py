@@ -14,18 +14,21 @@ envelope expansion, on the same factorisation, serves only expand_to_assoc
 and project_to_lyndon (PBW rewriting, the Lie Fox derivatives).
 
 A GradedSubspace keeps each degree as a linalg.Echelon of canonical integer
-rows over the Lyndon coordinates; spans, sums, intersections, membership
-and both closures hand those rows to the kernel as they are, and only
-GradedSubspace.rows builds dense Fraction RREF rows, on request.  Basis
-elements taken from the rows have integer coefficients: the Lyndon basis is
-a Z-basis, so their brackets stay integral.
+rows over the Lyndon coordinates; spans, membership and both closures hand
+those rows to the kernel as they are, sums and intersections are one
+Echelon.sum or Echelon.intersect per degree, and only GradedSubspace.rows
+builds dense Fraction RREF rows, on request.  Basis elements taken from the
+rows have integer coefficients: the Lyndon basis is a Z-basis, so their
+brackets stay integral.
 
 Three subspaces come in closed form, as spans of Lyndon words: the whole
 algebra; the subalgebra F_K generated by letters y_j, j in K, spanned by the
 Lyndon words over K (their standard bracketings stay in K); and the lower
 central term gamma_l(L) = L_{>=l}, since L is generated in degree 1.
 subalgebra_closure and power_subspace return these directly and close by
-brackets only for other generators or bases.
+brackets only for other generators or bases.  Their echelons are unit rows,
+so the kernel intersects with them by column order, without Zassenhaus
+doubling.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
-from .linalg import Echelon, Vector, in_span, intersect_rowspaces, normalized, rref
+from .linalg import Echelon, Vector, in_span, normalized, pivot, rref
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +284,7 @@ class GradedSubspace:
     def _words(cls, rank: int, cutoff: int, keep) -> "GradedSubspace":
         """Span of b(w) over the Lyndon words w with keep(w); unit rows are canonical."""
         comp = {
-            d: Echelon._trusted({k: 1} for k, w in enumerate(lyndon_words(rank, d)) if keep(w))
+            d: Echelon._trusted({k: {k: 1} for k, w in enumerate(lyndon_words(rank, d)) if keep(w)})
             for d in range(1, cutoff + 1)
         }
         return cls._trusted(rank, cutoff, comp)
@@ -296,7 +299,9 @@ class GradedSubspace:
                 if d > cutoff:
                     raise ValueError("element degree exceeds cutoff")
                 by_degree.setdefault(d, []).append(lie_vector(e, d))
-        comp = {d: Echelon._trusted(rref(rows)) for d, rows in by_degree.items()}
+        comp = {
+            d: Echelon._trusted({pivot(r): r for r in rref(rows)}) for d, rows in by_degree.items()
+        }
         return cls._trusted(rank, cutoff, comp)
 
     def _check(self, other: "GradedSubspace") -> None:
@@ -357,18 +362,12 @@ class GradedSubspace:
 
     def sum(self, other: "GradedSubspace") -> "GradedSubspace":
         self._check(other)
-        comp = {}
-        for d in set(self.comp) | set(other.comp):
-            rows = self.echelon(d).rows() + other.echelon(d).rows()
-            comp[d] = Echelon._trusted(rref(rows))
+        comp = {d: self.echelon(d).sum(other.echelon(d)) for d in set(self.comp) | set(other.comp)}
         return GradedSubspace._trusted(self.rank, self.cutoff, comp)
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
         self._check(other)
-        comp = {}
-        for d in set(self.comp) & set(other.comp):
-            rows = intersect_rowspaces(self.comp[d].rows(), other.comp[d].rows())
-            comp[d] = Echelon._trusted(rows)
+        comp = {d: self.comp[d].intersect(other.comp[d]) for d in set(self.comp) & set(other.comp)}
         return GradedSubspace._trusted(self.rank, self.cutoff, comp)
 
     def contains(self, other: "GradedSubspace") -> bool:

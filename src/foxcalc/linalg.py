@@ -11,6 +11,13 @@ and values become Fractions only where one is returned (``reduce``,
 ``SpanSolver.coords``, ``normalized``).  ``rref``, ``in_span``,
 ``intersect_rowspaces`` and ``SpanSolver`` are views of the kernel.
 
+The kernel also owns sums and intersections of two canonical echelons.
+``Echelon.sum`` copies the larger side, sharing its rows, and inserts the
+smaller one.  ``Echelon.intersect`` reads the answer off directly when both
+sides are spans of unit vectors; when one side is, it re-eliminates only
+the other side's rows that pivot on a unit column, with the unit columns
+ordered last; otherwise it runs Zassenhaus on doubled rows.
+
 Negative columns are passengers: they follow every row operation but never
 hold a pivot, so a row can carry along what it is a combination of.
 """
@@ -76,10 +83,10 @@ class Echelon:
             self.insert(r)
 
     @classmethod
-    def _trusted(cls, rows: Iterable[Row]) -> "Echelon":
-        """An echelon holding rows that are canonical already."""
+    def _trusted(cls, pivot_rows: dict[int, Row]) -> "Echelon":
+        """An echelon holding rows that are canonical already, keyed by pivot."""
         out = object.__new__(cls)
-        out.pivot_rows = {pivot(r): r for r in rows}
+        out.pivot_rows = pivot_rows
         return out
 
     def __eq__(self, other) -> bool:
@@ -132,6 +139,37 @@ class Echelon:
         """The canonical rows, sorted by pivot."""
         return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
+    def copy(self) -> "Echelon":
+        """An echelon of the same span that may be grown; it shares the
+        stored rows, which insert replaces but never changes."""
+        return Echelon._trusted(dict(self.pivot_rows))
+
+    def _unit_columns(self) -> Optional[set[int]]:
+        """The pivots when every row is a unit vector (a span of
+        coordinate vectors), else None."""
+        rows = self.pivot_rows
+        return set(rows) if all(len(r) == 1 for r in rows.values()) else None
+
+    def sum(self, other: "Echelon") -> "Echelon":
+        """Span of both; the rows of the larger side are kept as they are."""
+        big, small = sorted((self, other), key=lambda e: len(e.pivot_rows), reverse=True)
+        out = big.copy()
+        for r in small.pivot_rows.values():
+            out.insert(r)
+        return out
+
+    def intersect(self, other: "Echelon") -> "Echelon":
+        """Intersection of the two spans; neither side may carry passengers.
+        An empty side counts as unit rows on no column."""
+        mine, theirs = self._unit_columns(), other._unit_columns()
+        if mine is not None and theirs is not None:
+            rows = other.pivot_rows
+            return Echelon._trusted({p: rows[p] for p in mine if p in rows})
+        if mine is None and theirs is None:
+            return _zassenhaus(self, other)
+        units, rest = (mine, other) if mine is not None else (theirs, self)
+        return _restrict(rest, units)
+
 
 def rref(rows: Iterable[Vector]) -> list[Row]:
     """Canonical rows of the span of rows (zero rows dropped), sorted by
@@ -146,24 +184,51 @@ def in_span(vec: Vector, rows: Union[Echelon, Iterable[Vector]]) -> bool:
 
 
 def intersect_rowspaces(rows_a: Iterable[Vector], rows_b: Iterable[Vector]) -> list[Row]:
-    """Canonical rows of the intersection of two row spaces, sorted by pivot.
+    """Canonical rows of the intersection of two row spaces, sorted by pivot."""
+    return Echelon(rows_a).intersect(Echelon(rows_b)).rows()
 
-    Zassenhaus: reducing the rows [a | a] and [b | 0] leaves the rows whose
+
+def _past_last_column(*echs: Echelon) -> int:
+    return 1 + max(k for e in echs for r in e.pivot_rows.values() for k in r)
+
+
+def _zassenhaus(a: Echelon, b: Echelon) -> Echelon:
+    """A cap B: reducing the rows [a | a] and [b | 0] leaves the rows whose
     pivot lies in the right half as [0 | x], with the x canonical rows of
     A cap B (a primitive row stays primitive without its zero half)."""
-    rows_a = [_integral(a)[1] for a in rows_a]
-    rows_b = [_integral(b)[1] for b in rows_b]
-    if not rows_a or not rows_b:
-        return []
-    n = 1 + max(k for r in rows_a + rows_b for k in r)
-    ech = Echelon([{**a, **{k + n: x for k, x in a.items()}} for a in rows_a])
-    for b in rows_b:
-        ech.insert(b)
-    return [
-        {k - n: x for k, x in row.items()}
-        for p, row in sorted(ech.pivot_rows.items())
+    n = _past_last_column(a, b)
+    # the doubled rows of a canonical A are canonical already
+    ech = Echelon._trusted(
+        {p: {**r, **{k + n: x for k, x in r.items()}} for p, r in a.pivot_rows.items()}
+    )
+    for r in b.pivot_rows.values():
+        ech.insert(r)
+    return _right_of(ech, n)
+
+
+def _restrict(a: Echelon, units: set[int]) -> Echelon:
+    """A cap span(e_k, k in units).  A combination of A's rows takes its
+    coefficient of a row at that row's pivot, so only rows pivoting on a
+    unit column can take part.  Reduce those with each unit column k moved
+    to k + n, past every other column: the rows whose pivot is then at
+    least n vanish off the unit columns and span the intersection.  The
+    unit columns keep their order, so those rows are canonical once moved
+    back."""
+    n = _past_last_column(a)
+    ech = Echelon()
+    for p, r in a.pivot_rows.items():
+        if p in units:
+            ech.insert({k + n if k in units else k: x for k, x in r.items()})
+    return _right_of(ech, n)
+
+
+def _right_of(ech: Echelon, n: int) -> Echelon:
+    """The rows of ech with pivot at least n, moved back by n."""
+    return Echelon._trusted({
+        p - n: {k - n: x for k, x in row.items()}
+        for p, row in ech.pivot_rows.items()
         if p >= n
-    ]
+    })
 
 
 class SpanSolver(Echelon):

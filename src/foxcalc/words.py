@@ -193,14 +193,37 @@ def atomic_alphabet(alphabet: Alphabet) -> tuple[Letter, ...]:
 
 
 @lru_cache(maxsize=None)
-def _atomic_index(alphabet: Alphabet) -> dict[Letter, int]:
-    return {l: k for k, l in enumerate(atomic_alphabet(alphabet))}
+def _atom_rank(alphabet: Alphabet) -> dict[tuple, int]:
+    """Position in atomic_alphabet of each atom, keyed by _atom_slot."""
+    return {_atom_slot(a): k for k, a in enumerate(atomic_alphabet(alphabet))}
+
+
+def _atom_slot(letter: Letter) -> tuple:
+    """The atom a syllable repeats, as a plain tuple: a factor syllable is
+    its own atom, g^e repeats g^{sign(e)}."""
+    if isinstance(letter, FactorLetter):
+        return (0, letter.index, letter.exp)
+    return (1, letter.index, letter.exp > 0)
 
 
 def shortlex_key(u: Word):
-    idx = _atomic_index(u.alphabet)
-    atoms = to_atomic(u)
-    return (len(atoms), tuple(idx[a] for a in atoms))
+    """Sort key of u in shortlex order over the atomic alphabet, built per
+    syllable.  A syllable is a run of n equal atoms c; two words that agree
+    up to runs c^n and c^m, n < m, first differ where the shorter run ends,
+    so the order depends only on whether the atom after that run is above
+    or below c.  The run's key is (c, 0, n) when its next atom is below c
+    (or the word ends there) and (c, 1, -n) when it is above.  Adjacent
+    syllables of a reduced word never repeat an atom, so runs are maximal."""
+    rank = _atom_rank(u.alphabet)
+    runs = [
+        (rank[_atom_slot(letter)], 1 if isinstance(letter, FactorLetter) else abs(letter.exp))
+        for letter in u.letters
+    ]
+    key = []
+    for k, (c, n) in enumerate(runs):
+        up = k + 1 < len(runs) and runs[k + 1][0] > c
+        key.append((c, 1, -n) if up else (c, 0, n))
+    return (word_length(u), tuple(key))
 
 
 def shortlex_words(alphabet: Alphabet, max_length: int) -> Iterator[Word]:

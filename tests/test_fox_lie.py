@@ -265,3 +265,24 @@ def test_kharlampovich_sweep_small():
     for d in range(2, 5):
         for w in lyndon_words(2, d):
             kharlampovich_check(LieElt(2, {w: Fraction(1)}), n)
+
+
+def test_cold_decomposition_checks_the_ideal_once(monkeypatch):
+    """reduce_mod_ideal and SubalgebraIdealContext both need N to be an
+    ideal; on a cold start N is checked once, by whichever comes first."""
+    import foxcalc.assoc_env as assoc_env
+    import foxcalc.fox_lie as fox_lie
+    from foxcalc.cli import main
+
+    checked = []
+    is_ideal = assoc_env.is_ideal
+    for module in (assoc_env, fox_lie):  # count it wherever it is bound
+        monkeypatch.setattr(
+            module, "is_ideal", lambda n: checked.append(n) or is_ideal(n), raising=False
+        )
+    monkeypatch.setattr(assoc_env, "_IDEAL_CTX", {})
+    monkeypatch.setattr(SubalgebraIdealContext, "_cache", {})
+    argv = ["lie", "decompose", "--rank", "3", "--expr", "y1 + [y1, y2]", "--keep", "1,2",
+            "--cutoff", "6"]
+    assert main(argv) == 0
+    assert len(checked) == 1

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import foxcalc.linalg as linalg
 from foxcalc.freiheit import (
     SeriesSpec,
+    _free_factor,
     free_generating_set,
     group_criterion_bruteforce,
     ideal_generated,
@@ -22,6 +24,7 @@ from foxcalc.lie_core import (
     power_subspace,
     subalgebra_closure,
 )
+from foxcalc.linalg import Echelon, rref
 from foxcalc.words import Alphabet, conjugate, parse_word
 
 
@@ -113,6 +116,70 @@ def test_freiheit_verify_intersects_each_term_once(monkeypatch):
     for e in rep.entries:
         rows[(e.k, e.l)].append((e.dim_with_relator, e.dim_series))
     assert rows[(1, 2)] == rows[(2, 1)]
+
+
+def _old_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    """a + b by reducing the rows of both sides together."""
+    rows = {d: a.echelon(d).rows() + b.echelon(d).rows() for d in set(a.comp) | set(b.comp)}
+    return GradedSubspace(a.rank, a.cutoff, {d: rref(r) for d, r in rows.items()})
+
+
+def _old_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    """a cap b by Zassenhaus on the rows [x | x], x in a, and [y | 0], y in b."""
+    comp = {}
+    for d in set(a.comp) & set(b.comp):
+        n = len(lyndon_words(a.rank, d))
+        ech = Echelon({**x, **{k + n: c for k, c in x.items()}} for x in a.echelon(d).rows())
+        for y in b.echelon(d).rows():
+            ech.insert(y)
+        comp[d] = [
+            {k - n: c for k, c in row.items()} for p, row in ech.pivot_rows.items() if p >= n
+        ]
+    return GradedSubspace(a.rank, a.cutoff, comp)
+
+
+@pytest.mark.parametrize("rank,cutoff", [(3, 7), (4, 6)])
+def test_sums_and_intersections_match_old_constructions(rank, cutoff):
+    """The Freiheitssatz subspaces: H (unit rows), the series terms (unit
+    rows up to the first bracket block), R and R + N_kl (neither).  Sums and
+    intersections equal, and hash like, the subspaces reduced from scratch."""
+    r = parse_lie(f"[y1, y{rank}]", rank)
+    h = _free_factor(rank, None, cutoff)
+    big_r = ideal_generated(r, cutoff)
+    for _, _, term in series_components(SeriesSpec((1, 2)), rank, cutoff):
+        with_r = big_r.sum(term)
+        pairs = [
+            (with_r, _old_sum(big_r, term)),
+            (term.sum(h), _old_sum(term, h)),
+            (h.intersect(with_r), _old_intersect(h, with_r)),
+            (h.intersect(term), _old_intersect(h, term)),
+            (with_r.intersect(big_r), _old_intersect(with_r, big_r)),
+        ]
+        for new, old in pairs:
+            assert new == old and hash(new) == hash(old)
+
+
+def test_freiheit_verify_without_zassenhaus(monkeypatch):
+    """H is spanned by Lyndon words: every intersection with it is read off
+    by column order, with no doubled rows."""
+    calls = []
+    for name in ("intersect_rowspaces", "_zassenhaus"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rep = lie_freiheitssatz_verify(parse_lie("[y1, y3]", 3), SeriesSpec((1, 2)), 6)
+    assert rep.all_equal and calls == []
+    # the counters see the general path where neither side is unit rows
+    a = ideal_generated(parse_lie("[y1, y3] + [y1, y2]", 3), 4)
+    b = ideal_generated(parse_lie("[y1, y3] - [y2, y3]", 3), 4)
+    a.intersect(b)
+    assert calls and set(calls) == {"_zassenhaus"}
+
+
+def test_freiheit_frontier_rank4_cutoff7():
+    """Rank 4 at cutoff 7 (well under a second): the relator [y1, y4] is
+    free from H = F(y1, y2, y3) along the whole series."""
+    rep = lie_freiheitssatz_verify(parse_lie("[y1, y4]", 4), SeriesSpec((6,)), 7)
+    assert rep.criterion.satisfied and rep.all_equal and rep.consistent
 
 
 def test_freiheit_cutoff_too_small():

@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ from foxcalc.lattice import hermite_normal_form, lattice_contains
 from foxcalc.linalg import (
     Echelon,
     SpanSolver,
+    _zassenhaus,
     in_span,
     intersect_rowspaces,
     normalized,
@@ -123,16 +125,55 @@ def test_echelon_rows_are_canonical(m, scales):
     assert Echelon([[c * x for x in r] for c, r in zip(scales, m)]) == ech
 
 
-@given(oracle_matrix(4), oracle_matrix(4))
+def unit_rows(cols, ncols=4) -> list:
+    return [[Fraction(int(k == c)) for k in range(ncols)] for c in sorted(cols)]
+
+
+# one side of a sum or intersection: general rows, scaled unit rows on some
+# columns (a span of coordinate vectors, the echelon's fast paths), or the
+# empty and the full space
+SIDES = st.one_of(
+    oracle_matrix(4),
+    st.tuples(st.sets(st.integers(0, 3)), SMALL_RATIONALS.filter(bool)).map(
+        lambda t: [[t[1] * x for x in r] for r in unit_rows(t[0])]
+    ),
+    st.just([]),
+    st.just(unit_rows(range(4))),
+)
+
+
+def sympy_rank(sympy, m) -> int:
+    return sympy.Matrix(m).rank() if m else 0
+
+
+@given(SIDES, SIDES, frac_matrix(2, 4))
+def test_echelon_sum_matches_rref(sympy, m1, m2, more):
+    a, b = Echelon(m1), Echelon(m2)
+    before = deepcopy((a.pivot_rows, b.pivot_rows))
+    total = a.sum(b)
+    assert total == b.sum(a) == Echelon(m1 + m2)
+    assert total.rows() == rref(m1 + m2)
+    assert len(total.pivot_rows) == sympy_rank(sympy, m1 + m2)
+    for row in more:  # the sum shares rows with its larger side: growing it changes neither side
+        total.insert(row)
+    assert (a.pivot_rows, b.pivot_rows) == before
+
+
+@given(SIDES, SIDES)
 def test_intersection_dimension_matches_sympy(sympy, m1, m2):
-    a, b = rref(m1), rref(m2)
-    inter = intersect_rowspaces(a, b)
-    dim_sum = sympy.Matrix(m1 + m2).rank()
-    assert len(inter) == len(a) + len(b) - dim_sum
-    assert dense(inter, 4) == sympy_rref(sympy, dense(inter, 4))
-    for row in inter:
-        assert not Echelon(a).reduce(row)
-        assert not Echelon(b).reduce(row)
+    a, b = Echelon(m1), Echelon(m2)
+    inter = a.intersect(b)
+    assert inter == b.intersect(a)
+    assert intersect_rowspaces(m1, m2) == inter.rows()
+    dim_sum = sympy_rank(sympy, m1 + m2)
+    assert len(inter.pivot_rows) == len(a.pivot_rows) + len(b.pivot_rows) - dim_sum
+    assert Echelon(inter.rows()) == inter  # canonical rows
+    assert dense(inter.rows(), 4) == sympy_rref(sympy, dense(inter.rows(), 4))
+    for row in inter.rows():
+        assert not a.reduce(row)
+        assert not b.reduce(row)
+    if a.pivot_rows and b.pivot_rows:  # the general path agrees with the unit-row ones
+        assert inter == _zassenhaus(a, b)
 
 
 @given(oracle_matrix(4), st.lists(SMALL_RATIONALS, min_size=5, max_size=5))

@@ -8,6 +8,7 @@ from foxcalc.words import (
     FactorLetter,
     FreeLetter,
     Word,
+    atomic_alphabet,
     commutator,
     conjugate,
     cyclically_reduce,
@@ -17,6 +18,7 @@ from foxcalc.words import (
     multiply,
     parse_word,
     reduce,
+    shortlex_key,
     shortlex_words,
     to_atomic,
     word_length,
@@ -108,3 +110,27 @@ def test_power_and_length_against_atoms(alphabet):
                 want = multiply(want, step)
             assert w ** n == want
         assert word_length(w) == len(to_atomic(w))
+
+
+def _atomic_key(u):
+    """Shortlex key by expanding u into atoms, one entry per atom."""
+    idx = {a: k for k, a in enumerate(atomic_alphabet(u.alphabet))}
+    atoms = to_atomic(u)
+    return (len(atoms), tuple(idx[a] for a in atoms))
+
+
+@pytest.mark.parametrize("alphabet", [FREE2, Alphabet(2, (5, 3))], ids=["free", "factors"])
+def test_shortlex_key_orders_like_atom_expansion(alphabet):
+    """The per-syllable key orders words exactly as their atom sequences:
+    along the shortlex enumeration of all short words, and on products of
+    a few shared heads with random tails (long runs, many equal-length
+    words with common prefixes) sorted by the atom expansion."""
+    rng = random.Random(11)
+    heads = syllable_words(rng, alphabet, 6, max_syllables=3)
+    tails = syllable_words(rng, alphabet, 40, max_syllables=3, max_exp=3)
+    long_words = sorted({multiply(h, t) for h in heads for t in tails}, key=_atomic_key)
+    for ws in (list(shortlex_words(alphabet, 4)), long_words):
+        keys = [shortlex_key(w) for w in ws]
+        # strictly increasing along a list in atom order: the orders agree on every pair
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(len(k[1]) == len(w.letters) for k, w in zip(keys, ws))  # one entry per syllable
