@@ -1,0 +1,48 @@
+#!/bin/sh
+# Same-answers check against another revision: runs the README `fox`
+# commands and four frontier Freiheitssatz commands on this checkout's src/
+# and on `git archive REV src` (REV defaults to HEAD), both with
+# PYTHONHASHSEED=0, and prints ok/DIFF per command for stdout plus exit
+# code.  Exits 1 on any difference.
+#   scripts/same_answers.sh [REV]
+set -u
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+rev=${1:-HEAD}
+old=$(mktemp -d)
+trap 'rm -rf "$old"' EXIT
+git -C "$root" archive "$rev" src | tar -x -C "$old" || exit 2
+
+answer() {
+    tree=$1; shift
+    PYTHONHASHSEED=0 PYTHONPATH="$tree/src" python3 -m foxcalc.cli "$@" 2>/dev/null
+    echo "exit $?"
+}
+
+fail=0
+check() {
+    if [ "$(answer "$root" "$@")" = "$(answer "$old" "$@")" ]; then
+        echo "ok   fox $*"
+    else
+        echo "DIFF fox $*"
+        fail=1
+    fi
+}
+
+check lie dims --rank 2 --degree 3
+check group derive --rank 2 --word "g1 g2" --gen g1
+check group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient trivial
+check group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1"
+check group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1"
+check group gamma-criterion --rank 2 --word "g1 g2 g1^-1 g2^-1" --keep g1 --class 2 --cutoff 3
+check group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound 4
+check lie derive --rank 3 --expr "[y1, [y2, y3]]"
+check lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,2 --cutoff 4
+check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]]" --cutoff 4
+check lie freiheit --rank 3 --relator "[y1, y3]" --spec 1,2 --cutoff 6
+# frontier
+check lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 9
+check lie freiheit --rank 4 --relator "[y1, y4]" --spec 6 --cutoff 8
+check lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 10
+check lie freiheit --rank 3 --relator "[y1, y3]" --spec 1,2 --cutoff 8
+exit $fail

@@ -14,12 +14,18 @@ envelope expansion, on the same factorisation, serves only expand_to_assoc
 and project_to_lyndon (PBW rewriting, the Lie Fox derivatives).
 
 A GradedSubspace keeps each degree as a linalg.Echelon of canonical integer
-rows over the Lyndon coordinates; spans, membership and both closures hand
-those rows to the kernel as they are, sums and intersections are one
-Echelon.sum or Echelon.intersect per degree, and only GradedSubspace.rows
-builds dense Fraction RREF rows, on request.  Basis elements taken from the
-rows have integer coefficients: the Lyndon basis is a Z-basis, so their
-brackets stay integral.
+rows over the Lyndon coordinates; membership hands those rows to the kernel
+as they are, sums and intersections are one Echelon.sum or Echelon.intersect
+per degree, and only GradedSubspace.rows builds dense Fraction RREF rows, on
+request.  Basis elements taken from the rows have integer coefficients: the
+Lyndon basis is a Z-basis, so their brackets stay integral.
+
+Spans, bracket spans and both closures are one recurrence in ascending
+degree: degree d is spanned by the seeds of degree d and the brackets
+[X_i, Y_{d-i}] of integer rows, with one rref per degree.  For [A, B],
+X = A and Y = B; for a subalgebra, X = Y = the result (complete below d);
+for an ideal, X = the result and Y = the letters, since the ideal is spanned
+by left-normed brackets [r, y_i1, .., y_ik].
 
 Three subspaces come in closed form, as spans of Lyndon words: the whole
 algebra; the subalgebra F_K generated by letters y_j, j in K, spanned by the
@@ -291,18 +297,9 @@ class GradedSubspace:
 
     @classmethod
     def span(cls, elements: Iterable[LieElt], rank: int, cutoff: int) -> "GradedSubspace":
-        by_degree: dict[int, list[dict]] = {}
-        for e in elements:
-            if e.rank != rank:
-                raise ValueError("rank mismatch")
-            for d in e.degrees():
-                if d > cutoff:
-                    raise ValueError("element degree exceeds cutoff")
-                by_degree.setdefault(d, []).append(lie_vector(e, d))
-        comp = {
-            d: Echelon._trusted({pivot(r): r for r in rref(rows)}) for d, rows in by_degree.items()
-        }
-        return cls._trusted(rank, cutoff, comp)
+        """Graded span of the elements' homogeneous components, which must
+        lie within the cutoff."""
+        return _graded_brackets(rank, cutoff, elements, None, cls.zero(rank, cutoff))
 
     def _check(self, other: "GradedSubspace") -> None:
         if self.rank != other.rank or self.cutoff != other.cutoff:
@@ -381,74 +378,70 @@ class GradedSubspace:
     def bracket_span(self, other: "GradedSubspace") -> "GradedSubspace":
         """Graded span of [self, other] up to the cutoff."""
         self._check(other)
-        theirs = {d: other.basis_elements(d) for d in other.comp}
-        brackets = (
-            bracket(e1, e2)
-            for d1 in self.comp
-            for e1 in self.basis_elements(d1)
-            for d2, es in theirs.items()
-            if d1 + d2 <= self.cutoff
-            for e2 in es
-        )
-        return GradedSubspace.span(brackets, self.rank, self.cutoff)
+        return _graded_brackets(self.rank, self.cutoff, (), self, other)
+
+
+def _graded_brackets(rank: int, cutoff: int, seeds: Iterable[LieElt], left, right) -> GradedSubspace:
+    """Degree by degree, ascending: component d is spanned by the seeds'
+    degree-d components and the brackets of the canonical rows of left in
+    degree i with those of right in degree d - i.  A side given as None is
+    the result built so far (complete below d), which makes this a closure.
+    When both sides are one object, each unordered pair is bracketed once."""
+    rows: dict[int, list[dict]] = {}
+    for e in seeds:
+        if e.rank != rank:
+            raise ValueError("rank mismatch")
+        for d in e.degrees():
+            if d > cutoff:
+                raise ValueError("element degree exceeds cutoff")
+            rows.setdefault(d, []).append(lie_vector(e, d))
+    out = GradedSubspace._trusted(rank, cutoff, {})
+    left, right = (out if side is None else side for side in (left, right))
+    same, elements = left is right, {}
+
+    def basis(side: GradedSubspace, i: int) -> list[LieElt]:
+        key = (side is right, i)  # each side's elements, built once per degree
+        if key not in elements:
+            elements[key] = side.basis_elements(i)
+        return elements[key]
+
+    for d in range(1, cutoff + 1):
+        new = rows.get(d, [])
+        for i in range(1, d // 2 + 1 if same else d):
+            if left.dim(i) and right.dim(d - i):
+                ys = basis(right, d - i)
+                for k, x in enumerate(basis(left, i)):
+                    for y in ys[k + 1 :] if same and 2 * i == d else ys:
+                        new.append(lie_vector(bracket(x, y), d))
+        if new and (ech := Echelon._trusted({pivot(r): r for r in rref(new)})).pivot_rows:
+            out.comp[d] = ech
+    return out
 
 
 def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> GradedSubspace:
-    """Graded span of the subalgebra generated by homogeneous elements; for
-    letters y_j, j in K, the span of the Lyndon words over K."""
+    """Graded span of the subalgebra generated by homogeneous elements: for
+    letters y_j, j in K, the span of the Lyndon words over K; otherwise
+    degree d is spanned by the generators of degree d and the brackets of
+    the subalgebra's canonical rows in degrees i and d - i."""
     for g in generators:
+        if g.rank != rank:
+            raise ValueError("rank mismatch")
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
     if all(len(g.terms) == 1 and g.max_degree() == 1 for g in generators):
         K = {j for g in generators for (j,) in g.terms}
         return GradedSubspace._words(rank, cutoff, lambda w: K.issuperset(w))
-    comp: dict[int, Echelon] = {}
-    elems: list[LieElt] = []
-    work: list[LieElt] = []
-
-    def add(e: LieElt) -> None:
-        if e.is_zero or e.max_degree() > cutoff:
-            return
-        d = e.max_degree()
-        if comp.setdefault(d, Echelon()).insert(lie_vector(e, d)):
-            work.append(e)
-
-    for g in generators:
-        add(g)
-    # worklist closure: bracket each new element against everything seen
-    while work:
-        e = work.pop()
-        elems.append(e)
-        for other in list(elems):
-            if e.max_degree() + other.max_degree() <= cutoff:
-                add(bracket(e, other))
-    return GradedSubspace._trusted(rank, cutoff, comp)
+    return _graded_brackets(rank, cutoff, [g.truncate(cutoff) for g in generators], None, None)
 
 
 def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedSubspace:
     """Graded span of the ideal generated by the homogeneous components of
-    the given elements (saturation with ad by the generators)."""
-    comp: dict[int, Echelon] = {}
-    queue: list[LieElt] = []
-
-    def add(e: LieElt) -> None:
-        for d in e.degrees():
-            if d > cutoff:
-                continue
-            h = e.homogeneous(d)
-            if comp.setdefault(d, Echelon()).insert(lie_vector(h, d)):
-                queue.append(h)
-
-    for e in elements:
-        add(e)
-    gens = [LieElt.gen(rank, j) for j in range(1, rank + 1)]
-    while queue:
-        h = queue.pop()
-        if h.max_degree() + 1 > cutoff:
-            continue
-        for g in gens:
-            add(bracket(h, g))
-    return GradedSubspace._trusted(rank, cutoff, comp)
+    the given elements.  The ideal is spanned by the left-normed brackets
+    [r_d, y_i1, .., y_ik], so degree d is spanned by the components of
+    degree d and the brackets of the ideal's canonical rows in degree d - 1
+    with the letters."""
+    letters = GradedSubspace.full(rank, 1)
+    return _graded_brackets(rank, cutoff, [e.truncate(cutoff) for e in elements], None, letters)
 
 
 def power_subspace(base: GradedSubspace, power: int) -> GradedSubspace:

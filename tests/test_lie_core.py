@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foxcalc import lie_core
+from foxcalc.fox_lie import commutator_subspace
 from foxcalc.lincomb import sum_terms
 from foxcalc.lie_core import (
     GradedSubspace,
@@ -103,7 +104,7 @@ def test_subalgebra_closure_free_factor():
 @pytest.mark.parametrize("rank, cutoff", [(2, 8), (3, 7), (4, 6)])
 def test_closed_forms_match_closures(rank, cutoff):
     """F_K read off the Lyndon words over K, and gamma_l(F) = L_{>=l}, equal
-    (with equal hashes) the worklist closure and iterated bracket spans.  A
+    (with equal hashes) the bracket recurrence and iterated bracket spans.  A
     redundant bracket among the generators ([y, y] = 0 for one letter) keeps
     subalgebra_closure off the letter path."""
     y = [LieElt.gen(rank, j) for j in range(1, rank + 1)]
@@ -370,3 +371,112 @@ def test_rows_match_sympy_rref(rank, cutoff, relator):
             assert_canonical(space)
             want = oracle_rows(sympy, spanning[name]) if spanning[name] else ()
             assert space.rows(d) == want, (name, d)
+
+
+def test_closures_refuse_another_rank():
+    y1, y2 = LieElt.gen(2, 1), LieElt.gen(2, 2)
+    rank_two = bracket(bracket(y1, y2), y2)
+    for closure, elements in (
+        (subalgebra_closure, [rank_two]),
+        (subalgebra_closure, [LieElt.gen(5, 4)]),
+        (subalgebra_closure, [LieElt.gen(3, 1), LieElt.gen(2, 2)]),
+        (ideal_closure, [rank_two]),
+    ):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            closure(elements, 3, 4)
+
+
+def components(exprs, rank):
+    """The homogeneous components of the parsed expressions."""
+    elements = [parse_lie(x, rank) for x in exprs]
+    return [e.homogeneous(d) for e in elements for d in e.degrees()]
+
+
+def bracket_trees(gens, cutoff):
+    """Every non-zero bracket tree on homogeneous generators up to the cutoff."""
+    trees = {d: [g for g in gens if g.max_degree() == d] for d in range(1, cutoff + 1)}
+    for d in range(2, cutoff + 1):
+        trees[d] += [
+            c
+            for i in range(1, d)
+            for a in trees[i]
+            for b in trees[d - i]
+            if not (c := bracket(a, b)).is_zero
+        ]
+    return [t for ts in trees.values() for t in ts]
+
+
+def assert_spanned_by(sympy, space, spanning):
+    """space is the span of the homogeneous spanning elements: it equals
+    GradedSubspace.span of them, hash included, and in every degree sympy
+    finds its rows and the spanning vectors of rank dim alone."""
+    want = GradedSubspace.span(spanning, space.rank, space.cutoff)
+    assert space == want and hash(space) == hash(want)
+    for d in range(1, space.cutoff + 1):
+        words = lyndon_words(space.rank, d)
+        vecs = [[e.terms.get(w, 0) for w in words] for e in spanning if e.max_degree() == d]
+        rank = sympy.Matrix(vecs).rank() if vecs else 0
+        assert space.dim(d) == rank, d
+        if rank:
+            assert sympy.Matrix(vecs + [list(r) for r in space.rows(d)]).rank() == rank, d
+
+
+@pytest.mark.parametrize(
+    "rank, cutoff, relator, gens, a_exprs, b_exprs",
+    [
+        (
+            2, 6, "1/2*[y1, y2] - 2/3*[[y1, y2], y2]", ["[y1, y2]", "y1 - 1/2*y2"],
+            ["y1 + 1/2*[y1, y2]", "y2 - [[y1, y2], y2]", "[[y1, y2], y1]"],
+            ["y2", "3/2*[y1, y2] - [[y1, y2], y1]"],
+        ),
+        (
+            3, 5, "[y1, y3] - 1/2*[y2, [y2, y3]]", ["[y1, y2]", "y1 + y3", "y2 - 2*y3"],
+            ["y1 + 1/2*[y2, y3]", "y3 - [[y1, y2], y3]", "[y1, y2]"],
+            ["y3", "[y1, y2] - 2/3*y2"],
+        ),
+    ],
+)
+def test_recurrence_matches_brute_force_spans(rank, cutoff, relator, gens, a_exprs, b_exprs):
+    """ideal_closure against every left-normed [r_d, y_i1, .., y_ik],
+    subalgebra_closure against every bracket tree, and bracket_span against
+    every pairwise bracket of spanning sets, for A != B and for A = B."""
+    sympy = pytest.importorskip("sympy")
+    letters = [LieElt.gen(rank, j) for j in range(1, rank + 1)]
+    heads = components([relator], rank)
+    ideal = [e for d in range(1, cutoff + 1) for e in left_normed(heads, letters, d)]
+    assert_spanned_by(sympy, ideal_closure([parse_lie(relator, rank)], rank, cutoff), ideal)
+    generators = [parse_lie(x, rank) for x in gens]
+    trees = bracket_trees(generators, cutoff)
+    assert_spanned_by(sympy, subalgebra_closure(generators, rank, cutoff), trees)
+    a_span, b_span = components(a_exprs, rank), components(b_exprs, rank)
+    a = GradedSubspace.span(a_span, rank, cutoff)
+    b = GradedSubspace.span(b_span, rank, cutoff)
+    for left, right, left_span, right_span in ((a, b, a_span, b_span), (a, a, a_span, a_span)):
+        pairs = [
+            bracket(x, y)
+            for x in left_span
+            for y in right_span
+            if x.max_degree() + y.max_degree() <= cutoff
+        ]
+        assert_spanned_by(sympy, left.bracket_span(right), pairs)
+
+
+def test_recurrence_brackets_integer_rows_once_per_pair(monkeypatch):
+    """[N, N] for N = gamma_2 at rank 3 cutoff 5 brackets each unordered pair
+    once: 3 pairs in degrees (2, 2) and 3 * 8 in (2, 3).  The ideal closure
+    brackets canonical integer rows, never the relator's Fractions."""
+    n = power_subspace(GradedSubspace.full(3, 5), 2)
+    relator = parse_lie("1/2*[y1, y3] + 2/3*[[y1, y2], y3]", 3)
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(lie_core, "bracket", counting)
+    commutator_subspace(n)
+    assert len(calls) == 27
+    calls.clear()
+    ideal_closure([relator], 3, 5)
+    assert calls
+    assert all(type(c) is int for pair in calls for e in pair for c in e.terms.values())
