@@ -46,5 +46,10 @@ expect 2 fox lie freiheit --rank 3 --relator "[y1,y3]" --spec 2 --cutoff 4 --h-r
 expect 2 fox group conjcrit --rank 3 --relator "g1 g3 g1^-1 g3^-1" --h-rank -1
 expect 2 fox lie decompose --rank 3 --expr "[[y1,y3],y2]" --keep 1,5 --cutoff 4
 expect 2 fox lie decompose --rank 3 --expr "[[y1,y3],y2]" --keep 0,1 --cutoff 4
+expect 2 fox group gamma-criterion --rank 2 --word "g1 g2" --keep g5 --class 1 --cutoff 3
+expect 2 fox group gamma-criterion --rank 2 --word "g1 g2 g1^-1 g2^-1" --keep g1 --class -1 --cutoff 3
+expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1,a1 --quotient "index:2,2:g1=1,0;g2=0,1"
+expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1" --bound -1
+expect 2 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound -2
 
 exit $fail

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands and four frontier Freiheitssatz commands on this checkout's src/
-# and on `git archive REV src` (REV defaults to HEAD), both with
-# PYTHONHASHSEED=0, and prints ok/DIFF per command for stdout plus exit
-# code.  Exits 1 on any difference.
+# commands, four more Lie commands and four frontier Freiheitssatz commands
+# on this checkout's src/ and on `git archive REV src` (REV defaults to
+# HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
+# stdout plus exit code.  Exits 1 on any difference.
 #   scripts/same_answers.sh [REV]
 set -u
 
@@ -40,6 +40,12 @@ check lie derive --rank 3 --expr "[y1, [y2, y3]]"
 check lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,2 --cutoff 4
 check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]]" --cutoff 4
 check lie freiheit --rank 3 --relator "[y1, y3]" --spec 1,2 --cutoff 6
+# PBW output (residues of a failing criterion, a decomposition, a failing
+# Kharlampovich check) and a Freiheitssatz check on a generic relator
+check lie decompose --rank 3 --expr "[[y1, y3], y2]" --keep 1,2 --cutoff 5
+check lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,2 --cutoff 7
+check lie kharlampovich --rank 3 --expr "[[y1, y2], y3]" --cutoff 6
+check lie freiheit --rank 3 --relator "[y1, y2] + [y2, y3]" --spec 6 --cutoff 8
 # frontier
 check lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 9
 check lie freiheit --rank 4 --relator "[y1, y4]" --spec 6 --cutoff 8

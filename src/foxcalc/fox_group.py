@@ -220,8 +220,12 @@ def theorem1_check(
     """
     if not q.finite_index:
         raise ValueError("theorem1_check needs a finite-index oracle")
+    if bound < 0:
+        raise ValueError("search bound must be non-negative")
     alphabet = v.alphabet
     K = frozenset(K)
+    if not K <= set(all_indices(alphabet)):
+        raise ValueError("kept indices must lie in the alphabet")
     report = _residue_report(v, q, K)
     # witness: try the retraction first, then bounded shortlex search
     vhat = retraction(v, K)
@@ -261,9 +265,13 @@ def subgroup_gamma_criterion(
     alphabet = v.alphabet
     if alphabet.n_factors:
         raise ValueError("gamma criterion requires a free alphabet")
+    if n < 0:
+        raise ValueError("class must be non-negative")
     if cutoff < n + 1:
         raise ValueError("cutoff must be at least n+1")
     K = frozenset(K)
+    if not K <= set(all_indices(alphabet)):
+        raise ValueError("kept indices must lie in the alphabet")
     keep = {j for kind, j in K if kind == "free"}
     derivative_ok = {}
     holds = True

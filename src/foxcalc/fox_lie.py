@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .assoc_env import (
-    AssocPoly,
-    PBWContext,
-    adapted_basis,
-    reduce_mod_ideal,
-    require_ideal,
-)
+from .assoc_env import AssocPoly, SubalgebraIdealContext, ideal_context, reduce_mod_ideal
 from .lincomb import terms_of
 from .lie_core import (
     GradedSubspace,
@@ -178,42 +172,6 @@ class SigmaError(ValueError):
         self.residue = residue
 
 
-class SubalgebraIdealContext:
-    """Adapted PBW data for F_K inside F modulo a graded ideal N: the chain
-    is F_K cap N <= F_K <= F_K + N with the third block drawn from N."""
-
-    _cache: dict = {}
-
-    def __new__(cls, rank: int, K: frozenset[int], n: GradedSubspace):
-        key = (rank, K, n)
-        if key in cls._cache:
-            return cls._cache[key]
-        require_ideal(n)
-        self = super().__new__(cls)
-        fk = subalgebra_closure([LieElt.gen(rank, j) for j in sorted(K)], rank, n.cutoff)
-        self.rank, self.K, self.n, self.fk = rank, K, n, fk
-        self.ctx = PBWContext(
-            adapted_basis(
-                (fk.intersect(n), fk, fk.sum(n)), "abcd", c_carrier=n
-            )
-        )
-        cls._cache[key] = self
-        return self
-
-    def residue_monomials(self, p: AssocPoly) -> dict:
-        """Standard monomials of p surviving modulo N_U (no a or c symbol)."""
-        rw = self.ctx.rewrite(p)
-        out = {}
-        for mono, c in rw.items():
-            blocks = self.ctx.monomial_blocks(mono)
-            if "a" not in blocks and "c" not in blocks:
-                out[mono] = c
-        return out
-
-    def is_zero_mod(self, p: AssocPoly) -> bool:
-        return not self.residue_monomials(p)
-
-
 def solve_sigma_zero(
     u: Mapping[int, AssocPoly],
     K: frozenset[int],
@@ -285,14 +243,13 @@ def solve_sigma_zero_ideal(
     slices: dict[tuple[int, ...], dict[int, dict]] = {}
     for j in sorted(K):
         p = u.get(j, AssocPoly.zero(rank))
-        for mono, c in env.residue_monomials(p).items():
+        for mono, c in env.ctx.residue(p, "ac").items():
             blocks = env.ctx.monomial_blocks(mono)
             split = len(blocks) - len(blocks.lstrip("b"))
             bpart, dpart = mono[:split], mono[split:]
-            if set(env.ctx.monomial_blocks(dpart)) - {"d"}:
-                raise SigmaError(
-                    "unexpected monomial shape in the residue", None
-                )
+            if set(blocks[split:]) - {"d"}:
+                # b and d symbols only, in abcd order: always b*d*
+                raise RuntimeError("unexpected monomial shape in the residue")
             slices.setdefault(dpart, {}).setdefault(j, {})[bpart] = c
 
     def fold(dpart: tuple[int, ...]) -> LieElt:
@@ -365,9 +322,8 @@ def kharlampovich_check(v: LieElt, n: GradedSubspace) -> bool:
     if not n.member(v):
         raise ValueError("v must lie in N")
     fox = lie_fox(expand_to_assoc(v))
-    verdict_fox = all(
-        reduce_mod_ideal(fox.partials[j], n).is_zero for j in range(1, v.rank + 1)
-    )
+    ctx = ideal_context(n)
+    verdict_fox = not any(ctx.residue(fox.partials[j], "c") for j in range(1, v.rank + 1))
     verdict_span = commutator_subspace(n).member(v)
     if verdict_fox != verdict_span:
         raise RuntimeError(

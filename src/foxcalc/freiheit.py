@@ -230,25 +230,11 @@ def free_generating_set(
     pure block-c monomials (these lie in H cap B modulo [B, B])."""
     rank = n = b.rank
     h = _free_factor(rank, h_rank, cutoff)
-    ctx = PBWContext(
-        adapted_basis((b.intersect(h), b, b.sum(h)), "dcba", c_carrier=h)
-    )
-
-    def residue(p: AssocPoly) -> dict:
-        rw = ctx.rewrite(p)
-        return {
-            m: c
-            for m, c in rw.items()
-            if not (set(ctx.monomial_blocks(m)) & {"a", "b"})
-        }
+    ctx = PBWContext(adapted_basis(b, h, "dcba"))
 
     def columns_of(x: LieElt) -> dict:
-        out = {}
-        fox = lie_fox(expand_to_assoc(x))
-        for j in range(1, rank + 1):
-            for m, c in residue(fox.partials[j]).items():
-                out[(j, m)] = c
-        return out
+        fox = lie_fox(expand_to_assoc(x)).partials
+        return {(j, m): c for j in fox for m, c in ctx.residue(fox[j], "ab").items()}
 
     # degree-by-degree completion of the lower-generated part to B
     produced: list[DistinguishedGenerator] = []
@@ -264,7 +250,10 @@ def free_generating_set(
         # then (D_j, pure c monomials); each row carries its generator's
         # Lyndon coordinates as passengers, so reduced rows are generators
         vecs = [columns_of(lie_from_vector(rank, d, row)) for row in new]
-        keys = sorted({k for v in vecs for k in v}, key=lambda k: _column_order(k, n, ctx))
+        keys = sorted(
+            {k for v in vecs for k in v},
+            key=lambda k: (_tag_case(k, n, ctx), k[0], len(k[1]), k[1]),
+        )
         col = {k: i for i, k in enumerate(keys)}
         tags = Echelon()
         for lyndon_row, vec in zip(new, vecs):
@@ -277,14 +266,7 @@ def free_generating_set(
                 rank, d, {-1 - i: Fraction(c, row[p]) for i, c in row.items() if i < 0}
             )
             j, mono = keys[p]
-            blocks = ctx.monomial_blocks(mono)
-            if j == n:
-                case = 1
-            elif "d" in blocks:
-                case = 2
-            else:
-                case = 3
-            produced.append(DistinguishedGenerator(x, mono, j, case))
+            produced.append(DistinguishedGenerator(x, mono, j, _tag_case(keys[p], n, ctx)))
             chosen.append(x)
     # freeness sanity: dimensions must match the free Lie algebra on
     # generators of these degrees
@@ -297,16 +279,13 @@ def free_generating_set(
     return produced
 
 
-def _column_order(key, n: int, ctx: PBWContext):
+def _tag_case(key: tuple[int, tuple[int, ...]], n: int, ctx: PBWContext) -> int:
+    """Case of the tag (j, M): 1 for j = n, 2 for M with a block-d symbol,
+    3 for a pure block-c M."""
     j, mono = key
-    blocks = ctx.monomial_blocks(mono)
     if j == n:
-        group = 0
-    elif "d" in blocks:
-        group = 1
-    else:
-        group = 2
-    return (group, j, len(mono), mono)
+        return 1
+    return 2 if "d" in ctx.monomial_blocks(mono) else 3
 
 
 @dataclass
@@ -333,6 +312,8 @@ def group_criterion_bruteforce(
     alphabet = r.alphabet
     if alphabet.n_factors:
         raise ValueError("free alphabets only")
+    if search_bound < 0:
+        raise ValueError("search bound must be non-negative")
     rank = alphabet.free_rank
     if h_rank is None:
         h_rank = rank - 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,12 @@ from foxcalc.lie_core import (
     GradedSubspace,
     LieElt,
     expand_to_assoc,
+    ideal_closure,
+    lie_from_vector,
+    lie_vector,
     power_subspace,
     subalgebra_closure,
+    witt_dimension,
 )
 
 from conftest import coeffs, lie_elts
@@ -100,10 +105,75 @@ def test_adapted_basis_orientations():
     full = GradedSubspace.full(2, cutoff)
     f2 = power_subspace(full, 2)
     h = subalgebra_closure([LieElt.gen(2, 1)], 2, cutoff)
-    basis = adapted_basis((f2.intersect(h), f2, f2.sum(h)), "dcba", c_carrier=h)
+    basis = adapted_basis(f2, h, "dcba")
     blocks = [e.block for e in basis.elements]
     order = {b: i for i, b in enumerate("dcba")}
     assert [order[b] for b in blocks] == sorted(order[b] for b in blocks)
+
+
+def _random_subspace(rng, rank, cutoff):
+    """A power subspace, an F_K, or the subalgebra or ideal generated by
+    random homogeneous elements."""
+    full = GradedSubspace.full(rank, cutoff)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return power_subspace(full, rng.randint(1, 3))
+    if kind == 1:
+        K = rng.sample(range(1, rank + 1), rng.randint(0, rank))
+        return subalgebra_closure([LieElt.gen(rank, j) for j in K], rank, cutoff)
+    elements = []
+    for _ in range(rng.randint(1, 2)):
+        d = rng.randint(1, 3)
+        row = {k: rng.randint(-2, 2) for k in range(witt_dimension(rank, d)) if rng.random() < 0.6}
+        if any(row.values()):
+            elements.append(lie_from_vector(rank, d, row))
+    closure = subalgebra_closure if kind == 2 else ideal_closure
+    return closure(elements, rank, cutoff)
+
+
+def test_adapted_basis_blocks_span_the_chain():
+    """Per degree, span(a) = X cap Y, span(a, b) = X, span(a, b, c) = X + Y,
+    span(a, c) = Y, and the four blocks together are a basis."""
+    rng = random.Random(23)
+    rank, cutoff = 3, 4
+
+    def span(basis, blocks):
+        comp = {}
+        for e in basis.elements:
+            if e.block in blocks:
+                comp.setdefault(e.degree, []).append(lie_vector(e.value, e.degree))
+        return GradedSubspace(rank, cutoff, comp)
+
+    for _ in range(20):
+        x, y = _random_subspace(rng, rank, cutoff), _random_subspace(rng, rank, cutoff)
+        for orientation in ("abcd", "dcba"):
+            basis = adapted_basis(x, y, orientation)
+            assert span(basis, "a") == x.intersect(y)
+            assert span(basis, "ab") == x
+            assert span(basis, "abc") == x.sum(y)
+            assert span(basis, "ac") == y
+            assert span(basis, "abcd") == GradedSubspace.full(rank, cutoff)
+            for d in range(1, cutoff + 1):
+                assert sum(e.degree == d for e in basis.elements) == witt_dimension(rank, d)
+
+
+def test_ideal_context_is_the_empty_subalgebra_context():
+    from foxcalc.assoc_env import SubalgebraIdealContext
+
+    _, n = chain_context()
+    assert ideal_context(n) is SubalgebraIdealContext(n.rank, frozenset(), n).ctx
+
+
+def test_adapted_basis_not_spanning_is_internal(monkeypatch):
+    # the d block completes every degree; without it the span is short,
+    # which is an internal fault (RuntimeError), not bad input
+    import foxcalc.assoc_env as assoc_env
+
+    zero = GradedSubspace.zero(2, 3)
+    n = power_subspace(GradedSubspace.full(2, 3), 2)
+    monkeypatch.setattr(assoc_env, "lyndon_words", lambda rank, d: ())
+    with pytest.raises(RuntimeError, match="does not span"):
+        PBWContext(adapted_basis(zero, n))
 
 
 @given(polys(2, 4))

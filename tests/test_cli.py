@@ -194,6 +194,10 @@ def test_lie_kharlampovich_cli(capsys):
         ("group", "conjcrit", "--rank", "3", "--relator", "g1 g3 g1^-1 g3^-1", "--h-rank", "-1"),
         ("lie", "decompose", "--rank", "3", "--expr", "[[y1,y3],y2]", "--keep", "1,5", "--cutoff", "4"),
         ("lie", "decompose", "--rank", "3", "--expr", "[[y1,y3],y2]", "--keep", "0,1", "--cutoff", "4"),
+        ("group", "gamma-criterion", "--rank", "2", "--word", "g1 g2", "--keep", "g5", "--class", "1",
+         "--cutoff", "3"),
+        ("group", "theorem1", "--rank", "2", "--word", "g1^2", "--keep", "g1,a1", "--quotient",
+         "index:2,2:g1=1,0;g2=0,1"),
     ],
 )
 def test_out_of_range_generator_sets_exit_2(capsys, argv):
@@ -201,3 +205,20 @@ def test_out_of_range_generator_sets_exit_2(capsys, argv):
     out = capsys.readouterr()
     assert code == 2 and not out.out
     assert "must lie in" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "gamma-criterion", "--rank", "2", "--word", "g1 g2 g1^-1 g2^-1", "--keep", "g1",
+         "--class", "-1", "--cutoff", "3"),
+        ("group", "theorem1", "--rank", "2", "--word", "g1^2", "--keep", "g1", "--quotient",
+         "index:2,2:g1=1,0;g2=0,1", "--bound", "-1"),
+        ("group", "conjcrit", "--rank", "3", "--relator", "g1 g2 g1^-1 g2^-1", "--bound", "-2"),
+    ],
+)
+def test_negative_class_or_bound_exits_2(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "non-negative" in out.err

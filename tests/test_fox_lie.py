@@ -180,6 +180,52 @@ def test_solve_sigma_zero_broken_construction_raises(monkeypatch):
         solve_sigma_zero(u, K, n, rank)
 
 
+def test_solve_sigma_zero_ideal_residue_shape_is_internal(monkeypatch):
+    # a residue monomial is b*d* in abcd order; any other shape is an
+    # internal fault, reported apart from SigmaError (bad input)
+    from foxcalc.assoc_env import PBWContext
+
+    rank, K = 3, frozenset({1, 2})
+    n, fk = sigma_setup()
+    v = bracket(fk.intersect(n).basis_elements(2)[0], LieElt.gen(rank, 3))
+    fox = lie_fox(expand_to_assoc(v))
+    u = {j: fox.partials[j] for j in sorted(K)}
+    blocks = PBWContext.monomial_blocks
+    monkeypatch.setattr(
+        PBWContext, "monomial_blocks", lambda self, mono: blocks(self, mono).replace("d", "c")
+    )
+    with pytest.raises(RuntimeError, match="unexpected monomial shape"):
+        solve_sigma_zero_ideal(u, K, n, rank)
+
+
+def test_is_zero_mod_agrees_with_reduce_mod_ideal():
+    """For every K the a and c symbols span N, so the monomials holding one
+    span N_U: each context decides p in N_U as reduce_mod_ideal does."""
+    rng = random.Random(29)
+    rank, cutoff = 3, 4
+
+    def word(length):
+        return AssocPoly(rank, {tuple(rng.randint(1, rank) for _ in range(length)): 1})
+
+    for power in (2, 3):
+        n = power_subspace(GradedSubspace.full(rank, cutoff), power)
+        members = [e for d in range(power, cutoff + 1) for e in n.basis_elements(d)]
+        polys = []
+        for _ in range(30):
+            m = rng.choice(members)
+            room = cutoff - m.max_degree()
+            left = rng.randint(0, room)
+            p = word(left) * expand_to_assoc(m) * word(rng.randint(0, room - left))
+            if rng.random() < 0.5:
+                p = p + word(rng.randint(0, cutoff)).scale(Fraction(rng.randint(1, 3)))
+            polys.append(p)
+        in_ideal = [reduce_mod_ideal(p, n).is_zero for p in polys]
+        assert 0 < sum(in_ideal) < len(polys)
+        for K in (frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})):
+            env = SubalgebraIdealContext(rank, K, n)
+            assert [env.is_zero_mod(p) for p in polys] == in_ideal
+
+
 def test_solve_sigma_zero_ideal_round_trip():
     rng = random.Random(13)
     rank, K = 3, frozenset({1, 2})
@@ -271,16 +317,11 @@ def test_cold_decomposition_checks_the_ideal_once(monkeypatch):
     """reduce_mod_ideal and SubalgebraIdealContext both need N to be an
     ideal; on a cold start N is checked once, by whichever comes first."""
     import foxcalc.assoc_env as assoc_env
-    import foxcalc.fox_lie as fox_lie
     from foxcalc.cli import main
 
     checked = []
     is_ideal = assoc_env.is_ideal
-    for module in (assoc_env, fox_lie):  # count it wherever it is bound
-        monkeypatch.setattr(
-            module, "is_ideal", lambda n: checked.append(n) or is_ideal(n), raising=False
-        )
-    monkeypatch.setattr(assoc_env, "_IDEAL_CTX", {})
+    monkeypatch.setattr(assoc_env, "is_ideal", lambda n: checked.append(n) or is_ideal(n))
     monkeypatch.setattr(SubalgebraIdealContext, "_cache", {})
     argv = ["lie", "decompose", "--rank", "3", "--expr", "y1 + [y1, y2]", "--keep", "1,2",
             "--cutoff", "6"]
