@@ -1,6 +1,7 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands, four more Lie commands and four frontier Freiheitssatz commands
+# commands, four more Lie commands, six group-criteria commands and four
+# frontier Freiheitssatz commands
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
 # stdout plus exit code.  Exits 1 on any difference.
@@ -46,6 +47,14 @@ check lie decompose --rank 3 --expr "[[y1, y3], y2]" --keep 1,2 --cutoff 5
 check lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,2 --cutoff 7
 check lie kharlampovich --rank 3 --expr "[[y1, y2], y3]" --cutoff 6
 check lie freiheit --rank 3 --relator "[y1, y2] + [y2, y3]" --spec 6 --cutoff 8
+# group criteria: the gamma criterion read off one Magnus image, theorem 1
+# on the alpha/beta transversal over K, and that transversal itself
+check group gamma-criterion --rank 2 --word "g1^-3 g2^2 g1^3 g2^-2" --keep g1 --class 1 --cutoff 4
+check group gamma-criterion --rank 2 --word "g1^3 g2^-2 g1^-3 g2^2" --keep g1 --class 2 --cutoff 4
+check group gamma-criterion --rank 3 --word "g1 g2 g3 g1^-1" --keep g1,g2 --class 0 --cutoff 2
+check group theorem1 --rank 2 --word "g2^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1"
+check group theorem1 --rank 3 --word "g1^2 g2^2" --keep g1,g2 --quotient "index:2,2,2:g1=1,0,0;g2=0,1,0;g3=0,0,1"
+check group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --style alphabeta --sub 1
 # frontier
 check lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 9
 check lie freiheit --rank 4 --relator "[y1, y4]" --spec 6 --cutoff 8

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 from .group_ring import QuotientOracle, RingElt, reduce_mod
 from .lincomb import terms_of
-from .magnus import embed_ring, gamma_weight
+from .magnus import embed, gamma_weight
 from .words import (
     Alphabet,
     FactorLetter,
@@ -241,7 +241,10 @@ def theorem1_check(
     report.witness = vhat
     from .transversal import Transversal, lattice_membership
 
-    t = Transversal(q)
+    # the alpha/beta transversal over K's letters carries F_K cap N too;
+    # that style needs a non-empty sub-alphabet
+    keep = frozenset(j for kind, j in K if kind == "free")
+    t = Transversal(q, "alphabeta", keep) if keep else Transversal(q)
     report.witness_member = lattice_membership(t, multiply(v, invert(vhat)), K)
     return report
 
@@ -273,21 +276,19 @@ def subgroup_gamma_criterion(
     if not K <= set(all_indices(alphabet)):
         raise ValueError("kept indices must lie in the alphabet")
     keep = {j for kind, j in K if kind == "free"}
-    derivative_ok = {}
-    holds = True
-    for k in all_indices(alphabet):
-        d = fox_derivative(v, k)
-        series = embed_ring(d, cutoff)
-        if k in K:
-            # congruent to Z(F_K) mod X^n: low-degree monomials must avoid
-            # the killed letters
-            ok = all(
-                len(m) >= n or all(j in keep for j in m) for m in series.terms
-            )
-        else:
-            ok = all(len(m) >= n for m in series.terms)
-        derivative_ok[k] = ok
-        holds = holds and ok
+    # M(v) = 1 + sum_j x_j M(D_j v): the monomials of M(D_j v) below degree
+    # n are those of M(v) up to degree n that start with x_j, x_j stripped
+    led: dict = {k: [] for k in all_indices(alphabet)}
+    for m in embed(v, n).terms:
+        if m:
+            led[free_index(m[0])].append(m[1:])
+    # for k outside K no such monomial may exist; for k in K each must be a
+    # word in K, so that D_k(v) is congruent to Z(F_K) mod the n-th power
+    derivative_ok = {
+        k: all(keep.issuperset(m) for m in monos) if k in K else not monos
+        for k, monos in led.items()
+    }
+    holds = all(derivative_ok.values())
     vbar = retraction(v, K)
     report = GammaCriterionReport(holds, vbar, derivative_ok)
     if holds:

@@ -17,6 +17,7 @@ from .lincomb import terms_of
 from .lie_core import (
     GradedSubspace,
     LieElt,
+    _mobius,
     bracket,
     expand_to_assoc,
     leftnorm,
@@ -91,36 +92,23 @@ def substitute_assoc(p: AssocPoly, images: Sequence[AssocPoly]) -> AssocPoly:
 
 def free_base_dims(degrees: Sequence[int], cutoff: int) -> dict[int, int]:
     """Component dimensions of a free Lie algebra on homogeneous generators
-    of the given degrees: PBW gives prod_d (1-t^d)^{-l_d} = 1/(1 - sum t^{d_i})."""
-    # Hilbert series of the envelope: geometric series of sum_i t^{d_i}
-    h = [Fraction(0)] * (cutoff + 1)
-    h[0] = Fraction(1)
-    gen_count = [0] * (cutoff + 1)
+    of the given degrees: PBW gives prod_d (1-t^d)^{-l_d} = 1/(1 - h(t)),
+    h(t) = sum_i t^{d_i}."""
+    h = [0] * (cutoff + 1)
     for d in degrees:
         if d <= cutoff:
-            gen_count[d] += 1
-    for n in range(1, cutoff + 1):
-        h[n] = sum(Fraction(gen_count[d]) * h[n - d] for d in range(1, n + 1))
-    # take log: sum_d l_d sum_k t^{dk}/k = log H
-    logh = [Fraction(0)] * (cutoff + 1)
-    # log H = sum_{m>=1} (-1)^(m+1)/m (H-1)^m; do it by formal Newton:
-    # H'/H = (log H)'  => n*logh[n] = n*h[n] - sum_{k=1}^{n-1} k*logh[k]*h[n-k]
-    for n in range(1, cutoff + 1):
-        acc = Fraction(n) * h[n]
-        for k in range(1, n):
-            acc -= Fraction(k) * logh[k] * h[n - k]
-        logh[n] = acc / n
+            h[d] += 1
+    # p_m = sum_{e | m} e l_e are the power sums of log 1/(1 - h), by
+    # Newton's identity p_m = m h_m + sum_{i < m} h_i p_{m-i}; Moebius
+    # inversion then gives m l_m = sum_{e | m} mu(m/e) p_e
+    p = [0] * (cutoff + 1)
     dims: dict[int, int] = {}
-    for n in range(1, cutoff + 1):
-        # logh[n] = sum_{d | n} l_d / (n/d)
-        acc = logh[n]
-        for d in range(1, n):
-            if n % d == 0:
-                acc -= Fraction(dims.get(d, 0), n // d)
-        val = acc  # l_n / 1
-        if val.denominator != 1:
+    for m in range(1, cutoff + 1):
+        p[m] = m * h[m] + sum(h[i] * p[m - i] for i in range(1, m))
+        total = sum(_mobius(m // e) * p[e] for e in range(1, m + 1) if m % e == 0)
+        if total % m:
             raise ArithmeticError("non-integral free Lie dimension")
-        dims[n] = int(val)
+        dims[m] = total // m
     return dims
 
 

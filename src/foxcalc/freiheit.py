@@ -236,11 +236,11 @@ def free_generating_set(
         fox = lie_fox(expand_to_assoc(x)).partials
         return {(j, m): c for j in fox for m, c in ctx.residue(fox[j], "ab").items()}
 
-    # degree-by-degree completion of the lower-generated part to B
+    # degree-by-degree completion of the decomposables to B: the generators
+    # below degree d generate B below d, hence exactly [B, B] in degree d
     produced: list[DistinguishedGenerator] = []
-    chosen: list[LieElt] = []
+    lower = b.bracket_span(b)
     for d in range(1, cutoff + 1):
-        lower = subalgebra_closure(chosen, rank, cutoff) if chosen else GradedSubspace.zero(rank, cutoff)
         span = lower.echelon(d).copy()
         new = [row for row in b.echelon(d).rows() if span.insert(row)]
         if not new:
@@ -267,7 +267,6 @@ def free_generating_set(
             )
             j, mono = keys[p]
             produced.append(DistinguishedGenerator(x, mono, j, _tag_case(keys[p], n, ctx)))
-            chosen.append(x)
     # freeness sanity: dimensions must match the free Lie algebra on
     # generators of these degrees
     degrees = [g.value.max_degree() for g in produced]

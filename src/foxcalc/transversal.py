@@ -43,11 +43,7 @@ class SchreierGenerator:
 
 
 def _positive_letters(alphabet: Alphabet) -> list[Letter]:
-    out: list[Letter] = []
-    for i, m in enumerate(alphabet.factor_orders, start=1):
-        out.extend(FactorLetter(i, e) for e in range(1, m))
-    out.extend(FreeLetter(j, 1) for j in range(1, alphabet.free_rank + 1))
-    return out
+    return [x for x in atomic_alphabet(alphabet) if x.exp > 0]
 
 
 class Transversal:
@@ -70,6 +66,8 @@ class Transversal:
         self.oracle = oracle
         self.alphabet = oracle.alphabet
         self.style = style
+        if subalphabet is not None and style != "alphabeta":
+            raise ValueError("a subalphabet needs the alphabeta style")
         if style == "alphabeta":
             if subalphabet is None:
                 subalphabet = frozenset(range(1, self.alphabet.free_rank))
@@ -279,12 +277,20 @@ def derivative_leading_term_check(
 
 def lattice_membership(t: Transversal, u: Word, K: frozenset[FoxIndex]) -> bool:
     """Certify u in (F_K cap N)^F [N, N] through the free abelianisation of
-    N on its Schreier generators.  Free alphabets, finite index only."""
+    N on its Schreier generators.  Free alphabets, finite index only.  t is
+    used as it is when it is the alpha/beta transversal over K's letters
+    (or K has none); otherwise that transversal is built from t.oracle."""
     alphabet = t.alphabet
     if alphabet.n_factors:
         raise ValueError("lattice membership requires a free alphabet")
     if not t.oracle.contains(u):
         raise ValueError("u must lie in N")
+    # on the alpha/beta transversal over K's letters the alpha
+    # representatives are the words in F_K, so F_K cap N is generated by the
+    # Schreier generators whose representative and letter lie in K
+    keep = frozenset(j for kind, j in K if kind == "free")
+    if keep and (t.style, t.subalphabet) != ("alphabeta", keep):
+        t = Transversal(t.oracle, "alphabeta", keep)
     gens = t.schreier_generators()
     index_of = {g: k for k, g in enumerate(gens)}
 
@@ -294,32 +300,16 @@ def lattice_membership(t: Transversal, u: Word, K: frozenset[FoxIndex]) -> bool:
             v[index_of[g]] += e
         return v
 
-    # free generators of F_K cap N: Schreier generators of the sub-coset
-    # graph of F_K (conjugation acts on N/[N,N] through F/N, so conjugating
-    # by the finitely many transversal reps is enough for the normal closure)
-    keep = {j for kind, j in K if kind == "free"}
-    sub_letters = [FreeLetter(j, 1) for j in sorted(keep)]
-    sub_reps: dict = {t.oracle.coset_key(identity(alphabet)): identity(alphabet)}
-    frontier = [identity(alphabet)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in sub_letters:
-                sx = multiply(s, Word(alphabet, (x,)))
-                key = t.oracle.coset_key(sx)
-                if key not in sub_reps:
-                    sub_reps[key] = sx
-                    nxt.append(sx)
-        frontier = nxt
-    sub_gens: list[Word] = []
-    for s in sub_reps.values():
-        for x in sub_letters:
-            sx = multiply(s, Word(alphabet, (x,)))
-            w = multiply(sx, invert(sub_reps[t.oracle.coset_key(sx)]))
-            if not w.is_identity:
-                sub_gens.append(w)
-    rows = []
-    for rep in t.representatives():
-        for w in sub_gens:
-            rows.append(vec(multiply(multiply(invert(rep), w), rep)))
+    sub_gens = [
+        g.value
+        for g in gens
+        if g.letter.index in keep and all(x.index in keep for x in g.rep.letters)
+    ]
+    # conjugation acts on N/[N, N] through F/N, so conjugating by the
+    # finitely many representatives is enough for the normal closure
+    rows = [
+        vec(multiply(multiply(invert(rep), w), rep))
+        for rep in t.representatives()
+        for w in sub_gens
+    ]
     return lattice_contains(hermite_normal_form(rows), vec(u))

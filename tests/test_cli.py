@@ -222,3 +222,14 @@ def test_negative_class_or_bound_exits_2(capsys, argv):
     out = capsys.readouterr()
     assert code == 2 and not out.out
     assert "non-negative" in out.err
+
+
+@pytest.mark.parametrize("sub", ["5", "1"])
+def test_transversal_sub_needs_alphabeta_style(capsys, sub):
+    argv = ["group", "transversal", "--rank", "2", "--quotient", "index:2,2:g1=1,0;g2=0,1"]
+    code = main(argv + ["--sub", sub])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "alphabeta" in out.err
+    code, doc = run(capsys, *argv, "--style", "alphabeta", "--sub", "1")
+    assert code == 0 and doc["index"] == 4

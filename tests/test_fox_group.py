@@ -23,7 +23,7 @@ from foxcalc.group_ring import (
     ring_multiply,
     trivial_oracle,
 )
-from foxcalc.magnus import gamma_weight, ideal_weight
+from foxcalc.magnus import embed, embed_ring, gamma_weight, ideal_weight
 from foxcalc.words import (
     Alphabet,
     FactorLetter,
@@ -227,3 +227,89 @@ def test_substitution_against_products():
         assert substitute_ring(a, base) == RingElt(
             MIXED, [(image(w), c) for w, c in a.terms.items()]
         )
+
+
+def test_magnus_image_carries_fox_derivatives():
+    # M(v) = 1 + sum_j x_j M(D_j v): the x_j-led part of the image at cutoff
+    # c + 1, with x_j stripped, is the image of D_j(v) at cutoff c
+    rng = random.Random(20)
+    for rank in (1, 2, 3):
+        al = Alphabet(rank)
+        for v in syllable_words(rng, al, 6, max_syllables=6):
+            for c in range(7):
+                image = embed(v, c + 1).terms
+                for j in range(1, rank + 1):
+                    led = {m[1:]: a for m, a in image.items() if m and m[0] == j}
+                    assert led == embed_ring(fox_derivative(v, free_index(j)), c).terms
+
+
+def _gamma_derivatives_oracle(v, K, n, cutoff):
+    """The per-derivative test: embed every D_k(v) and inspect its
+    monomials of degree below n."""
+    keep = {j for _, j in K}
+    ok = {}
+    for k in all_indices(v.alphabet):
+        series = embed_ring(fox_derivative(v, k), cutoff)
+        if k in K:
+            ok[k] = all(len(m) >= n or all(j in keep for j in m) for m in series.terms)
+        else:
+            ok[k] = all(len(m) >= n for m in series.terms)
+    return ok
+
+
+def test_gamma_criterion_reads_derivatives_off_the_image(monkeypatch):
+    import foxcalc.fox_group as fg
+
+    rng = random.Random(21)
+    cases = []
+    for _ in range(120):
+        al = Alphabet(rng.randrange(1, 4))
+        v = syllable_words(rng, al, 1, max_syllables=5, max_exp=3)[0]
+        if rng.random() < 0.5:
+            a, b = syllable_words(rng, al, 2, max_syllables=2, max_exp=2)
+            v = multiply(v, commutator(a, b))
+        K = frozenset(k for k in all_indices(al) if rng.random() < 0.5)
+        n = rng.randrange(0, 5)
+        cutoff = n + 1 + rng.randrange(2)
+        cases.append((v, K, n, cutoff, _gamma_derivatives_oracle(v, K, n, cutoff)))
+
+    def trap(*args, **kwargs):
+        raise AssertionError("the gamma criterion must not differentiate or embed terms")
+
+    monkeypatch.setattr(fg, "fox_derivative", trap)
+    monkeypatch.setattr(fg, "embed_ring", trap, raising=False)
+    outcomes = set()
+    for v, K, n, cutoff, ok in cases:
+        rep = subgroup_gamma_criterion(v, K, n, cutoff)
+        assert rep.derivative_ok == ok
+        assert rep.holds == all(ok.values())
+        assert rep.vbar == retraction(v, K)
+        if rep.holds:
+            w = gamma_weight(multiply(v, invert(rep.vbar)), cutoff)
+            assert rep.witness_weight_ok == (w is None or w >= n + 1)
+        else:
+            assert rep.witness_weight_ok is None
+        outcomes.add(rep.holds)
+    assert outcomes == {True, False}
+
+
+def test_theorem1_builds_one_transversal(monkeypatch):
+    import foxcalc.transversal as tv
+
+    builds = []
+    init = tv.Transversal.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tv.Transversal, "__init__", counting)
+    q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
+    for word in ("g1^2", "g2^2", "g1^2 g2^2", "g1 g2 g1^-1 g2^-1"):
+        for keep in ((), (1,), (2,), (1, 2)):
+            builds.clear()
+            rep = theorem1_check(
+                parse_word(word, FREE2), frozenset(free_index(j) for j in keep), q
+            )
+            assert rep.status == "decided"
+            assert len(builds) == 1

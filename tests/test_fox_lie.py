@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,46 @@ def test_free_base_dims_weighted():
     # degrees 2 and 3: free of rank 2 on those weights
     dims = free_base_dims([2, 3], 8)
     assert dims[5] == 1 and dims[2] == 1 and dims[3] == 1 and dims[4] == 0
+
+
+def test_free_base_dims_witt_for_unit_generators():
+    for rank in range(5):
+        dims = free_base_dims([1] * rank, 10)
+        assert dims == {d: witt_dimension(rank, d) for d in range(1, 11)}
+
+
+def test_free_base_dims_against_pbw_product():
+    # prod_n (1 - t^n)^(-l_n) = 1/(1 - h(t)) as integer series to the cutoff
+    rng = random.Random(11)
+    for _ in range(60):
+        cutoff = rng.randrange(0, 11)
+        degrees = [rng.randrange(1, 8) for _ in range(rng.randrange(0, 6))]
+        dims = free_base_dims(degrees, cutoff)
+        assert sorted(dims) == list(range(1, cutoff + 1))
+        assert all(l >= 0 for l in dims.values())
+        h = [sum(1 for d in degrees if d == m) for m in range(cutoff + 1)]
+        geometric = [1] + [0] * cutoff
+        for m in range(1, cutoff + 1):
+            geometric[m] = sum(h[i] * geometric[m - i] for i in range(1, m + 1))
+        product = [1] + [0] * cutoff
+        for n, l in dims.items():
+            # (1 - t^n)^(-l) = sum_k C(l + k - 1, k) t^(nk)
+            factor = [0] * (cutoff + 1)
+            for k in range(cutoff // n + 1):
+                factor[n * k] = math.comb(l + k - 1, k) if l else int(k == 0)
+            product = [
+                sum(product[i] * factor[m - i] for i in range(m + 1))
+                for m in range(cutoff + 1)
+            ]
+        assert product == geometric
+
+
+def test_free_base_dims_non_integral_is_refused(monkeypatch):
+    import foxcalc.fox_lie as fl
+
+    monkeypatch.setattr(fl, "_mobius", lambda n: 1)
+    with pytest.raises(ArithmeticError):
+        free_base_dims([1], 3)
 
 
 def test_validate_free_base():

@@ -304,3 +304,51 @@ def test_free_generating_set_output_unchanged(rank):
     b = power_subspace(GradedSubspace.full(rank, 4), 2)
     got = [(str(g.value), g.monomial, g.j, g.case) for g in free_generating_set(b, 4)]
     assert got == FREE_GENERATORS[rank]
+
+
+def _decomposables(b):
+    """[B, B] from brackets of basis elements of B, degree by degree."""
+    from foxcalc.lie_core import bracket, lie_from_vector
+
+    basis = {
+        d: [lie_from_vector(b.rank, d, row) for row in b.echelon(d).rows()]
+        for d in range(1, b.cutoff + 1)
+    }
+    brackets = [
+        bracket(x, y)
+        for i in basis
+        for k in basis
+        if i + k <= b.cutoff
+        for x in basis[i]
+        for y in basis[k]
+    ]
+    return GradedSubspace.span(brackets, b.rank, b.cutoff)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("which", ["gamma2", "gamma3", "ideal"])
+def test_free_generating_set_degree_counts(rank, which, monkeypatch):
+    import foxcalc.freiheit as fr
+
+    full = GradedSubspace.full(rank, 5)
+    b = {
+        "gamma2": lambda: power_subspace(full, 2),
+        "gamma3": lambda: power_subspace(full, 3),
+        "ideal": lambda: ideal_generated(parse_lie(f"[y1, y{rank}]", rank), 5),
+    }[which]()
+    closures = []
+    closure = fr.subalgebra_closure
+
+    def recording(generators, *args):
+        closures.append(list(generators))
+        return closure(generators, *args)
+
+    monkeypatch.setattr(fr, "subalgebra_closure", recording)
+    gens = free_generating_set(b, 5)
+    decomposables = _decomposables(b)
+    for d in range(1, 6):
+        count = sum(1 for g in gens if g.value.max_degree() == d)
+        assert count == b.dim(d) - decomposables.dim(d)
+    # one closure for the free factor H, one for the final freeness check
+    assert closures[-1] == [g.value for g in gens]
+    assert len(closures) == 2

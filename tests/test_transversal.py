@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from foxcalc.fox_group import free_index
 from foxcalc.group_ring import abelianization_oracle, finite_index_oracle, trivial_oracle
+from foxcalc.lattice import hermite_normal_form, lattice_contains
 from foxcalc.transversal import (
     Transversal,
     derivative_leading_term_check,
@@ -9,8 +12,10 @@ from foxcalc.transversal import (
 )
 from foxcalc.words import (
     Alphabet,
+    FreeLetter,
     Word,
     commutator,
+    conjugate,
     format_word,
     identity,
     invert,
@@ -125,3 +130,103 @@ def test_lattice_membership_examples():
     # commutators of N lie in [N, N], hence in the lattice for any K
     c = commutator(g1 ** 2, g2 ** 2)
     assert lattice_membership(t, c, K)
+
+
+def _sub_coset_membership(t, u, K):
+    """Lattice membership with F_K cap N generated from its own search of
+    the sub-coset graph of F_K, beside the transversal t."""
+    al = t.alphabet
+    gens = t.schreier_generators()
+    index_of = {g: k for k, g in enumerate(gens)}
+
+    def vec(w):
+        v = [0] * len(gens)
+        for g, e in t.rewrite_in_schreier(w):
+            v[index_of[g]] += e
+        return v
+
+    sub_letters = [Word(al, (FreeLetter(j, 1),)) for _, j in sorted(K)]
+    sub_reps = {t.oracle.coset_key(identity(al)): identity(al)}
+    frontier = [identity(al)]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in sub_letters:
+                sx = multiply(s, x)
+                if t.oracle.coset_key(sx) not in sub_reps:
+                    sub_reps[t.oracle.coset_key(sx)] = sx
+                    nxt.append(sx)
+        frontier = nxt
+    sub_gens = []
+    for s in sub_reps.values():
+        for x in sub_letters:
+            sx = multiply(s, x)
+            w = multiply(sx, invert(sub_reps[t.oracle.coset_key(sx)]))
+            if not w.is_identity:
+                sub_gens.append(w)
+    rows = [
+        vec(multiply(multiply(invert(rep), w), rep))
+        for rep in t.representatives()
+        for w in sub_gens
+    ]
+    return lattice_contains(hermite_normal_form(rows), vec(u))
+
+
+@pytest.mark.parametrize(
+    "orders, images",
+    [((2, 2), [(1, 0), (0, 1)]), ((6,), [(1,), (3,)]), ((2, 4), [(1, 0), (0, 1)])],
+    ids=["index4", "index6", "index8"],
+)
+def test_lattice_membership_any_transversal_matches_sub_coset_search(orders, images):
+    q = finite_index_oracle(FREE2, orders, images)
+    shortlex = Transversal(q)
+    rng = random.Random(sum(orders))
+    members = [u for u in shortlex_words(FREE2, 4) if q.contains(u) and not u.is_identity]
+    verdicts = set()
+    for keep in ((), (1,), (2,), (1, 2)):
+        K = frozenset(free_index(j) for j in keep)
+        # the alpha/beta transversal over K's letters, or any one for K = {}
+        alphabeta = Transversal(q, "alphabeta", frozenset(keep or (1,)))
+        sub = [u for u in members if set(x.index for x in u.letters) <= set(keep)]
+        for _ in range(12):
+            u = rng.choice(members)
+            if sub and rng.random() < 0.5:
+                # a conjugate of F_K cap N times a commutator in N
+                c = commutator(rng.choice(members), rng.choice(members))
+                u = multiply(conjugate(rng.choice(sub), rng.choice(members)), c)
+            want = _sub_coset_membership(shortlex, u, K)
+            assert lattice_membership(shortlex, u, K) == want
+            assert lattice_membership(alphabeta, u, K) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_lattice_membership_reads_a_fitting_transversal(monkeypatch):
+    import foxcalc.transversal as tv
+
+    q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
+    fitting = Transversal(q, "alphabeta", frozenset({1}))
+    shortlex = Transversal(q)
+    builds = []
+    init = tv.Transversal.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tv.Transversal, "__init__", counting)
+    K = frozenset({free_index(1)})
+    u = parse_word("g1^2", FREE2)
+    assert lattice_membership(fitting, u, K)
+    assert not lattice_membership(shortlex, parse_word("g2^2", FREE2), frozenset())
+    assert builds == []
+    # a transversal of another style is replaced by the fitting one, once
+    assert lattice_membership(shortlex, u, K)
+    assert builds == [(q, "alphabeta", frozenset({1}))]
+
+
+def test_subalphabet_needs_alphabeta_style():
+    q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
+    for sub in ({1}, {5}):
+        with pytest.raises(ValueError):
+            Transversal(q, subalphabet=frozenset(sub))
