@@ -1,6 +1,6 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands, four more Lie commands, six group-criteria commands and four
+# commands, four more Lie commands, eight group-criteria commands and four
 # frontier Freiheitssatz commands
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
@@ -55,6 +55,10 @@ check group gamma-criterion --rank 3 --word "g1 g2 g3 g1^-1" --keep g1,g2 --clas
 check group theorem1 --rank 2 --word "g2^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1"
 check group theorem1 --rank 3 --word "g1^2 g2^2" --keep g1,g2 --quotient "index:2,2,2:g1=1,0,0;g2=0,1,0;g3=0,0,1"
 check group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --style alphabeta --sub 1
+# Magnus keys of a long word's Fox terms, and theorem 1 with a conjugate of
+# F_K cap N read off the rank-3 sub-lattice
+check group schumann --rank 3 --quotient nilpotent:2 --word "g3^-1 g2^-1 g1^-1 g2 g1 g3 g1^-1 g2^-1 g1 g2 g1^-2 g3^-1 g2^-1 g3 g2 g1 g2^-1 g3^-1 g2 g3 g1 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3 g1^-1 g3^-1 g2^-1 g3 g2 g1^-1 g2^-1 g3^-1 g2 g3 g1^2 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3"
+check group theorem1 --rank 3 --word "g1^2 g3^-1 g2^2 g3 g1^-2 g3^-2 g1^2 g3^2" --keep g1,g2 --quotient "index:2,2,2:g1=1,0,0;g2=0,1,0;g3=0,0,1"
 # frontier
 check lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 9
 check lie freiheit --rank 4 --relator "[y1, y4]" --spec 6 --cutoff 8

@@ -21,7 +21,6 @@ from .words import (
     Letter,
     Word,
     commutator,
-    identity,
     invert,
     multiply,
     reduce,
@@ -46,23 +45,15 @@ def all_indices(alphabet: Alphabet) -> list[FoxIndex]:
     ]
 
 
-def _letter_derivative(letter: Letter, k: FoxIndex, alphabet: Alphabet) -> RingElt:
-    kind, idx = k
+def _letter_derivative(letter: Letter) -> list[tuple[tuple[Letter, ...], int]]:
+    """D of a syllable with respect to its own index, as (letters, coefficient)
+    pairs: D_i(a) = a - 1 for a factor syllable, D(g^e) = 1 + g + ... +
+    g^(e-1) for e > 0 and -(g^e + ... + g^-1) for e < 0."""
     if isinstance(letter, FactorLetter):
-        if kind != "factor" or idx != letter.index:
-            return RingElt.zero(alphabet)
-        # every nontrivial factor element a has D_i(a) = a - 1
-        w = Word(alphabet, (letter,))
-        return RingElt(alphabet, {w: 1, identity(alphabet): -1})
-    if kind != "free" or idx != letter.index:
-        return RingElt.zero(alphabet)
+        return [((letter,), 1), ((), -1)]
     e = letter.exp
-    # D(g^e) = 1 + g + ... + g^(e-1) for e > 0, -(g^e + ... + g^-1) for e < 0
     powers, sign = (range(e), 1) if e > 0 else (range(e, 0), -1)
-    return RingElt(
-        alphabet,
-        {Word(alphabet, (FreeLetter(letter.index, t),) if t else ()): sign for t in powers},
-    )
+    return [((FreeLetter(letter.index, t),) if t else (), sign) for t in powers]
 
 
 def fox_derivative(u: Union[Word, RingElt], k: FoxIndex) -> RingElt:
@@ -73,17 +64,20 @@ def fox_derivative(u: Union[Word, RingElt], k: FoxIndex) -> RingElt:
             terms_of(fox_derivative(w, k).scale(c) for w, c in u.terms.items()),
         )
     alphabet = u.alphabet
-    # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r).  Each word of
-    # D(l_t) is 1 or a power in l_t's slot, and l_{t+1} never shares that
-    # slot in a reduced word, so the concatenation is already reduced.
+    kind, idx = k
+    slot = {"free": FreeLetter, "factor": FactorLetter}.get(kind)
+    # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r), where D(l_t) = 0
+    # unless l_t lies in k's slot.  Each word of D(l_t) is 1 or a power in
+    # that slot, and l_{t+1} never shares it in a reduced word, so the
+    # concatenation is already reduced.
     letters = u.letters
     pairs = []
     for t, letter in enumerate(letters):
-        tail = letters[t + 1 :]
-        pairs.extend(
-            (Word(alphabet, v.letters + tail), c)
-            for v, c in _letter_derivative(letter, k, alphabet).terms.items()
-        )
+        if type(letter) is slot and letter.index == idx:
+            tail = letters[t + 1 :]
+            pairs.extend(
+                (Word(alphabet, head + tail), c) for head, c in _letter_derivative(letter)
+            )
     return RingElt(alphabet, pairs)
 
 
@@ -239,12 +233,11 @@ def theorem1_check(
         report.status = "inconclusive-witness"
         return report
     report.witness = vhat
-    from .transversal import Transversal, lattice_membership
+    from .transversal import lattice_membership
 
-    # the alpha/beta transversal over K's letters carries F_K cap N too;
-    # that style needs a non-empty sub-alphabet
-    keep = frozenset(j for kind, j in K if kind == "free")
-    t = Transversal(q, "alphabeta", keep) if keep else Transversal(q)
+    # the alpha/beta transversal over K's letters carries F_K cap N; the
+    # oracle builds it once and keeps it, with its sub-lattice
+    t = q.transversal(frozenset(j for kind, j in K if kind == "free"))
     report.witness_member = lattice_membership(t, multiply(v, invert(vhat)), K)
     return report
 

@@ -93,7 +93,9 @@ def substitute_assoc(p: AssocPoly, images: Sequence[AssocPoly]) -> AssocPoly:
 def free_base_dims(degrees: Sequence[int], cutoff: int) -> dict[int, int]:
     """Component dimensions of a free Lie algebra on homogeneous generators
     of the given degrees: PBW gives prod_d (1-t^d)^{-l_d} = 1/(1 - h(t)),
-    h(t) = sum_i t^{d_i}."""
+    h(t) = sum_i t^{d_i}.  Every degree must be at least 1."""
+    if any(d < 1 for d in degrees):
+        raise ValueError("generator degrees must be at least 1")
     h = [0] * (cutoff + 1)
     for d in degrees:
         if d <= cutoff:

@@ -81,35 +81,62 @@ def augmentation(a: RingElt) -> int:
 
 class QuotientOracle:
     """Coset map for a normal subgroup N: ``coset_key(w)`` is a hashable key
-    constant on cosets of N and separating distinct cosets."""
+    constant on cosets of N and separating distinct cosets.  ``keys_fn``
+    maps a sequence of words to their keys in one pass, the oracle's one
+    key path."""
 
-    def __init__(self, kind: str, alphabet: Alphabet, key_fn, finite_index: bool):
+    def __init__(self, kind: str, alphabet: Alphabet, keys_fn, finite_index: bool):
         self.kind = kind
         self.alphabet = alphabet
-        self._key_fn = key_fn
+        self._keys_fn = keys_fn
         self.finite_index = finite_index
+        self._transversals: dict = {}
+
+    def coset_keys(self, ws: Sequence[Word]) -> list:
+        """The keys of several words, in order."""
+        alphabet = self.alphabet
+        for w in ws:
+            if w.alphabet != alphabet:
+                raise ValueError("alphabet mismatch")
+        return self._keys_fn(ws)
 
     def coset_key(self, w: Word):
-        if w.alphabet != self.alphabet:
-            raise ValueError("alphabet mismatch")
-        return self._key_fn(w)
+        return self.coset_keys((w,))[0]
 
     def contains(self, w: Word) -> bool:
         """Is w in N?"""
         return self.coset_key(w) == self.coset_key(identity(self.alphabet))
 
+    def transversal(self, keep: frozenset[int] = frozenset()):
+        """The Schreier transversal that carries F_K cap N for the kept free
+        indices: alpha/beta over ``keep``, shortlex when nothing is kept.
+        N never changes, so each is built once and kept; there is one per
+        sub-alphabet asked for."""
+        t = self._transversals.get(keep)
+        if t is None:
+            from .transversal import Transversal
+
+            t = Transversal(self, "alphabeta", keep) if keep else Transversal(self)
+            self._transversals[keep] = t
+        return t
+
     def __repr__(self):
         return f"QuotientOracle({self.kind})"
 
 
+def _each(key):
+    """A one-word key function applied word by word."""
+    return lambda ws: [key(w) for w in ws]
+
+
 def trivial_oracle(alphabet: Alphabet) -> QuotientOracle:
     """N = F: one coset."""
-    return QuotientOracle("trivial", alphabet, lambda w: 0, True)
+    return QuotientOracle("trivial", alphabet, _each(lambda w: 0), True)
 
 
 def discrete_oracle(alphabet: Alphabet) -> QuotientOracle:
     """N = 1: the key is the word itself, so reduce_mod is injective."""
-    return QuotientOracle("discrete", alphabet, lambda w: w.letters, False)
+    return QuotientOracle("discrete", alphabet, _each(lambda w: w.letters), False)
 
 
 def _abel_key(alphabet: Alphabet, kill_factors: bool):
@@ -135,22 +162,24 @@ def abelianization_oracle(alphabet: Alphabet, kill_factors: bool = False) -> Quo
     """N = [F, F] (with the cyclic factors additionally killed on request)."""
     finite = alphabet.free_rank == 0
     return QuotientOracle(
-        "abelianization", alphabet, _abel_key(alphabet, kill_factors), finite
+        "abelianization", alphabet, _each(_abel_key(alphabet, kill_factors)), finite
     )
 
 
 def free_nilpotent_oracle(alphabet: Alphabet, nil_class: int) -> QuotientOracle:
-    """N = gamma_{c+1}(F) for free F; the key is the degree-<=c Magnus image."""
+    """N = gamma_{c+1}(F) for free F; the key is the degree-<=c Magnus
+    image, embedded for all words of a query at once so that shared
+    suffixes are embedded once."""
     if alphabet.n_factors:
         raise ValueError("free-nilpotent oracle requires a free alphabet")
     if nil_class < 1:
         raise ValueError("nilpotency class must be positive")
-    from .magnus import embed
+    from .magnus import embed_words
 
-    def key(w: Word):
-        return tuple(sorted(embed(w, nil_class).terms.items()))
+    def keys(ws):
+        return [tuple(sorted(m.terms.items())) for m in embed_words(ws, nil_class)]
 
-    return QuotientOracle(f"free-nilpotent:{nil_class}", alphabet, key, False)
+    return QuotientOracle(f"free-nilpotent:{nil_class}", alphabet, keys, False)
 
 
 def finite_index_oracle(
@@ -189,12 +218,13 @@ def finite_index_oracle(
                 acc[k] += letter.exp * x
         return tuple(x % t for x, t in zip(acc, orders))
 
-    return QuotientOracle("finite-index", alphabet, key, True)
+    return QuotientOracle("finite-index", alphabet, _each(key), True)
 
 
 def reduce_mod(a: RingElt, q: QuotientOracle) -> dict:
-    """Image of a ring element in Z(F/N): coset key -> coefficient sum."""
-    return sum_terms((q.coset_key(w), c) for w, c in a.terms.items())
+    """Image of a ring element in Z(F/N): coset key -> coefficient sum.
+    The oracle keys all words of a at once."""
+    return sum_terms(zip(q.coset_keys(list(a.terms)), a.terms.values()))
 
 
 def parse_ring(text: str, alphabet: Alphabet) -> RingElt:

@@ -11,10 +11,10 @@ C(-n, k) = (-1)^k C(n + k - 1, k).
 from __future__ import annotations
 
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lincomb import Graded, Terms, format_terms, sum_terms, terms_of
-from .words import FreeLetter, Word
+from .words import Word
 
 
 class TruncSeries(Graded):
@@ -52,28 +52,59 @@ class TruncSeries(Graded):
         )
 
 
-def _gen_power(rank: int, cutoff: int, j: int, exp: int) -> TruncSeries:
-    """(1 + x_j)^exp truncated at ``cutoff``, by the binomial series."""
-    return TruncSeries(
-        rank,
-        cutoff,
-        {
-            (j,) * k: comb(exp, k) if exp >= 0 else (-1) ** k * comb(k - exp - 1, k)
-            for k in range(cutoff + 1)
-        },
-    )
+def _binomials(exp: int, cutoff: int) -> list[int]:
+    """Coefficients of (1 + x)^exp up to degree ``cutoff``."""
+    return [
+        comb(exp, k) if exp >= 0 else (-1) ** k * comb(k - exp - 1, k)
+        for k in range(cutoff + 1)
+    ]
+
+
+def _syllable_times(j: int, coeffs: list[int], terms: dict, cutoff: int) -> dict:
+    """Terms of (1 + x_j)^e * s, given the binomials of e and the terms of
+    s: each monomial m of s meets x_j^k m for every k that fits."""
+    out: dict = {}
+    for m, c in terms.items():
+        for k in range(cutoff - len(m) + 1):
+            if coeffs[k]:
+                mono = (j,) * k + m
+                out[mono] = out.get(mono, 0) + coeffs[k] * c
+    return {m: c for m, c in out.items() if c}
+
+
+def embed_words(ws: Sequence[Word], cutoff: int) -> list[TruncSeries]:
+    """Magnus images of words in a free alphabet, truncated at ``cutoff``,
+    in one right-to-left pass: M(l_1 ... l_r) = M(l_1) M(l_2 ... l_r).  A
+    trie local to the call holds the image of every suffix met, so words
+    that share suffixes (the terms of a Fox derivative) pay one syllable
+    product for each suffix not seen before.  A lone word shares nothing,
+    so its suffixes are not kept."""
+    root: tuple = ({(): 1} if cutoff >= 0 else {}, {})
+    keep = len(ws) > 1
+    binomials: dict = {}
+    out = []
+    for w in ws:
+        alphabet = w.alphabet
+        if alphabet.n_factors:
+            raise ValueError("Magnus embedding requires a free alphabet")
+        terms, children = root
+        for letter in reversed(w.letters):
+            node = children.get(letter)
+            if node is None:
+                coeffs = binomials.get(letter.exp)
+                if coeffs is None:
+                    coeffs = binomials[letter.exp] = _binomials(letter.exp, cutoff)
+                node = (_syllable_times(letter.index, coeffs, terms, cutoff), {})
+                if keep:
+                    children[letter] = node
+            terms, children = node
+        out.append(TruncSeries._trusted((alphabet.free_rank, cutoff), dict(terms)))
+    return out
 
 
 def embed(w: Word, cutoff: int) -> TruncSeries:
     """Magnus image of a word in a free alphabet, truncated at ``cutoff``."""
-    alphabet = w.alphabet
-    if alphabet.n_factors:
-        raise ValueError("Magnus embedding requires a free alphabet")
-    out = TruncSeries.one(alphabet.free_rank, cutoff)
-    for letter in w.letters:
-        assert isinstance(letter, FreeLetter)
-        out = out * _gen_power(alphabet.free_rank, cutoff, letter.index, letter.exp)
-    return out
+    return embed_words((w,), cutoff)[0]
 
 
 def embed_ring(a, cutoff: int) -> TruncSeries:
@@ -81,10 +112,11 @@ def embed_ring(a, cutoff: int) -> TruncSeries:
     alphabet = a.alphabet
     if alphabet.n_factors:
         raise ValueError("Magnus embedding requires a free alphabet")
+    images = embed_words(list(a.terms), cutoff)
     return TruncSeries(
         alphabet.free_rank,
         cutoff,
-        terms_of(embed(w, cutoff).scale(c) for w, c in a.terms.items()),
+        terms_of(m.scale(c) for m, c in zip(images, a.terms.values())),
     )
 
 

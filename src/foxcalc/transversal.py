@@ -17,11 +17,11 @@ from .fox_group import FoxIndex, fox_derivative, free_index
 from .group_ring import QuotientOracle, RingElt
 from .lattice import hermite_normal_form, lattice_contains
 from .words import (
-    Alphabet,
     FactorLetter,
     FreeLetter,
     Letter,
     Word,
+    atom_runs,
     atomic_alphabet,
     identity,
     invert,
@@ -40,10 +40,6 @@ class SchreierGenerator:
     rep: Word
     letter: Letter
     value: Word
-
-
-def _positive_letters(alphabet: Alphabet) -> list[Letter]:
-    return [x for x in atomic_alphabet(alphabet) if x.exp > 0]
 
 
 class Transversal:
@@ -79,7 +75,8 @@ class Transversal:
         self._reps: dict = {}  # coset key -> Word
         self._kinds: dict = {}  # coset key -> "alpha" | "beta"
         self._explored_to = 0
-        self._gens: Optional[dict] = None
+        self._table: Optional[tuple] = None
+        self._sub_hnf: Optional[list] = None
         if oracle.finite_index:
             self._explore(None)
             self._verify_prefix_closure()
@@ -196,49 +193,111 @@ class Transversal:
     def schreier_generators(self) -> list[SchreierGenerator]:
         """Nontrivial generators s x rep(sx)^-1, s over the transversal and
         x over the positive letters, in deterministic order."""
-        return list(self._generator_table().values())
+        gens, _ = self._coset_table()
+        return list(gens)
 
-    def _generator_table(self) -> dict:
-        """(rep, letter) -> nontrivial Schreier generator, built once."""
+    def _coset_table(self) -> tuple[list[SchreierGenerator], list[list[tuple]]]:
+        """The Schreier generators and the coset table, built once.  Cosets
+        are numbered by the shortlex order of their representatives, so the
+        base coset is 0, and atoms by their place in atomic_alphabet.
+        ``steps[c][a]`` is (the coset of rep_c a, the position of the
+        Schreier generator that step reads or None, its exponent): a
+        positive atom x read from s reads s x rep(s x)^-1, and its inverse
+        read from rep(s x) reads that generator's inverse."""
         if not self.oracle.finite_index:
             raise ValueError("schreier_generators needs a finite-index oracle")
-        if self._gens is None:
-            self._gens = {}
-            for s in self.representatives():
-                for x in _positive_letters(self.alphabet):
-                    sx = multiply(s, Word(self.alphabet, (x,)))
-                    w = multiply(sx, invert(self.representative(sx)))
+        if self._table is None:
+            al = self.alphabet
+            keys = sorted(self._reps, key=lambda k: shortlex_key(self._reps[k]))
+            reps = [self._reps[k] for k in keys]
+            position = {k: c for c, k in enumerate(keys)}
+            atoms = atomic_alphabet(al)
+            succ = [
+                [position[self.oracle.coset_key(multiply(s, Word(al, (x,))))] for x in atoms]
+                for s in reps
+            ]
+            gens: list[SchreierGenerator] = []
+            gen_at: dict = {}  # (coset, positive atom) -> generator position
+            for c, s in enumerate(reps):
+                for a, x in enumerate(atoms):
+                    if x.exp < 0:
+                        continue
+                    w = multiply(multiply(s, Word(al, (x,))), invert(reps[succ[c][a]]))
                     if not w.is_identity:
-                        self._gens[s, x] = SchreierGenerator(s, x, w)
-        return self._gens
+                        gen_at[c, a] = len(gens)
+                        gens.append(SchreierGenerator(s, x, w))
+            # g^-1 sits right after g in atomic_alphabet
+            steps = [
+                [
+                    (d, gen_at.get((d, a - 1)), -1) if x.exp < 0 else (d, gen_at.get((c, a)), 1)
+                    for a, (x, d) in enumerate(zip(atoms, succ[c]))
+                ]
+                for c in range(len(reps))
+            ]
+            self._table = (gens, steps)
+        return self._table
+
+    def _read(self, coset: int, u: Word) -> tuple[int, list[tuple[int, int]]]:
+        """Walk u from a coset through the coset table: the coset it ends
+        in, and the Schreier generators read on the way as (position,
+        exponent)."""
+        _, steps = self._coset_table()
+        out = []
+        for a, n in atom_runs(u):
+            for _ in range(n):
+                coset, g, e = steps[coset][a]
+                if g is not None:
+                    out.append((g, e))
+        return coset, out
+
+    def _rewrite(self, u: Word) -> list[tuple[int, int]]:
+        """rewrite_in_schreier with generator positions."""
+        if not self.oracle.contains(u):
+            raise ValueError("u must lie in N")
+        end, out = self._read(0, u)
+        if end != 0:
+            raise RuntimeError("rewriting did not return to the base coset")
+        return out
 
     def rewrite_in_schreier(self, u: Word) -> list[tuple[SchreierGenerator, int]]:
         """Reidemeister-Schreier rewriting of u in N as a word over the
         Schreier generators (trivial generators dropped)."""
-        if not self.oracle.contains(u):
-            raise ValueError("u must lie in N")
-        table = self._generator_table()
-        out: list[tuple[SchreierGenerator, int]] = []
-        state = identity(self.alphabet)
-        for atom in to_atomic(u):
-            if isinstance(atom, FreeLetter) and atom.exp < 0:
-                nxt = self.representative(
-                    multiply(state, Word(self.alphabet, (atom,)))
-                )
-                gen = table.get((nxt, FreeLetter(atom.index, 1)))
-                if gen is not None:
-                    out.append((gen, -1))
-                state = nxt
-            else:
-                gen = table.get((state, atom))
-                if gen is not None:
-                    out.append((gen, 1))
-                state = self.representative(
-                    multiply(state, Word(self.alphabet, (atom,)))
-                )
-        if not state.is_identity:
-            raise RuntimeError("rewriting did not return to the base coset")
-        return out
+        pairs = self._rewrite(u)
+        gens, _ = self._coset_table()
+        return [(gens[g], e) for g, e in pairs]
+
+    def _vector(self, pairs: list[tuple[int, int]]) -> list[int]:
+        """Exponent sums of a rewriting: its image in N/[N, N], free abelian
+        on the Schreier generators."""
+        gens, _ = self._coset_table()
+        v = [0] * len(gens)
+        for g, e in pairs:
+            v[g] += e
+        return v
+
+    def sub_lattice(self) -> list[list[int]]:
+        """HNF of the image of (F_S cap N)^F in N/[N, N], S the
+        sub-alphabet (empty in the shortlex style), built once.
+
+        On the alpha/beta transversal the alpha representatives are the
+        words in F_S, so F_S cap N is generated by the Schreier generators
+        whose representative and letter lie in S.  Conjugation acts on
+        N/[N, N] through F/N, and rewriting rep^-1 w rep reads w from the
+        coset of rep^-1: reading each such w from every coset spans the
+        normal closure."""
+        if self._sub_hnf is None:
+            keep = self.subalphabet or frozenset()
+            gens, steps = self._coset_table()
+            rows = []
+            for g in gens:
+                if g.letter.index in keep and all(x.index in keep for x in g.rep.letters):
+                    for coset in range(len(steps)):
+                        end, pairs = self._read(coset, g.value)
+                        if end != coset:
+                            raise RuntimeError("a Schreier generator left its coset")
+                        rows.append(self._vector(pairs))
+            self._sub_hnf = hermite_normal_form(rows)
+        return self._sub_hnf
 
     # -- derivative head terms ------------------------------------------
 
@@ -279,37 +338,11 @@ def lattice_membership(t: Transversal, u: Word, K: frozenset[FoxIndex]) -> bool:
     """Certify u in (F_K cap N)^F [N, N] through the free abelianisation of
     N on its Schreier generators.  Free alphabets, finite index only.  t is
     used as it is when it is the alpha/beta transversal over K's letters
-    (or K has none); otherwise that transversal is built from t.oracle."""
-    alphabet = t.alphabet
-    if alphabet.n_factors:
+    (or K has none); otherwise the oracle's transversal over them is."""
+    if t.alphabet.n_factors:
         raise ValueError("lattice membership requires a free alphabet")
-    if not t.oracle.contains(u):
-        raise ValueError("u must lie in N")
-    # on the alpha/beta transversal over K's letters the alpha
-    # representatives are the words in F_K, so F_K cap N is generated by the
-    # Schreier generators whose representative and letter lie in K
     keep = frozenset(j for kind, j in K if kind == "free")
     if keep and (t.style, t.subalphabet) != ("alphabeta", keep):
-        t = Transversal(t.oracle, "alphabeta", keep)
-    gens = t.schreier_generators()
-    index_of = {g: k for k, g in enumerate(gens)}
-
-    def vec(w: Word) -> list[int]:
-        v = [0] * len(gens)
-        for g, e in t.rewrite_in_schreier(w):
-            v[index_of[g]] += e
-        return v
-
-    sub_gens = [
-        g.value
-        for g in gens
-        if g.letter.index in keep and all(x.index in keep for x in g.rep.letters)
-    ]
-    # conjugation acts on N/[N, N] through F/N, so conjugating by the
-    # finitely many representatives is enough for the normal closure
-    rows = [
-        vec(multiply(multiply(invert(rep), w), rep))
-        for rep in t.representatives()
-        for w in sub_gens
-    ]
-    return lattice_contains(hermite_normal_form(rows), vec(u))
+        t = t.oracle.transversal(keep)
+    vec = t._vector(t._rewrite(u))
+    return lattice_contains(t.sub_lattice() if keep else [], vec)

@@ -87,6 +87,17 @@ class Word:
     alphabet: Alphabet
     letters: tuple[Letter, ...]
 
+    _hash = None  # not a field: the hash, once computed
+
+    def __hash__(self) -> int:
+        # words key every ring element, so each word hashes its letters
+        # once; equal words have equal letters
+        h = self._hash
+        if h is None:
+            h = hash(self.letters)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
@@ -137,14 +148,33 @@ def reduce(raw: Iterable[Letter], alphabet: Alphabet) -> Word:
 
 
 def multiply(u: Word, v: Word) -> Word:
-    if u.alphabet != v.alphabet:
+    """u v.  Both sides are reduced, so syllables merge or cancel only at
+    the junction: cancel pairs there until two syllables merge into one or
+    their slots differ."""
+    alphabet = u.alphabet
+    if alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    return reduce(u.letters + v.letters, u.alphabet)
+    a, b = u.letters, v.letters
+    i, j = len(a), 0
+    while i and j < len(b):
+        x, y = a[i - 1], b[j]
+        if not _same_slot(x, y):
+            break
+        e = x.exp + y.exp
+        if isinstance(x, FactorLetter):
+            e %= alphabet.factor_order(x.index)
+        if e:
+            return Word(alphabet, a[: i - 1] + (type(x)(x.index, e),) + b[j + 1 :])
+        i, j = i - 1, j + 1
+    return Word(alphabet, a[:i] + b[j:])
 
 
 def invert(u: Word) -> Word:
-    return reduce(
-        (letter_inverse(l, u.alphabet) for l in reversed(u.letters)), u.alphabet
+    """The reversed word of inverse syllables, which is reduced as it is."""
+    # a list, not a generator: tuple() grows a generator's tuple by resizing,
+    # and a long benchmark run then kept about 1 MB more resident memory
+    return Word(
+        u.alphabet, tuple([letter_inverse(l, u.alphabet) for l in reversed(u.letters)])
     )
 
 
@@ -206,6 +236,17 @@ def _atom_slot(letter: Letter) -> tuple:
     return (1, letter.index, letter.exp > 0)
 
 
+def atom_runs(u: Word) -> list[tuple[int, int]]:
+    """Each syllable as (position of its atom in atomic_alphabet, number of
+    times the atom repeats): g^e is |e| copies of g^{sign(e)}, a factor
+    syllable one atom."""
+    rank = _atom_rank(u.alphabet)
+    return [
+        (rank[_atom_slot(letter)], 1 if isinstance(letter, FactorLetter) else abs(letter.exp))
+        for letter in u.letters
+    ]
+
+
 def shortlex_key(u: Word):
     """Sort key of u in shortlex order over the atomic alphabet, built per
     syllable.  A syllable is a run of n equal atoms c; two words that agree
@@ -214,11 +255,7 @@ def shortlex_key(u: Word):
     or below c.  The run's key is (c, 0, n) when its next atom is below c
     (or the word ends there) and (c, 1, -n) when it is above.  Adjacent
     syllables of a reduced word never repeat an atom, so runs are maximal."""
-    rank = _atom_rank(u.alphabet)
-    runs = [
-        (rank[_atom_slot(letter)], 1 if isinstance(letter, FactorLetter) else abs(letter.exp))
-        for letter in u.letters
-    ]
+    runs = atom_runs(u)
     key = []
     for k, (c, n) in enumerate(runs):
         up = k + 1 < len(runs) and runs[k + 1][0] > c

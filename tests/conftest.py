@@ -28,6 +28,26 @@ def words(alphabet, max_len=8):
     ).map(lambda ls: reduce(ls, alphabet))
 
 
+def syllables(alphabet, max_len=8):
+    """Reduced words from random syllables: free powers up to +-4 and every
+    exponent of every factor, so that products merge as well as cancel."""
+    slots = [
+        st.builds(FactorLetter, st.just(i), st.integers(1, m - 1))
+        for i, m in enumerate(alphabet.factor_orders, start=1)
+    ]
+    if alphabet.free_rank:
+        slots.append(
+            st.builds(
+                FreeLetter,
+                st.integers(1, alphabet.free_rank),
+                st.integers(-4, 4).filter(bool),
+            )
+        )
+    return st.lists(st.one_of(slots), max_size=max_len).map(
+        lambda ls: reduce(ls, alphabet)
+    )
+
+
 def syllable_words(rng, alphabet, count, max_syllables=8, max_exp=4):
     """``count`` reduced words, each from up to ``max_syllables`` random
     syllables with exponents in +-1..+-max_exp, so that powers reach the

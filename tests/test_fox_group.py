@@ -294,22 +294,34 @@ def test_gamma_criterion_reads_derivatives_off_the_image(monkeypatch):
 
 
 def test_theorem1_builds_one_transversal(monkeypatch):
+    """One Transversal per (oracle, kept sub-alphabet) across calls: the
+    first call on a sub-alphabet builds it, later calls build nothing."""
     import foxcalc.transversal as tv
 
     builds = []
     init = tv.Transversal.__init__
 
     def counting(self, *args, **kwargs):
-        builds.append(1)
+        builds.append(args)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(tv.Transversal, "__init__", counting)
     q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
-    for word in ("g1^2", "g2^2", "g1^2 g2^2", "g1 g2 g1^-1 g2^-1"):
+    for n, word in enumerate(("g1^2", "g2^2", "g1^2 g2^2", "g1 g2 g1^-1 g2^-1")):
         for keep in ((), (1,), (2,), (1, 2)):
             builds.clear()
             rep = theorem1_check(
                 parse_word(word, FREE2), frozenset(free_index(j) for j in keep), q
             )
             assert rep.status == "decided"
-            assert len(builds) == 1
+            if n:
+                assert builds == []
+            elif keep:
+                assert builds == [(q, "alphabeta", frozenset(keep))]
+            else:
+                assert builds == [(q,)]
+    # another oracle, even an equal one, has transversals of its own
+    other = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
+    builds.clear()
+    theorem1_check(parse_word("g1^2", FREE2), frozenset({free_index(1)}), other)
+    assert builds == [(other, "alphabeta", frozenset({1}))]

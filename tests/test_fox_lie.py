@@ -108,6 +108,14 @@ def test_free_base_dims_witt_for_unit_generators():
         assert dims == {d: witt_dimension(rank, d) for d in range(1, 11)}
 
 
+@pytest.mark.parametrize("degrees", [[-1], [0], [1, 0, 2], [2, -3]])
+def test_free_base_dims_refuses_degrees_below_one(degrees):
+    # a negative degree used to index h from the end, a zero one was dropped
+    for cutoff in (0, 3):
+        with pytest.raises(ValueError):
+            free_base_dims(degrees, cutoff)
+
+
 def test_free_base_dims_against_pbw_product():
     # prod_n (1 - t^n)^(-l_n) = 1/(1 - h(t)) as integer series to the cutoff
     rng = random.Random(11)

@@ -95,3 +95,22 @@ def test_word_times_ring_element(w, r):
     assert w * r == RingElt.from_word(w) * r
     with pytest.raises(TypeError):
         w * 2
+
+
+def test_reduce_mod_refuses_another_alphabet():
+    from foxcalc.words import parse_word
+
+    for q in (free_nilpotent_oracle(FREE2, 2), finite_index_oracle(FREE2, (2,), [(1,), (0,)])):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            reduce_mod(parse_ring("g1 - 2*g2", Alphabet(3)), q)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            q.coset_keys([parse_word("g1", FREE2), parse_word("g1", Alphabet(3))])
+
+
+def test_oracle_keeps_one_transversal_per_sub_alphabet():
+    q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
+    t1, t12, t0 = q.transversal(frozenset({1})), q.transversal(frozenset({1, 2})), q.transversal()
+    assert (t1.style, t1.subalphabet) == ("alphabeta", frozenset({1}))
+    assert (t12.style, t12.subalphabet) == ("alphabeta", frozenset({1, 2}))
+    assert t0.style == "shortlex"
+    assert q.transversal(frozenset({1})) is t1 and q.transversal(frozenset()) is t0

@@ -1,20 +1,22 @@
 import itertools
+import math
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from foxcalc.fox_group import fox_derivative, free_index
 from foxcalc.magnus import (
     TruncSeries,
-    _gen_power,
     embed,
     embed_ring,
+    embed_words,
     format_series,
     gamma_weight,
     ideal_weight,
 )
+from foxcalc.group_ring import free_nilpotent_oracle, reduce_mod
 from foxcalc.words import Alphabet, FreeLetter, Word, commutator, identity, multiply
 
-from conftest import FREE2, FREE3, words
+from conftest import FREE2, FREE3, syllables, words
 
 
 @given(words(FREE2, 8), words(FREE2, 8))
@@ -122,4 +124,62 @@ def test_gen_power_closed_form_against_products():
                     want = one
                     for _ in range(abs(e)):
                         want = want * (up if e > 0 else down)
-                    assert _gen_power(rank, cutoff, j, e) == want
+                    syllable = (FreeLetter(j, e),) if e else ()
+                    assert embed(Word(al, syllable), cutoff) == want
+
+
+def _product_embed(w, cutoff):
+    """The generic path: closed-form syllable series multiplied left to
+    right through TruncSeries.__mul__."""
+    rank = w.alphabet.free_rank
+    out = TruncSeries.one(rank, cutoff)
+    for letter in w.letters:
+        e = letter.exp
+        out = out * TruncSeries(
+            rank,
+            cutoff,
+            {
+                (letter.index,) * k: math.comb(e, k) if e > 0 else (-1) ** k * math.comb(k - e - 1, k)
+                for k in range(cutoff + 1)
+            },
+        )
+    return out
+
+
+def _shared_suffix_batch(v):
+    """v, every suffix of v, and every term word of v's Fox derivatives:
+    words that share v's suffixes, as reduce_mod hands them to an oracle."""
+    al = v.alphabet
+    batch = [v] + [Word(al, v.letters[t:]) for t in range(len(v.letters) + 1)]
+    for j in range(1, al.free_rank + 1):
+        batch.extend(fox_derivative(v, free_index(j)).terms)
+    return batch + batch[:3]
+
+
+@given(syllables(FREE3, 10), st.integers(0, 4))
+@settings(max_examples=60)
+def test_embed_words_matches_generic_product(v, cutoff):
+    batch = _shared_suffix_batch(v)
+    images = embed_words(batch, cutoff)
+    assert images == [_product_embed(w, cutoff) for w in batch]
+    assert images == [embed(w, cutoff) for w in batch]
+    # equal words get images of their own: clearing the first image of v
+    # leaves its repeat at the end of the batch alone
+    images[0].terms.clear()
+    assert batch[len(batch) - 3] == v
+    assert images[len(batch) - 3] == _product_embed(v, cutoff)
+
+
+@given(syllables(FREE3, 10), st.integers(1, 3))
+@settings(max_examples=60)
+def test_batch_nilpotent_keys_match_embed_word_by_word(v, nil_class):
+    q = free_nilpotent_oracle(FREE3, nil_class)
+    batch = _shared_suffix_batch(v)
+    keys = q.coset_keys(batch)
+    assert keys == [tuple(sorted(embed(w, nil_class).terms.items())) for w in batch]
+    assert keys == [q.coset_key(w) for w in batch]
+    a = fox_derivative(v, free_index(1))
+    want: dict = {}
+    for w, c in a.terms.items():
+        want[q.coset_key(w)] = want.get(q.coset_key(w), 0) + c
+    assert reduce_mod(a, q) == {k: c for k, c in want.items() if c}

@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foxcalc.fox_group import free_index
 from foxcalc.group_ring import abelianization_oracle, finite_index_oracle, trivial_oracle
@@ -26,7 +28,7 @@ from foxcalc.words import (
     to_atomic,
 )
 
-from conftest import FREE2, MIXED
+from conftest import FREE2, MIXED, words
 
 
 def index4():
@@ -230,3 +232,130 @@ def test_subalphabet_needs_alphabeta_style():
     for sub in ({1}, {5}):
         with pytest.raises(ValueError):
             Transversal(q, subalphabet=frozenset(sub))
+
+
+def _atomwise_rewrite(t, u):
+    """Reidemeister-Schreier rewriting one atom at a time on the growing
+    prefix, by multiply and representative, as generator positions."""
+    al = t.alphabet
+    position = {(g.rep, g.letter): k for k, g in enumerate(t.schreier_generators())}
+    state, out = identity(al), []
+    for atom in to_atomic(u):
+        step = t.representative(multiply(state, Word(al, (atom,))))
+        if isinstance(atom, FreeLetter) and atom.exp < 0:
+            k = position.get((step, FreeLetter(atom.index, 1)))
+            if k is not None:
+                out.append((k, -1))
+        else:
+            k = position.get((state, atom))
+            if k is not None:
+                out.append((k, 1))
+        state = step
+    assert state.is_identity
+    return out
+
+
+def _vector(t, pairs):
+    v = [0] * len(t.schreier_generators())
+    for k, e in pairs:
+        v[k] += e
+    return v
+
+
+def finite_oracles():
+    """Finite-index oracles onto small abelian groups, over F2, F3 and F2 * Z/3,
+    with a random image of every generator."""
+
+    def build(data):
+        alphabet, orders, images = data
+        free = images[: alphabet.free_rank]
+        # a factor of order 3 maps to elements of order dividing 3
+        factor = [
+            tuple(o // math.gcd(o, 3) * x % o for x, o in zip(img, orders))
+            for img in images[alphabet.free_rank :]
+        ]
+        return finite_index_oracle(alphabet, orders, free, factor)
+
+    alphabets = st.sampled_from([FREE2, Alphabet(3), Alphabet(2, (3,))])
+    orders = st.sampled_from([(2, 2), (6,), (2, 4), (3,), (2, 2, 2)])
+    return st.tuples(alphabets, orders).flatmap(
+        lambda ao: st.tuples(
+            st.just(ao[0]),
+            st.just(ao[1]),
+            st.lists(
+                st.tuples(*[st.integers(0, o - 1) for o in ao[1]]),
+                min_size=ao[0].free_rank + ao[0].n_factors,
+                max_size=ao[0].free_rank + ao[0].n_factors,
+            ),
+        )
+    ).map(build)
+
+
+@given(finite_oracles(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_coset_table_rewrite_matches_atomwise_rewrite(q, data):
+    t = Transversal(q)
+    al = q.alphabet
+    for _ in range(5):
+        u = data.draw(words(al, 10))
+        u = multiply(u, invert(t.representative(u)))
+        assert q.contains(u)
+        got = t.rewrite_in_schreier(u)
+        gens = t.schreier_generators()
+        assert [(gens.index(g), e) for g, e in got] == _atomwise_rewrite(t, u)
+
+
+@given(finite_oracles().filter(lambda q: not q.alphabet.n_factors), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sub_lattice_matches_explicit_conjugate_rows(q, data):
+    al = q.alphabet
+    keep = frozenset(
+        data.draw(st.sets(st.integers(1, al.free_rank), min_size=1, max_size=al.free_rank))
+    )
+    t = Transversal(q, "alphabeta", keep)
+    sub = [
+        g.value
+        for g in t.schreier_generators()
+        if g.letter.index in keep and all(x.index in keep for x in g.rep.letters)
+    ]
+    rows = [
+        _vector(t, _atomwise_rewrite(t, multiply(multiply(invert(rep), w), rep)))
+        for rep in t.representatives()
+        for w in sub
+    ]
+    assert t.sub_lattice() == hermite_normal_form(rows)
+    assert t.sub_lattice() is t.sub_lattice()
+    assert Transversal(q).sub_lattice() == []
+
+
+def test_rewrite_that_misses_the_base_coset_is_an_internal_error(monkeypatch):
+    t = index4()
+    g1 = parse_word("g1", FREE2)
+    # an oracle that wrongly admits g1 into N: the walk ends in g1's coset
+    monkeypatch.setattr(t.oracle, "contains", lambda w: True)
+    with pytest.raises(RuntimeError, match="did not return to the base coset"):
+        t.rewrite_in_schreier(g1)
+    with pytest.raises(RuntimeError, match="did not return to the base coset"):
+        lattice_membership(t, g1, frozenset())
+
+
+def test_lattice_membership_refuses_words_outside_n():
+    t = index4()
+    for keep in ((), (1,), (1, 2)):
+        with pytest.raises(ValueError, match="u must lie in N"):
+            lattice_membership(t, parse_word("g1 g2^2", FREE2), frozenset(free_index(j) for j in keep))
+
+
+def test_non_prefix_closed_transversal_is_refused(monkeypatch):
+    explore = Transversal._explore
+
+    def broken(self, max_length):
+        explore(self, max_length)
+        # g1^3 g2 lies in the coset of g1 g2, but its prefix g1^2 is no
+        # representative
+        key = self.oracle.coset_key(parse_word("g1 g2", FREE2))
+        self._reps[key] = parse_word("g1^3 g2", FREE2)
+
+    monkeypatch.setattr(Transversal, "_explore", broken)
+    with pytest.raises(RuntimeError, match="not prefix closed"):
+        index4()

@@ -24,7 +24,7 @@ from foxcalc.words import (
     word_length,
 )
 
-from conftest import FREE2, MIXED, letter_pool, syllable_words, words
+from conftest import FREE2, MIXED, letter_pool, syllable_words, syllables, words
 
 
 @given(st.lists(st.sampled_from(letter_pool(MIXED)), max_size=12))
@@ -134,3 +134,48 @@ def test_shortlex_key_orders_like_atom_expansion(alphabet):
         # strictly increasing along a list in atom order: the orders agree on every pair
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert all(len(k[1]) == len(w.letters) for k, w in zip(keys, ws))  # one entry per syllable
+
+
+MIXED3 = Alphabet(3, (5,))
+
+
+@given(syllables(MIXED3), syllables(MIXED3), syllables(MIXED3), st.integers(0, 8))
+def test_seam_multiply_matches_full_reduction(u, w, s, cut):
+    """The seam-only product against reducing the concatenation.  v starts
+    with the inverse of a tail of u, then w, so the seam cancels several
+    syllables before it merges or stops."""
+    tail = Word(MIXED3, u.letters[min(cut, len(u.letters)) :])
+    v = reduce(invert(tail).letters + w.letters, MIXED3)
+    for a, b in ((u, v), (u, w), (w, s), (u, invert(u)), (u, identity(MIXED3))):
+        product = multiply(a, b)
+        assert product == reduce(a.letters + b.letters, MIXED3)
+        assert reduce(product.letters, MIXED3) == product
+
+
+def test_seam_multiply_merges_factor_and_power_syllables():
+    def w(text):
+        return parse_word(text, MIXED3)
+
+    assert multiply(w("g1 a1^3"), w("a1^2 g1")) == w("g1^2")
+    assert multiply(w("g1 a1^3"), w("a1^4 g2")) == w("g1 a1^2 g2")
+    assert multiply(w("g2 g1^3"), w("g1^-3 g2^-1 a1")) == w("a1")
+    assert multiply(w("g2 g1^3"), w("g1^-1 g3")) == w("g2 g1^2 g3")
+
+
+def test_multiply_refuses_another_alphabet():
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        multiply(parse_word("g1", MIXED3), parse_word("g1", Alphabet(3)))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        multiply(identity(MIXED3), identity(MIXED))
+
+
+@given(syllables(MIXED3), syllables(MIXED3))
+def test_equal_words_hash_equal(u, v):
+    by_multiply = multiply(u, v)
+    by_reduce = reduce(u.letters + v.letters, MIXED3)
+    fresh = Word(MIXED3, tuple(by_reduce.letters))
+    assert by_multiply == by_reduce == fresh
+    # the cached hash is the same before and after it is cached
+    assert hash(by_multiply) == hash(by_reduce) == hash(fresh) == hash(by_multiply)
+    assert {by_multiply: 1}[by_reduce] == 1
+    assert len({by_multiply, by_reduce, fresh, invert(invert(by_reduce))}) == 1
