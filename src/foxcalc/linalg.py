@@ -11,8 +11,21 @@ and values become Fractions only where one is returned (``reduce``,
 ``SpanSolver.coords``, ``normalized``).  ``rref``, ``in_span``,
 ``intersect_rowspaces`` and ``SpanSolver`` are views of the kernel.
 
-The kernel also owns sums and intersections of two canonical echelons.
-``Echelon.sum`` copies the larger side, sharing its rows, and inserts the
+A batch of rows (``Echelon(rows)``, and so ``rref``, ``in_span`` on raw
+rows and every ``GradedSubspace`` built from rows) is inserted in
+descending pivot order.  A new pivot then usually lies left of every stored
+row's support, and no stored row needs back-elimination.  When one does,
+a column-occurrence index (column -> pivots of the stored rows nonzero
+there, built on the first insert) names the rows to visit.  Entries go
+stale when a row loses the column by cancellation; they are skipped, not
+removed.
+
+The kernel also owns sums and intersections of two canonical echelons.  An
+echelon finds out once whether it spans unit vectors.  ``Echelon.sum``
+returns the union when both sides do, and a copy of one side when the
+other is empty.  When only one side does, it drops the unit columns from
+the other side's rows, echelons what is left and adds the unit rows.
+Otherwise it copies the larger side, sharing its rows, and inserts the
 smaller one.  ``Echelon.intersect`` reads the answer off directly when both
 sides are spans of unit vectors; when one side is, it re-eliminates only
 the other side's rows that pivot on a unit column, with the unit columns
@@ -23,9 +36,10 @@ hold a pivot, so a row can carry along what it is a combination of.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, KeysView, Optional, Sequence, Union
 
 Row = dict[int, int]
 Vector = Union[Sequence, dict]  # dense, or sparse {col: value}
@@ -58,7 +72,25 @@ def _primitive(row: Row) -> Row:
 
 
 def pivot(row: Row) -> int:
-    return min(k for k in row if k >= 0)
+    """The least non-negative column of a row, -1 if it has none."""
+    p = min(row, default=-1)
+    return p if p >= 0 else min((k for k in row if k >= 0), default=-1)
+
+
+def _lead(vec: Vector) -> int:
+    """Sort key of an input row: its pivot, or a column left of it when a
+    sparse row stores a zero there (which costs time, not correctness)."""
+    if isinstance(vec, dict):
+        return pivot(vec)
+    return next((k for k, x in enumerate(vec) if x), -1)
+
+
+def _note(index: defaultdict[int, list[int]], q: int, cols: Iterable[int]) -> None:
+    """Record in the column index that the row with pivot q is nonzero at
+    the columns cols right of q."""
+    for k in cols:
+        if k > q:
+            index[k].append(q)
 
 
 def normalized(row: Row) -> dict[int, Fraction]:
@@ -70,23 +102,28 @@ def normalized(row: Row) -> dict[int, Fraction]:
 class Echelon:
     """Span of the rows inserted so far, kept as canonical integer rows.
 
-    ``pivot_rows`` maps each pivot column to its row, in insertion order.
-    The rows are the unique RREF of the span, each scaled to a primitive
-    integer row, so two echelons of one span (without passengers) are equal.
-    Rows are never changed after they are stored, so they may be shared."""
+    ``pivot_rows`` maps each pivot column to its row.  The rows are the
+    unique RREF of the span, each scaled to a primitive integer row, so two
+    echelons of one span (without passengers) are equal.  Rows are never
+    changed after they are stored, so they may be shared; the column index
+    belongs to one echelon and is never shared."""
 
-    __slots__ = ("pivot_rows",)
+    __slots__ = ("pivot_rows", "_index", "_unit")
 
     def __init__(self, rows: Iterable[Vector] = ()):
         self.pivot_rows: dict[int, Row] = {}
-        for r in rows:
-            self.insert(r)
+        # column -> pivots of the rows nonzero there, built on the first insert
+        self._index: Optional[defaultdict[int, list[int]]] = None
+        self._unit: Optional[bool] = None  # every row a unit vector? None: not looked yet
+        self._extend(rows)
 
     @classmethod
-    def _trusted(cls, pivot_rows: dict[int, Row]) -> "Echelon":
-        """An echelon holding rows that are canonical already, keyed by pivot."""
+    def _trusted(cls, pivot_rows: dict[int, Row], unit: Optional[bool] = None) -> "Echelon":
+        """An echelon holding rows that are canonical already, keyed by
+        pivot (unit: whether each is a unit vector, if known); its column
+        index is built on the first insert."""
         out = object.__new__(cls)
-        out.pivot_rows = pivot_rows
+        out.pivot_rows, out._index, out._unit = pivot_rows, None, unit
         return out
 
     def __eq__(self, other) -> bool:
@@ -107,24 +144,44 @@ class Echelon:
             _subtract(out, c * m // a, row)
         return den * m, out
 
+    def _extend(self, rows: Iterable[Vector]) -> None:
+        """Insert rows in descending pivot order: each new pivot then lies
+        left of every stored row's support unless the row's own pivot was
+        eliminated."""
+        for r in sorted(rows, key=_lead, reverse=True):
+            self.insert(r)
+        self._index = None  # most echelons stop growing here; rebuilt if not
+
     def insert(self, vec: Vector) -> bool:
         """Add vec to the span; True when it brings a new pivot."""
         r = self._residue(vec)[1]
-        p = min((k for k in r if k >= 0), default=None)
-        if p is None:
+        p = pivot(r)
+        if p < 0:
             return False
         r = _primitive(r)
         if r[p] < 0:
             r = {k: -x for k, x in r.items()}
         a = r[p]
-        rows = self.pivot_rows
-        for q, row in [(q, row) for q, row in rows.items() if p in row]:
-            c = row[p]
+        rows, index = self.pivot_rows, self._index
+        if index is None:
+            index = self._index = defaultdict(list)
+            for q, row in rows.items():
+                _note(index, q, row)
+        # the rows nonzero at p, all left of it; an entry is stale when its
+        # row lost p by cancellation
+        for q in index.pop(p, ()):
+            old = rows[q]
+            c = old.get(p)
+            if c is None:
+                continue
             g = gcd(a, c)
-            row = {k: a // g * x for k, x in row.items()}
+            row = {k: a // g * x for k, x in old.items()}
             _subtract(row, c // g, r)
-            rows[q] = _primitive(row)
+            rows[q] = row = _primitive(row)
+            _note(index, q, [k for k in r if k in row and k not in old])
         rows[p] = r
+        _note(index, p, r)
+        self._unit = None
         return True
 
     def reduce(self, vec: Vector) -> dict[int, Fraction]:
@@ -141,21 +198,46 @@ class Echelon:
 
     def copy(self) -> "Echelon":
         """An echelon of the same span that may be grown; it shares the
-        stored rows, which insert replaces but never changes."""
-        return Echelon._trusted(dict(self.pivot_rows))
+        stored rows, which insert replaces but never changes, and builds
+        its own column index."""
+        return Echelon._trusted(dict(self.pivot_rows), self._unit)
 
-    def _unit_columns(self) -> Optional[set[int]]:
+    def _unit_columns(self) -> Optional[KeysView[int]]:
         """The pivots when every row is a unit vector (a span of
-        coordinate vectors), else None."""
+        coordinate vectors), else None; looked for once per echelon."""
         rows = self.pivot_rows
-        return set(rows) if all(len(r) == 1 for r in rows.values()) else None
+        if self._unit is None:  # rows are never empty
+            self._unit = sum(map(len, rows.values())) == len(rows)
+        return rows.keys() if self._unit else None
 
     def sum(self, other: "Echelon") -> "Echelon":
-        """Span of both; the rows of the larger side are kept as they are."""
-        big, small = sorted((self, other), key=lambda e: len(e.pivot_rows), reverse=True)
-        out = big.copy()
-        for r in small.pivot_rows.values():
-            out.insert(r)
+        """Span of both, which may be grown without changing either side."""
+        if not other.pivot_rows:
+            return self.copy()
+        if not self.pivot_rows:
+            return other.copy()
+        mine, theirs = self._unit_columns(), other._unit_columns()
+        if mine is not None and theirs is not None:
+            return Echelon._trusted({**self.pivot_rows, **other.pivot_rows}, True)
+        if mine is None and theirs is None:
+            big, small = sorted((self, other), key=lambda e: len(e.pivot_rows), reverse=True)
+            out = big.copy()
+            out._extend(small.pivot_rows.values())
+            return out
+        # units + rest = units + (rest without the unit columns).  A rest
+        # row that does not pivot on a unit column keeps its pivot and stays
+        # zero at the other pivots; the others are eliminated again.
+        unit, rest = (self, other) if mine is not None else (other, self)
+        units = unit.pivot_rows
+        left = [
+            (q, r) for q, row in rest.pivot_rows.items()
+            if (r := {k: x for k, x in row.items() if k not in units})
+        ]
+        if not left:
+            return unit.copy()
+        out = Echelon._trusted({q: _primitive(r) for q, r in left if q not in units})
+        out._extend([r for q, r in left if q in units])
+        out.pivot_rows.update(units)
         return out
 
     def intersect(self, other: "Echelon") -> "Echelon":
@@ -164,7 +246,7 @@ class Echelon:
         mine, theirs = self._unit_columns(), other._unit_columns()
         if mine is not None and theirs is not None:
             rows = other.pivot_rows
-            return Echelon._trusted({p: rows[p] for p in mine if p in rows})
+            return Echelon._trusted({p: rows[p] for p in mine if p in rows}, True)
         if mine is None and theirs is None:
             return _zassenhaus(self, other)
         units, rest = (mine, other) if mine is not None else (theirs, self)
@@ -245,6 +327,7 @@ class SpanSolver(Echelon):
             tagged = dict(r.items() if isinstance(r, dict) else enumerate(r))
             tagged[-1 - k] = 1
             self.insert(tagged)
+        self._index = None  # a solver is not grown any more
 
     def coords(self, vec: Vector) -> Optional[list[Fraction]]:
         """Coefficients over the original rows, or None if not in the span."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 
@@ -40,20 +41,39 @@ class Alphabet:
         return self.factor_orders[i - 1]
 
 
-@dataclass(frozen=True)
-class FreeLetter:
-    """Syllable g_index^exp, exp a nonzero integer."""
+class _Syllable(tuple):
+    """A letter as a tuple beginning (index, exp), so that a word hashes
+    and compares its letters in C."""
 
-    index: int
-    exp: int
+    __slots__ = ()
+
+    index = property(itemgetter(0))
+    exp = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return self[0], self[1]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(index={self[0]}, exp={self[1]})"
 
 
-@dataclass(frozen=True)
-class FactorLetter:
-    """Syllable a_index^exp with 1 <= exp < order of the factor."""
+class FreeLetter(_Syllable):
+    """Syllable g_index^exp, exp a nonzero integer: the tuple (index, exp)."""
 
-    index: int
-    exp: int
+    __slots__ = ()
+
+    def __new__(cls, index: int, exp: int):
+        return tuple.__new__(cls, (index, exp))
+
+
+class FactorLetter(_Syllable):
+    """Syllable a_index^exp with 1 <= exp < order of the factor: the tuple
+    (index, exp, 0), whose length keeps it apart from the free letter."""
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, exp: int):
+        return tuple.__new__(cls, (index, exp, 0))
 
 
 Letter = Union[FreeLetter, FactorLetter]

@@ -182,6 +182,13 @@ def test_freiheit_frontier_rank4_cutoff7():
     assert rep.criterion.satisfied and rep.all_equal and rep.consistent
 
 
+def test_freiheit_frontier_generic_rank3_cutoff9():
+    """A two-term relator pays for the full elimination, since its ideal's
+    rows are not unit vectors; under a second at cutoff 9."""
+    rep = lie_freiheitssatz_verify(parse_lie("[y1, y2] + [y2, y3]", 3), SeriesSpec((6,)), 9)
+    assert rep.criterion.satisfied and rep.all_equal and rep.consistent
+
+
 def test_freiheit_cutoff_too_small():
     with pytest.raises(ValueError):
         lie_freiheitssatz_verify(parse_lie("[y1, [y1, y3]]", 3), SeriesSpec((2,)), 2)

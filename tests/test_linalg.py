@@ -176,6 +176,100 @@ def test_intersection_dimension_matches_sympy(sympy, m1, m2):
         assert inter == _zassenhaus(a, b)
 
 
+def one_at_a_time(rows, ncols) -> list:
+    """Dense RREF rows, sorted by pivot, from inserting one row at a time
+    and back-eliminating every stored row: an oracle for the batch order
+    and the column index."""
+    stored = []
+    for r in rows:
+        v = [Fraction(r.get(k, 0)) for k in range(ncols)] if isinstance(r, dict) else list(map(Fraction, r))
+        for p, s in stored:
+            v = [x - v[p] * y for x, y in zip(v, s)]
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        v = [x / v[p] for x in v]
+        stored = [(q, [x - s[p] * y for x, y in zip(s, v)]) for q, s in stored]
+        stored.append((p, v))
+    return [tuple(s) for _, s in sorted(stored)]
+
+
+def as_dense(rows, ncols) -> list:
+    return [[Fraction(r.get(k, 0)) for k in range(ncols)] if isinstance(r, dict) else r for r in rows]
+
+
+# batches of up to 12 rows over 10 columns: scaled unit rows on a few
+# columns, given sparse or dense, mixed with sparse rows
+UNIT_HEAVY_ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 3), SMALL_RATIONALS.filter(bool)).map(lambda t: {t[0]: t[1]}),
+        st.tuples(st.integers(0, 3), SMALL_RATIONALS.filter(bool)).map(
+            lambda t: [t[1] if k == t[0] else Fraction(0) for k in range(10)]
+        ),
+        st.lists(SPARSE_ENTRIES, min_size=10, max_size=10),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(UNIT_HEAVY_ROWS)
+def test_batch_matches_one_at_a_time(sympy, m):
+    ech = Echelon(m)
+    assert dense(ech.rows(), 10) == one_at_a_time(m, 10)
+    assert len(ech.pivot_rows) == sympy_rank(sympy, as_dense(m, 10))
+    grown = Echelon()
+    for row in m:
+        grown.insert(row)
+    assert grown == ech
+
+
+def test_stale_index_entry_is_skipped():
+    """Row 0 loses column 3 by cancellation when the pivot 2 arrives, so
+    the index still names it at column 3; the later pivot 3 must skip it."""
+    ech = Echelon()
+    rows = [{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}]
+    for row in rows:
+        ech.insert(row)
+    assert ech.pivot_rows[0] == {0: 1} and 0 in ech._index[3]
+    assert ech.insert({3: 1, 4: 2})
+    rows.append({3: 1, 4: 2})
+    assert ech.rows() == rref(rows)
+    assert dense(ech.rows(), 5) == one_at_a_time(rows, 5)
+
+
+def test_grown_copy_leaves_source_alone():
+    source = Echelon()
+    for row in ([1, 0, 2, 0, 1], [0, 1, 0, 3, 0], [0, 0, 1, 1, 1]):
+        source.insert(row)
+    probes = [[1, 1, 1, 1, 1], [0, 0, 0, 1, 0], [1, -1, 2, -3, 1]]
+    before = deepcopy((source.pivot_rows, source._index))
+    answers = [(source.reduce(v), v in source) for v in probes]
+    grown = source.copy()
+    for row in ([0, 0, 0, 1, 0], [0, 0, 0, 0, 1]):
+        assert grown.insert(row)
+    assert len(grown.pivot_rows) == 5 and grown._index is not source._index
+    assert (source.pivot_rows, source._index) == before
+    assert [(source.reduce(v), v in source) for v in probes] == answers
+
+
+def test_unit_side_sum_never_inserts_unit_rows(monkeypatch):
+    """R + N with N unit rows: only R's rows, without the unit columns,
+    are eliminated (here the one pivoting on column 1); the unit rows are
+    added as they are."""
+    units = Echelon([{k: 1} for k in (1, 3, 4)])
+    rest = Echelon([[1, 2, 0, 1, 0, 1], [0, 0, 1, 1, 1, 0], [0, 1, 0, 0, 0, 2]])
+    inserted = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, row: inserted.append(dict(row)) or insert(self, row))
+    for a, b in ((units, rest), (rest, units)):
+        total = a.sum(b)
+        assert 0 < len(inserted) <= len(rest.pivot_rows)
+        assert not any(set(row) & {1, 3, 4} for row in inserted)
+        assert total.rows() == rref(rest.rows() + units.rows())
+        inserted.clear()
+
+
 @given(oracle_matrix(4), st.lists(SMALL_RATIONALS, min_size=5, max_size=5))
 def test_span_solver_coords_match_sympy(sympy, m, comb):
     solver = SpanSolver(m)

@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +65,31 @@ def test_factor_letter_order_relation():
     a = Word(MIXED, (FactorLetter(1, 1),))
     assert (a ** 5).is_identity
     assert a ** 4 == invert(a)
+
+
+def test_free_and_factor_letters_stay_apart():
+    """Letters are tuples, so words hash them in C; a free and a factor
+    syllable with the same index and exponent are still different."""
+    g, a = FreeLetter(1, 2), FactorLetter(1, 2)
+    assert g != a and len({g, a}) == 2
+    assert (g.index, g.exp, a.index, a.exp) == (1, 2, 1, 2)
+    assert Word(MIXED, (g,)) != Word(MIXED, (a,))
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and type(back) is FactorLetter
+    assert repr(g) == "FreeLetter(index=1, exp=2)"
+
+
+def test_word_hash_is_the_same_in_every_process():
+    code = "from foxcalc.words import *; print(hash(parse_word('g1^2 a1^3 g2^-1', Alphabet(2, (5,)))))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = {
+        subprocess.run(
+            [sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(out) == 1
 
 
 @given(words(MIXED))
