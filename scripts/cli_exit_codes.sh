@@ -53,5 +53,7 @@ expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:2
 expect 2 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound -2
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 5
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 1
+expect 2 fox lie freiheit --rank 3 --relator "[y1, [y1, y2]] + [y2, y3]" --spec 6 --cutoff 10
+expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 40
 
 exit $fail

@@ -85,6 +85,26 @@ def _quotient(spec: str, alphabet: Alphabet):
     raise ValueError(f"unknown quotient spec {spec!r}")
 
 
+# Largest cutoff plus Lyndon basis size up to it that the Lie commands
+# built on graded subspaces accept; rank 3 cutoff 14 is 533,830 words.
+_BASIS_BUDGET = 10**6
+
+
+def _check_cutoff(rank: int, cutoff: int) -> None:
+    """Refuse up front a cutoff whose Lyndon basis would not fit the budget.
+    The sum stops once past it; at rank <= 1 the basis is at most one
+    letter, so the cutoff alone bounds the work."""
+    size, d = cutoff + (rank == 1), 0
+    while rank > 1 and d < cutoff and size <= _BASIS_BUDGET:
+        d += 1
+        size += witt_dimension(rank, d)
+    if size > _BASIS_BUDGET:
+        raise ValueError(
+            f"cutoff {cutoff} at rank {rank}: the cutoff plus the Lyndon basis "
+            f"size exceeds {_BASIS_BUDGET}"
+        )
+
+
 def _ideal(spec: str, rank: int, cutoff: int) -> GradedSubspace:
     head, _, rest = spec.partition(":")
     if head == "power":
@@ -207,6 +227,7 @@ def _cmd_lie_derive(args) -> int:
 
 
 def _cmd_lie_decompose(args) -> int:
+    _check_cutoff(args.rank, args.cutoff)
     v = parse_lie(args.expr, args.rank)
     n = _ideal(args.ideal, args.rank, args.cutoff)
     K = frozenset(int(t) for t in args.keep.split(","))
@@ -222,6 +243,7 @@ def _cmd_lie_decompose(args) -> int:
 
 
 def _cmd_lie_kharlampovich(args) -> int:
+    _check_cutoff(args.rank, args.cutoff)
     v = parse_lie(args.expr, args.rank)
     n = _ideal(args.ideal, args.rank, args.cutoff)
     verdict = kharlampovich_check(v, n)
@@ -230,6 +252,7 @@ def _cmd_lie_kharlampovich(args) -> int:
 
 
 def _cmd_lie_freiheit(args) -> int:
+    _check_cutoff(args.rank, args.cutoff)
     r = parse_lie(args.relator, args.rank)
     root_power = 1 if args.root == "F" else int(args.root.partition(":")[2])
     spec = SeriesSpec(tuple(int(t) for t in args.spec.split(",")), root_power)

@@ -4,7 +4,11 @@ Lie side: for the polynilpotent series N_{kl} built from a root ideal, a
 relator r with filtration level i is "free" from the subalgebra H on the
 first n-1 generators iff r is outside H + N_{1,i+1}; then the ideal R
 generated by r meets H along the series exactly as the series itself:
-H cap (R + N_{kl}) = H cap N_{kl}.
+H cap (R + N_{kl}) = H cap N_{kl}.  The verifier builds R only up to D,
+the last degree in which some series term N_{kl} is not all of L_d (D = m
+for one block of length m over the whole algebra): above D every
+R + N_{kl} is L_d, so both sides are H_d whatever R_d is, and up to D each
+R_d is exact, since it depends only on r and on R below d.
 
 Group side: for r in gamma_i \\ gamma_{i+1} of a free group, conjugacy of r
 modulo gamma_{i+1} into the subgroup on the first n-1 generators only
@@ -173,11 +177,32 @@ def lie_freiheitssatz_verify(
 ) -> FreiheitReport:
     """Compare dim (H cap (R + N_{kl}))_d with dim (H cap N_{kl})_d for all
     series terms and degrees up to the cutoff; with the criterion satisfied
-    they must agree everywhere."""
+    they must agree everywhere.
+
+    R is closed up to D only, the last degree d <= cutoff in which some term
+    has dim N_{kl,d} < dim L_d, read off the terms themselves (so multi-block
+    specs and a power root need no special case; they usually give
+    D = cutoff).  Above D, R + N_{kl} is L_d for every term and both sides
+    are dim H_d; up to D, R_d is exact because it depends only on the degrees
+    below d.
+
+    r must be homogeneous (ValueError otherwise): ideal_closure closes the
+    homogeneous components of r, which for an inhomogeneous r span a larger
+    ideal than r does.  The filtered ideal that case needs is not built."""
+    if not r.is_homogeneous():
+        raise ValueError(
+            "the relator must be homogeneous: the ideal of an inhomogeneous "
+            "relator is not implemented"
+        )
     comps = series_components(spec, r.rank, cutoff)
     h = _free_factor(r.rank, h_rank, cutoff)
     crit = _criterion(r, comps, h)
-    big_r = ideal_generated(r, cutoff)
+    full = GradedSubspace.full(r.rank, cutoff)
+    top = max(
+        (d for d in range(1, cutoff + 1) if any(t.dim(d) < full.dim(d) for _, _, t in comps)),
+        default=0,
+    )
+    big_r = GradedSubspace._trusted(r.rank, cutoff, ideal_generated(r, top).comp)
     entries = []
     prev = None
     for k, l, term in comps:

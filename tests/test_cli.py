@@ -233,3 +233,36 @@ def test_transversal_sub_needs_alphabeta_style(capsys, sub):
     assert "alphabeta" in out.err
     code, doc = run(capsys, *argv, "--style", "alphabeta", "--sub", "1")
     assert code == 0 and doc["index"] == 4
+
+
+def test_inhomogeneous_relator_exits_2(capsys):
+    argv = ["lie", "freiheit", "--rank", "3", "--relator", "[y1, [y1, y2]] + [y2, y3]", "--spec", "6"]
+    code = main(argv + ["--cutoff", "10"])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "homogeneous" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lie", "freiheit", "--rank", "3", "--relator", "[y1, y3]", "--spec", "6", "--cutoff", "40"),
+        ("lie", "freiheit", "--rank", "1", "--relator", "y1", "--spec", "1", "--cutoff", "10000000"),
+        ("lie", "decompose", "--rank", "3", "--expr", "y1 + [y1, y2]", "--keep", "1,2", "--cutoff", "15"),
+        ("lie", "kharlampovich", "--rank", "4", "--expr", "[[y1, y2], [y1, y3]]", "--cutoff", "12"),
+    ],
+)
+def test_hostile_cutoff_exits_2(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "Lyndon basis" in out.err
+
+
+def test_cutoff_budget_edges():
+    from foxcalc.cli import _check_cutoff
+
+    _check_cutoff(3, 14)  # 533,830 Lyndon words
+    _check_cutoff(1, 999_998)
+    with pytest.raises(ValueError, match="Lyndon basis"):
+        _check_cutoff(3, 15)

@@ -1,10 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import foxcalc.linalg as linalg
+from foxcalc.fox_lie import theorem_decomposition
 from foxcalc.freiheit import (
+    FreiheitEntry,
     SeriesSpec,
     _free_factor,
     free_generating_set,
@@ -19,6 +22,7 @@ from foxcalc.lie_core import (
     GradedSubspace,
     LieElt,
     expand_to_assoc,
+    ideal_closure,
     lyndon_words,
     parse_lie,
     power_subspace,
@@ -116,6 +120,94 @@ def test_freiheit_verify_intersects_each_term_once(monkeypatch):
     for e in rep.entries:
         rows[(e.k, e.l)].append((e.dim_with_relator, e.dim_series))
     assert rows[(1, 2)] == rows[(2, 1)]
+
+
+@pytest.mark.parametrize("relator", ["[y1, [y1, y2]] + [y2, y3]", "[y1, y3] + [y1, [y1, y2]]"])
+def test_freiheit_verify_refuses_inhomogeneous_relator(relator):
+    """The closure of r's homogeneous components is a larger ideal than the
+    ideal of r, so the verifier would answer about the wrong R."""
+    with pytest.raises(ValueError, match="homogeneous"):
+        lie_freiheitssatz_verify(parse_lie(relator, 3), SeriesSpec((6,)), 8)
+
+
+def _entries_with_full_ideal(r, spec, cutoff, h_rank):
+    """The report's entries with R closed up to the cutoff, term by term."""
+    big_r = ideal_closure([r], r.rank, cutoff)
+    h = _free_factor(r.rank, h_rank, cutoff)
+    return [
+        FreiheitEntry(k, l, d, h.intersect(big_r.sum(t)).dim(d), h.intersect(t).dim(d))
+        for k, l, t in series_components(spec, r.rank, cutoff)
+        for d in range(1, cutoff + 1)
+    ]
+
+
+def test_freiheit_verify_matches_full_ideal(monkeypatch):
+    """R closed only up to D, the last degree where a series term is not all
+    of L_d, gives the entries of the full closure; D = m for one block of
+    length m over F, and the cutoff for the other specs drawn here."""
+    import foxcalc.freiheit as fr
+
+    degrees = []
+    closure = fr.ideal_closure
+    monkeypatch.setattr(fr, "ideal_closure", lambda es, rank, c: degrees.append(c) or closure(es, rank, c))
+    rng = random.Random(16)
+    specs = [SeriesSpec((2,)), SeriesSpec((3,)), SeriesSpec((1, 2)), SeriesSpec((2, 2)), SeriesSpec((2,), 2)]
+    checked = 0
+    for rank, cutoff in ((3, 6), (4, 5)):
+        for spec, _ in itertools.product(specs, range(3)):
+            words = lyndon_words(rank, rng.choice((2, 3)))
+            pool = [w for w in words if rank not in w] if rng.random() < 0.5 else list(words)
+            coeffs = {w: Fraction(rng.choice((-2, -1, 1, 3))) for w in rng.sample(pool, min(len(pool), rng.randint(1, 3)))}
+            r, h_rank = LieElt(rank, coeffs), rng.choice((None, 1, rank - 1, rank))
+            degrees.clear()
+            try:
+                rep = lie_freiheitssatz_verify(r, spec, cutoff, h_rank)
+            except ValueError as e:  # the level of r is past the series' end
+                assert "exceeds" in str(e)
+                continue
+            assert rep.entries == _entries_with_full_ideal(r, spec, cutoff, h_rank)
+            single = spec.root_power == 1 and len(spec.block_lengths) == 1
+            assert degrees == [spec.block_lengths[0] if single else cutoff]
+            checked += 1
+    assert checked >= 20
+
+
+def _fresh_words(rank: int, cutoff: int, keep) -> GradedSubspace:
+    """Span of the Lyndon words w with keep(w), reduced from scratch."""
+    return GradedSubspace(rank, cutoff, {
+        d: [{k: 1} for k, w in enumerate(lyndon_words(rank, d)) if keep(w)]
+        for d in range(1, cutoff + 1)
+    })
+
+
+def test_interned_closed_forms_stay_unchanged():
+    """L, F_{1,2} and gamma_2 are built once and shared by every caller;
+    nothing that reads or sums them changes their rows."""
+    closed_forms = [
+        (lambda: GradedSubspace.full(3, 5), lambda w: True),
+        (lambda: subalgebra_closure([LieElt.gen(3, 1), LieElt.gen(3, 2)], 3, 5), lambda w: 3 not in w),
+        (lambda: power_subspace(GradedSubspace.full(3, 5), 2), lambda w: len(w) >= 2),
+    ]
+    full, f12, gamma2 = (make() for make, _ in closed_forms)
+    lie_freiheitssatz_verify(parse_lie("[y1, y2] + [y2, y3]", 3), SeriesSpec((2,)), 5)
+    lie_freiheitssatz_verify(parse_lie("[y1, y3]", 3), SeriesSpec((1, 2)), 5)
+    free_generating_set(gamma2, 5)
+    theorem_decomposition(parse_lie("y1 + [y1, y2]", 3), frozenset({1, 2}), gamma2)
+    big_r = ideal_generated(parse_lie("[y1, y3] + [y2, y3]", 3), 5)
+    # unit side with an empty side, with unit rows and with the rest; the
+    # kernel's sums may be grown without changing either side
+    for total in (f12.sum(GradedSubspace.zero(3, 5)), f12.sum(gamma2), f12.sum(big_r), full.sum(big_r)):
+        for d in range(1, 6):
+            total.echelon(d).insert({0: 1, len(lyndon_words(3, d)) - 1: 2})
+    for make, keep in closed_forms:
+        got, want = make(), _fresh_words(3, 5, keep)
+        assert got is make()
+        assert got == want and hash(got) == hash(want)
+        assert all(got.rows(d) == want.rows(d) for d in range(1, 6))
+    info = GradedSubspace._words.cache_info()
+    for m in range(1, 2 * info.maxsize):
+        GradedSubspace._words(2, 3, frozenset({1, 2}), m)
+    assert GradedSubspace._words.cache_info().currsize <= info.maxsize == 64
 
 
 def _old_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
