@@ -33,6 +33,7 @@ from .lie_core import (
     project_to_lyndon,
     standard_bracketing,
     subalgebra_closure,
+    witt_dimension,
 )
 from .linalg import Echelon
 from .magnus import embed, gamma_weight
@@ -197,9 +198,12 @@ def lie_freiheitssatz_verify(
     comps = series_components(spec, r.rank, cutoff)
     h = _free_factor(r.rank, h_rank, cutoff)
     crit = _criterion(r, comps, h)
-    full = GradedSubspace.full(r.rank, cutoff)
     top = max(
-        (d for d in range(1, cutoff + 1) if any(t.dim(d) < full.dim(d) for _, _, t in comps)),
+        (
+            d
+            for d in range(1, cutoff + 1)
+            if any(t.dim(d) < witt_dimension(r.rank, d) for _, _, t in comps)
+        ),
         default=0,
     )
     big_r = GradedSubspace._trusted(r.rank, cutoff, ideal_generated(r, top).comp)

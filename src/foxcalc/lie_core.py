@@ -34,9 +34,9 @@ central term gamma_l(L) = L_{>=l}, since L is generated in degree 1.
 subalgebra_closure and power_subspace return these directly and close by
 brackets only for other generators or bases.  Their echelons are unit rows,
 so the kernel intersects with them by column order, without Zassenhaus
-doubling.  They are interned: GradedSubspace._words keys each on (rank,
-cutoff, letters, least degree) in one cache of 64 entries, and every caller
-shares the object it returns.
+doubling.  gamma_l(L) shares the echelons of the L it is taken from, so a
+series over L builds the unit rows of each degree once; nothing is kept
+between calls.
 """
 from __future__ import annotations
 
@@ -286,28 +286,19 @@ class GradedSubspace:
 
     @classmethod
     def full(cls, rank: int, cutoff: int) -> "GradedSubspace":
-        return cls._words(rank, cutoff, frozenset(range(1, rank + 1)), 1)
+        return cls._words(rank, cutoff, frozenset(range(1, rank + 1)))
 
-    @staticmethod
-    @lru_cache(maxsize=64)
-    def _words(rank: int, cutoff: int, letters: frozenset, min_degree: int) -> "GradedSubspace":
-        """Span of b(w) over the Lyndon words w over the letters, of length at
-        least min_degree; unit rows are canonical, and every span other than
-        the whole algebra takes its rows from the whole algebra's.  Interned:
-        every caller gets the same object, which is safe because its rows
-        are never changed and growth goes through Echelon.copy."""
-        if min_degree == 1 and letters.issuperset(range(1, rank + 1)):
-            comp = {
-                d: Echelon._trusted({k: {k: 1} for k in range(len(lyndon_words(rank, d)))}, True)
-                for d in range(1, cutoff + 1)
-            }
-        else:
-            full, comp = GradedSubspace.full(rank, cutoff), {}
-            for d in range(min_degree, cutoff + 1):
-                units = full.echelon(d).pivot_rows
-                kept = {k: units[k] for k, w in enumerate(lyndon_words(rank, d)) if letters.issuperset(w)}
-                comp[d] = Echelon._trusted(kept, True)
-        return GradedSubspace._trusted(rank, cutoff, comp)
+    @classmethod
+    def _words(cls, rank: int, cutoff: int, letters: frozenset) -> "GradedSubspace":
+        """Span of b(w) over the Lyndon words w over the letters; unit rows are canonical."""
+        every = letters.issuperset(range(1, rank + 1))
+        comp = {}
+        for d in range(1, cutoff + 1):
+            words = lyndon_words(rank, d)
+            comp[d] = Echelon._trusted(
+                {k: {k: 1} for k, w in enumerate(words) if every or letters.issuperset(w)}, True
+            )
+        return cls._trusted(rank, cutoff, comp)
 
     @classmethod
     def span(cls, elements: Iterable[LieElt], rank: int, cutoff: int) -> "GradedSubspace":
@@ -444,7 +435,7 @@ def subalgebra_closure(generators: Sequence[LieElt], rank: int, cutoff: int) -> 
             raise ValueError("generators must be homogeneous")
     if all(len(g.terms) == 1 and g.max_degree() == 1 for g in generators):
         K = frozenset(j for g in generators for (j,) in g.terms)
-        return GradedSubspace._words(rank, cutoff, K, 1)
+        return GradedSubspace._words(rank, cutoff, K)
     return _graded_brackets(rank, cutoff, [g.truncate(cutoff) for g in generators], None, None)
 
 
@@ -461,11 +452,14 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
 def power_subspace(base: GradedSubspace, power: int) -> GradedSubspace:
     """power-th term of the lower central series of the subspace: iterated
     bracket spans [[base, base], base], ...; for the whole algebra, which is
-    generated in degree 1, the span of the degrees >= power."""
+    generated in degree 1, the span of the degrees >= power, which shares
+    the base's echelons (components are never grown once built)."""
     if power < 1:
         raise ValueError("power must be positive")
     if all(base.dim(d) == witt_dimension(base.rank, d) for d in range(1, base.cutoff + 1)):
-        return GradedSubspace._words(base.rank, base.cutoff, frozenset(range(1, base.rank + 1)), power)
+        return GradedSubspace._trusted(
+            base.rank, base.cutoff, {d: ech for d, ech in base.comp.items() if d >= power}
+        )
     out = base
     for _ in range(power - 1):
         out = out.bracket_span(base)

@@ -180,34 +180,37 @@ def _fresh_words(rank: int, cutoff: int, keep) -> GradedSubspace:
     })
 
 
-def test_interned_closed_forms_stay_unchanged():
-    """L, F_{1,2} and gamma_2 are built once and shared by every caller;
-    nothing that reads or sums them changes their rows."""
-    closed_forms = [
-        (lambda: GradedSubspace.full(3, 5), lambda w: True),
-        (lambda: subalgebra_closure([LieElt.gen(3, 1), LieElt.gen(3, 2)], 3, 5), lambda w: 3 not in w),
-        (lambda: power_subspace(GradedSubspace.full(3, 5), 2), lambda w: len(w) >= 2),
-    ]
-    full, f12, gamma2 = (make() for make, _ in closed_forms)
-    lie_freiheitssatz_verify(parse_lie("[y1, y2] + [y2, y3]", 3), SeriesSpec((2,)), 5)
-    lie_freiheitssatz_verify(parse_lie("[y1, y3]", 3), SeriesSpec((1, 2)), 5)
+def test_closed_forms_stay_unchanged():
+    """gamma_l(L) shares the echelons of L, and a series over L shares them
+    from term to term; nothing that reads or sums these spans changes their
+    rows."""
+    full = GradedSubspace.full(3, 5)
+    f12 = subalgebra_closure([LieElt.gen(3, 1), LieElt.gen(3, 2)], 3, 5)
+    gamma2 = power_subspace(full, 2)
+    assert all(gamma2.echelon(d) is full.echelon(d) for d in range(2, 6))
+    series = [t for _, _, t in series_components(SeriesSpec((2,)), 3, 5)]
     free_generating_set(gamma2, 5)
     theorem_decomposition(parse_lie("y1 + [y1, y2]", 3), frozenset({1, 2}), gamma2)
     big_r = ideal_generated(parse_lie("[y1, y3] + [y2, y3]", 3), 5)
     # unit side with an empty side, with unit rows and with the rest; the
-    # kernel's sums may be grown without changing either side
-    for total in (f12.sum(GradedSubspace.zero(3, 5)), f12.sum(gamma2), f12.sum(big_r), full.sum(big_r)):
-        for d in range(1, 6):
-            total.echelon(d).insert({0: 1, len(lyndon_words(3, d)) - 1: 2})
-    for make, keep in closed_forms:
-        got, want = make(), _fresh_words(3, 5, keep)
-        assert got is make()
+    # components the kernel's sums and intersections hold may be grown
+    # without changing either side
+    inside = GradedSubspace.span([parse_lie("[y1, [y1, y2]] + [[y1, y2], y2]", 3)], 3, 5)
+    sums = [f12.sum(GradedSubspace.zero(3, 5)), f12.sum(gamma2), f12.sum(big_r), f12.sum(inside)]
+    sums += [full.sum(big_r)]
+    sums += [f12.intersect(big_r.sum(t)) for t in series] + [big_r.sum(t) for t in series]
+    for total in sums:
+        for d, ech in total.comp.items():
+            ech.insert({0: 1, len(lyndon_words(3, d)) - 1: 2})
+    for got, keep in [
+        (full, lambda w: True),
+        (f12, lambda w: 3 not in w),
+        (gamma2, lambda w: len(w) >= 2),
+        *[(t, lambda w, l=l: len(w) >= l) for l, t in enumerate(series, start=1)],
+    ]:
+        want = _fresh_words(3, 5, keep)
         assert got == want and hash(got) == hash(want)
         assert all(got.rows(d) == want.rows(d) for d in range(1, 6))
-    info = GradedSubspace._words.cache_info()
-    for m in range(1, 2 * info.maxsize):
-        GradedSubspace._words(2, 3, frozenset({1, 2}), m)
-    assert GradedSubspace._words.cache_info().currsize <= info.maxsize == 64
 
 
 def _old_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
