@@ -33,6 +33,7 @@ expect 0 fox group gamma-criterion --rank 2 --word "g1^-3 g2^2 g1^3 g2^-2" --kee
 expect 1 fox group gamma-criterion --rank 2 --word "g1^3 g2^-2 g1^-3 g2^2" --keep g1 --class 2 --cutoff 4
 expect 0 fox group conjcrit --rank 3 --relator "g1^-2 g3^3 g1^2 g3^-3"
 expect 1 fox group conjcrit --rank 3 --relator "g1^-2 g2^3 g1^2 g2^-3"
+expect 1 fox group conjcrit --rank 3 --relator "g1^-2 g2^3 g1^2 g2^-3" --bound 3
 expect 0 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 3 --cutoff 4
 expect 1 fox lie freiheit --rank 3 --relator "[y1, y2]" --spec 3 --cutoff 4
 expect 2 fox lie dims --rank 2 --degree 3 --bogus
@@ -51,6 +52,7 @@ expect 2 fox group gamma-criterion --rank 2 --word "g1 g2 g1^-1 g2^-1" --keep g1
 expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1,a1 --quotient "index:2,2:g1=1,0;g2=0,1"
 expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1" --bound -1
 expect 2 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound -2
+expect 2 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound 5
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 5
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 1
 expect 2 fox lie freiheit --rank 3 --relator "[y1, [y1, y2]] + [y2, y3]" --spec 6 --cutoff 10

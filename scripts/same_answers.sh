@@ -1,8 +1,9 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
 # commands, four more Lie commands, eight group-criteria commands, four
-# frontier Freiheitssatz commands and five frontier commands on generic
-# (two-term) relators, two of them with specs that need every degree,
+# frontier Freiheitssatz commands, five frontier commands on generic
+# (two-term) relators, two of them with specs that need every degree, and
+# two Kharlampovich checks at cutoff 8,
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
 # stdout plus exit code.  Exits 1 on any difference.
@@ -71,4 +72,7 @@ check lie freiheit --rank 4 --relator "[y1, y2] + [y3, y4]" --spec 6 --cutoff 8
 check lie freiheit --rank 3 --relator "[y1, y2] + [y2, y3]" --spec 3 --root power:2 --cutoff 7
 check lie freiheit --rank 3 --relator "[y1, y2] + [y2, y3]" --spec 1,2 --cutoff 8
 check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]]" --cutoff 9
+# [N, N] built in the element's degrees only: one member (exit 0), one not (exit 1)
+check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]]" --cutoff 8
+check lie kharlampovich --rank 3 --expr "[y1, y2] + [[y1, y2], [y1, y3]]" --cutoff 8
 exit $fail

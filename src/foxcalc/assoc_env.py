@@ -30,7 +30,7 @@ from .lie_core import (
     lyndon_words,
     subalgebra_closure,
 )
-from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms, terms_of
+from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
 from .linalg import Echelon, SpanSolver, normalized
 
 
@@ -213,9 +213,13 @@ class PBWContext:
         return out
 
     def expand(self, coords: Mapping[tuple[int, ...], Fraction]) -> AssocPoly:
-        return AssocPoly(
-            self.rank,
-            terms_of(self.expand_monomial(mono).scale(c) for mono, c in coords.items()),
+        return AssocPoly._summed(
+            (self.rank,),
+            (
+                (m, c * k)
+                for mono, c in coords.items()
+                for m, k in self.expand_monomial(mono).terms.items()
+            ),
         )
 
     def monomial_blocks(self, mono: tuple[int, ...]) -> str:

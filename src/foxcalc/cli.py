@@ -209,8 +209,11 @@ def _cmd_group_conjcrit(args) -> int:
         "witness": [format_word(w) for w in rep.witness] if rep.witness else None,
         "mode": rep.mode,
     }
+    summary = f"conjugate into the subalphabet found: {rep.conjugate_found}"
+    if rep.mode == "graded+search-inconclusive":
+        summary += f" (graded verdict; the word search to bound {args.bound} reached no witness)"
     # criterion of the freedom theorem is "NOT conjugate": found = criterion fails
-    return _emit(doc, f"conjugate into the subalphabet found: {rep.conjugate_found}", 1 if rep.conjugate_found else 0)
+    return _emit(doc, summary, 1 if rep.conjugate_found else 0)
 
 
 # -- lie subcommands ----------------------------------------------------

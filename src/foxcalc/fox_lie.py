@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .assoc_env import AssocPoly, SubalgebraIdealContext, ideal_context, reduce_mod_ideal
 from .lincomb import terms_of
@@ -52,7 +52,7 @@ def lie_fox(u: AssocPoly) -> LieFoxVector:
     return LieFoxVector(
         u.rank,
         constant,
-        {j: AssocPoly(u.rank, t) for j, t in partials.items()},
+        {j: AssocPoly._trusted((u.rank,), t) for j, t in partials.items()},
     )
 
 
@@ -196,7 +196,7 @@ def solve_sigma_zero(
             continue  # inside N_U; absent for inputs meeting the premise
         else:
             bad[mono] = c
-    v = LieElt(rank, terms_of(folded))
+    v = LieElt._summed((rank,), terms_of(folded))
     if bad:
         raise SigmaError("sigma is not 0 mod N_U", env.ctx.expand(bad))
     _verify_solution("solve_sigma_zero", v, u, K, env)
@@ -247,14 +247,19 @@ def solve_sigma_zero_ideal(
         tail = [env.ctx.basis.elements[k].value for k in dpart]
         return leftnorm(solve_sigma_zero(u_slice, K, n, rank), tail)
 
-    v = LieElt(rank, terms_of(fold(dpart) for dpart in sorted(slices)))
+    v = LieElt._summed((rank,), terms_of(fold(dpart) for dpart in sorted(slices)))
     _verify_solution("solve_sigma_zero_ideal", v, u, K, env)
     return v
 
 
-def commutator_subspace(n: GradedSubspace) -> GradedSubspace:
-    """Graded span of [N, N]."""
-    return n.bracket_span(n)
+def commutator_subspace(
+    n: GradedSubspace, degrees: Optional[Iterable[int]] = None
+) -> GradedSubspace:
+    """Graded span of [N, N]; given degrees, only those components are built
+    and the others are left empty, which is enough for membership of an
+    element with those degrees ([N, N]_d depends only on N).  A degree
+    above the cutoff raises ValueError."""
+    return n.bracket_span(n, degrees)
 
 
 @dataclass
@@ -296,25 +301,27 @@ def theorem_decomposition(
     elements = [(env.ctx.basis.elements[k], c) for k, c in coords.items()]
     if any(e.block == "d" for e, _ in elements):
         raise RuntimeError("criterion holds but v is not in F_K + N")
-    v0 = LieElt(rank, terms_of(e.value.scale(c) for e, c in elements if e.block == "b"))
+    v0 = LieElt._summed(
+        (rank,), terms_of(e.value.scale(c) for e, c in elements if e.block == "b")
+    )
     w = v - v0
     partials = lie_fox(expand_to_assoc(w)).partials
     u = {j: partials[j] for j in sorted(K)}
     v1 = solve_sigma_zero_ideal(u, K, n, rank)
     w2 = w - v1
-    certified = w2.is_zero or commutator_subspace(n).member(w2)
+    certified = w2.is_zero or commutator_subspace(n, w2.degrees()).member(w2)
     return DecompositionReport(True, residues, v0, v1, certified)
 
 
 def kharlampovich_check(v: LieElt, n: GradedSubspace) -> bool:
     """All D_j(v) = 0 mod N_U  iff  v in [N, N]; both sides are computed and
-    compared, a mismatch raises."""
+    compared, a mismatch raises.  [N, N] is built in v's degrees only."""
     if not n.member(v):
         raise ValueError("v must lie in N")
     fox = lie_fox(expand_to_assoc(v))
     ctx = ideal_context(n)
     verdict_fox = not any(ctx.residue(fox.partials[j], "c") for j in range(1, v.rank + 1))
-    verdict_span = commutator_subspace(n).member(v)
+    verdict_span = commutator_subspace(n, v.degrees()).member(v)
     if verdict_fox != verdict_span:
         raise RuntimeError(
             f"criterion mismatch: derivatives say {verdict_fox}, "

@@ -38,7 +38,9 @@ from .lie_core import (
 from .linalg import Echelon
 from .magnus import embed, gamma_weight
 from .words import Alphabet, FreeLetter, Word, commutator, identity, invert, multiply
-from .words import shortlex_words
+from .words import shortlex_words, word_length
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,14 @@ def filtration_level(
 
 def _free_factor(rank: int, h_rank: Optional[int], cutoff: int) -> GradedSubspace:
     """Graded span of H, the subalgebra on the first h_rank generators
-    (default rank - 1)."""
+    (default rank - 1): the span of the Lyndon words over those letters,
+    which subalgebra_closure returns for letter generators; the letters are
+    built directly, being valid Lyndon words."""
     top = rank - 1 if h_rank is None else h_rank
     if not 0 <= top <= rank:
         raise ValueError(f"h_rank must lie in 0..{rank}, got {top}")
-    return subalgebra_closure([LieElt.gen(rank, j) for j in range(1, top + 1)], rank, cutoff)
+    letters = [LieElt._trusted((rank,), {(j,): _ONE}) for j in range(1, top + 1)]
+    return subalgebra_closure(letters, rank, cutoff)
 
 
 def _criterion(r: LieElt, comps: list, h: GradedSubspace) -> LieCriterionResult:
@@ -335,7 +340,12 @@ def group_criterion_bruteforce(
     trivial on gamma_i / gamma_{i+1}, so the question reduces to membership
     of the component in the subalgebra on the first n-1 generators.  A
     positive answer reconstructs h as a product of bracket words; setting
-    ``search_bound`` > 0 additionally cross-checks by bounded word search.
+    ``search_bound`` > 0 additionally cross-checks by bounded word search
+    over pairs (u, h) of atomic length at most the bound.  A search that
+    finds nothing contradicts the verdict (RuntimeError) only when the
+    reconstructed h lies within the bound; otherwise the graded verdict
+    stands, with mode "graded+search-inconclusive".  A bound whose search
+    space passes _SEARCH_BUDGET pairs is refused up front (ValueError).
     """
     alphabet = r.alphabet
     if alphabet.n_factors:
@@ -345,6 +355,13 @@ def group_criterion_bruteforce(
     rank = alphabet.free_rank
     if h_rank is None:
         h_rank = rank - 1
+    if search_bound and (
+        _reduced_words(rank, search_bound) * _reduced_words(h_rank, search_bound) > _SEARCH_BUDGET
+    ):
+        raise ValueError(
+            f"search bound {search_bound} at rank {rank}: the word search "
+            f"would visit more than {_SEARCH_BUDGET} pairs"
+        )
     probe = gamma_weight(r, (level or 1) + 2 if level else 8)
     if level is None:
         if probe is None:
@@ -368,11 +385,30 @@ def group_criterion_bruteforce(
     report = ConjugacyReport(True, (identity(alphabet), hw))
     if search_bound:
         found = _word_search(r, level, h_rank, search_bound)
-        if found is None:
+        if found is not None:
+            report.witness, report.mode = found, "graded+search"
+        elif word_length(hw) <= search_bound:
             raise RuntimeError("word search contradicts the graded verdict")
-        report.witness = found
-        report.mode = "graded+search"
+        else:
+            report.mode = "graded+search-inconclusive"
     return report
+
+
+# Largest number of (u, h) pairs a word search may visit: rank 3 at bound 4
+# is 150,857 pairs (about 20 s); bound 5 is 2,273,195.
+_SEARCH_BUDGET = 10**6
+
+
+def _reduced_words(rank: int, bound: int) -> int:
+    """Number of reduced words of length <= bound in the free group of the
+    given rank: 1 + sum_{k=1}^{bound} 2r (2r - 1)^{k-1}, in closed form.
+    Past bound 64 at rank >= 2 the count is above any budget here, so the
+    power is taken at 64 at most."""
+    if rank <= 0 or bound <= 0:
+        return 1
+    if rank == 1:
+        return 1 + 2 * bound
+    return 1 + rank * ((2 * rank - 1) ** min(bound, 64) - 1) // (rank - 1)
 
 
 def _group_bracketing(tree, alphabet: Alphabet) -> Word:

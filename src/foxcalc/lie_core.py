@@ -25,7 +25,9 @@ degree: degree d is spanned by the seeds of degree d and the brackets
 [X_i, Y_{d-i}] of integer rows, with one rref per degree.  For [A, B],
 X = A and Y = B; for a subalgebra, X = Y = the result (complete below d);
 for an ideal, X = the result and Y = the letters, since the ideal is spanned
-by left-normed brackets [r, y_i1, .., y_ik].
+by left-normed brackets [r, y_i1, .., y_ik].  With both sides fixed,
+component d reads only their components, so a bracket span can be built
+in some degrees only (membership of an element with those degrees).
 
 Three subspaces come in closed form, as spans of Lyndon words: the whole
 algebra; the subalgebra F_K generated by letters y_j, j in K, spanned by the
@@ -155,8 +157,8 @@ def expand_to_assoc(a: LieElt):
     """Expansion in the free associative algebra (an AssocPoly)."""
     from .assoc_env import AssocPoly
 
-    return AssocPoly(
-        a.rank,
+    return AssocPoly._summed(
+        (a.rank,),
         ((m, c * k) for w, c in a.terms.items() for m, k in _expand_word(w).items()),
     )
 
@@ -380,18 +382,30 @@ class GradedSubspace:
                 return False
         return True
 
-    def bracket_span(self, other: "GradedSubspace") -> "GradedSubspace":
-        """Graded span of [self, other] up to the cutoff."""
+    def bracket_span(
+        self, other: "GradedSubspace", degrees: Iterable[int] | None = None
+    ) -> "GradedSubspace":
+        """Graded span of [self, other] up to the cutoff; given degrees, only
+        those components are built (each depends on self and other alone)
+        and the others are left empty."""
         self._check(other)
-        return _graded_brackets(self.rank, self.cutoff, (), self, other)
+        return _graded_brackets(self.rank, self.cutoff, (), self, other, degrees)
 
 
-def _graded_brackets(rank: int, cutoff: int, seeds: Iterable[LieElt], left, right) -> GradedSubspace:
+def _graded_brackets(
+    rank: int,
+    cutoff: int,
+    seeds: Iterable[LieElt],
+    left,
+    right,
+    degrees: Iterable[int] | None = None,
+) -> GradedSubspace:
     """Degree by degree, ascending: component d is spanned by the seeds'
     degree-d components and the brackets of the canonical rows of left in
     degree i with those of right in degree d - i.  A side given as None is
     the result built so far (complete below d), which makes this a closure.
-    When both sides are one object, each unordered pair is bracketed once."""
+    When both sides are one object, each unordered pair is bracketed once.
+    Given degrees (both sides fixed), only those components are built."""
     rows: dict[int, list[dict]] = {}
     for e in seeds:
         if e.rank != rank:
@@ -400,6 +414,14 @@ def _graded_brackets(rank: int, cutoff: int, seeds: Iterable[LieElt], left, righ
             if d > cutoff:
                 raise ValueError("element degree exceeds cutoff")
             rows.setdefault(d, []).append(lie_vector(e, d))
+    if degrees is None:
+        degrees = range(1, cutoff + 1)
+    elif left is None or right is None:
+        raise ValueError("a closure needs every degree below the ones asked for")
+    else:
+        degrees = sorted(set(degrees))
+        if degrees and degrees[-1] > cutoff:
+            raise ValueError("element degree exceeds cutoff")
     out = GradedSubspace._trusted(rank, cutoff, {})
     left, right = (out if side is None else side for side in (left, right))
     same, elements = left is right, {}
@@ -410,7 +432,7 @@ def _graded_brackets(rank: int, cutoff: int, seeds: Iterable[LieElt], left, righ
             elements[key] = side.basis_elements(i)
         return elements[key]
 
-    for d in range(1, cutoff + 1):
+    for d in degrees:
         new = rows.get(d, [])
         for i in range(1, d // 2 + 1 if same else d):
             if left.dim(i) and right.dim(d - i):

@@ -2,10 +2,14 @@
 TruncSeries, AssocPoly and LieElt.
 
 A linear combination is a dict from key to non-zero coefficient: repeated
-keys add and zeros drop.  Built from outside (a mapping or an iterable of
-``(key, coeff)`` pairs) every key passes the subclass's check; results of
-arithmetic on valid elements are built directly, without checking again.
-It prints as signed magnitudes in a fixed key order.
+keys add and zeros drop.  Validation happens at the boundary only: built
+from outside (a mapping or an iterable of ``(key, coeff)`` pairs, through
+the constructor) every key passes the subclass's check and every
+coefficient is coerced; results of arithmetic on valid elements, and sums
+of ``(key, coeff)`` pairs whose keys come from valid elements or from the
+library's own tables, are built directly (``_trusted``, ``_summed``,
+``_like``), without checking again.  It prints as signed magnitudes in a
+fixed key order.
 
 A subclass sets its shape slots (named in ``_SHAPE``) before calling
 ``LinComb.__init__``, and supplies ``_admit`` (the key check), ``_render``
@@ -78,6 +82,13 @@ class LinComb:
             setattr(out, name, value)
         out.terms = terms
         return out
+
+    @classmethod
+    def _summed(cls, shape: tuple, pairs: Iterable[tuple[Hashable, Any]]):
+        """The sum of ``(key, coeff)`` pairs as an element of the given
+        shape, unchecked: the keys must be valid and the coefficients
+        coerced, as in results of arithmetic on valid elements."""
+        return cls._trusted(shape, sum_terms(pairs))
 
     def _like(self, terms: dict):
         """An element of this one's shape holding ``terms`` as they are."""

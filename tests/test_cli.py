@@ -135,6 +135,18 @@ def test_conjcrit_cli(capsys):
     assert code == 1 and doc["conjugate_found"]
 
 
+def test_conjcrit_search_short_of_the_witness_exits_1(capsys):
+    argv = ["group", "conjcrit", "--rank", "3", "--relator", "g1^-2 g2^3 g1^2 g2^-3"]
+    code = main(argv + ["--bound", "3"])
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert code == 1 and doc["conjugate_found"] and doc["mode"] == "graded+search-inconclusive"
+    assert "reached no witness" in out.err
+    code = main(argv + ["--bound", "5"])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out and "word search" in out.err
+
+
 def test_lie_freiheit_cli(capsys):
     code, doc = run(
         capsys,

@@ -25,6 +25,7 @@ from foxcalc.lie_core import (
     LieElt,
     bracket,
     expand_to_assoc,
+    ideal_closure,
     leftnorm,
     lyndon_words,
     parse_lie,
@@ -376,3 +377,123 @@ def test_cold_decomposition_checks_the_ideal_once(monkeypatch):
             "--cutoff", "6"]
     assert main(argv) == 0
     assert len(checked) == 1
+
+
+def _commutator_cases():
+    """(label, N) at rank 3 cutoff 6 and rank 4 cutoff 5: N = power:2,
+    power:3 and the ideal of a seeded random homogeneous relator."""
+    rng = random.Random(41)
+    for rank, cutoff in ((3, 6), (4, 5)):
+        full = GradedSubspace.full(rank, cutoff)
+        yield f"r{rank}c{cutoff}-power:2", power_subspace(full, 2)
+        yield f"r{rank}c{cutoff}-power:3", power_subspace(full, 3)
+        words = rng.sample(lyndon_words(rank, 2), 2)
+        relator = LieElt(rank, {w: Fraction(rng.choice((-2, -1, 1, 3))) for w in words})
+        yield f"r{rank}c{cutoff}-ideal", ideal_closure([relator], rank, cutoff)
+
+
+@pytest.mark.parametrize("label,n", [pytest.param(*case, id=case[0]) for case in _commutator_cases()])
+def test_commutator_subspace_in_given_degrees_matches_full_span(label, n):
+    """[N, N] built in a set of degrees equals the full [N, N] there and is
+    empty elsewhere; Kharlampovich verdicts on random elements of N are
+    those of membership in the full [N, N]; a degree above the cutoff
+    raises."""
+    rng = random.Random(label)
+    full = n.bracket_span(n)
+    degrees = range(1, n.cutoff + 1)
+    for _ in range(6):
+        ds = set(rng.sample(degrees, rng.randint(0, n.cutoff)))
+        part = commutator_subspace(n, ds)
+        assert (part.rank, part.cutoff) == (n.rank, n.cutoff)
+        for d in degrees:
+            want = full.echelon(d).pivot_rows if d in ds else {}
+            assert part.echelon(d).pivot_rows == want
+    verdicts = set()
+    for k in range(6):
+        # even k: an element of [N, N] (when it is not empty), odd k: of N
+        v = _random_member(rng, full if k % 2 == 0 else n, n.cutoff)
+        if v.is_zero:
+            continue
+        got = kharlampovich_check(v, n)
+        assert got == full.member(v)
+        verdicts.add(got)
+    assert False in verdicts and (True in verdicts or not full.comp)
+    with pytest.raises(ValueError, match="exceeds cutoff"):
+        commutator_subspace(n, {2, n.cutoff + 1})
+    small = GradedSubspace._trusted(n.rank, n.cutoff - 1, {d: n.echelon(d) for d in range(1, n.cutoff)})
+    top = n.basis_elements(n.cutoff)
+    if top:
+        with pytest.raises(ValueError, match="exceeds cutoff"):
+            kharlampovich_check(top[0], small)
+
+
+def test_closures_take_no_degree_set():
+    # a closure's component d reads the result below d, so it cannot be
+    # built in some degrees only
+    from foxcalc.lie_core import _graded_brackets
+
+    n = power_subspace(GradedSubspace.full(3, 4), 2)
+    with pytest.raises(ValueError, match="closure"):
+        _graded_brackets(3, 4, [], None, n, {3})
+
+
+def _rebuilt_poly(p):
+    return AssocPoly(p.rank, p.terms)
+
+
+def _rebuilt_lie(v):
+    return LieElt(v.rank, v.terms)
+
+
+@given(lie_elts(3, 5))
+@settings(max_examples=60, deadline=None)
+def test_trusted_expansions_and_partials_pass_the_checked_constructors(a):
+    """expand_to_assoc and lie_fox build their results without checking the
+    keys; rebuilt through the checked constructors they must come out the
+    same (a bad key raises, a zero coefficient would be dropped)."""
+    p = expand_to_assoc(a)
+    assert _rebuilt_poly(p) == p
+    for q in lie_fox(p).partials.values():
+        assert _rebuilt_poly(q) == q
+
+
+def test_trusted_solver_results_pass_the_checked_constructors():
+    """PBWContext.expand, both sigma solvers and theorem_decomposition build
+    their results without checking the keys; rebuilt through the checked
+    constructors they must come out the same."""
+    rng = random.Random(43)
+    rank, K, cutoff = 3, frozenset({1, 2}), 5
+    n, fk = sigma_setup(cutoff=cutoff)
+    inter = fk.intersect(n)
+    env = SubalgebraIdealContext(rank, K, n)
+    gens = [LieElt.gen(rank, j) for j in range(1, rank + 1)]
+    comm = commutator_subspace(n)
+    seen = 0
+    for _ in range(12):
+        v = _random_member(rng, inter, 4)
+        if v.is_zero:
+            continue
+        p = expand_to_assoc(leftnorm(v, [rng.choice(gens)]))
+        coords = env.ctx.rewrite(p)
+        assert _rebuilt_poly(env.ctx.expand(coords)) == env.ctx.expand(coords) == p
+        fox = lie_fox(expand_to_assoc(v))
+        u = {j: fox.partials[j] for j in sorted(K)}
+        got = solve_sigma_zero(u, K, n, rank)
+        assert _rebuilt_lie(got) == got
+        w = leftnorm(v, [rng.choice(gens)])
+        if w.is_zero or w.max_degree() > cutoff:
+            continue
+        fox = lie_fox(expand_to_assoc(w))
+        got = solve_sigma_zero_ideal({j: fox.partials[j] for j in sorted(K)}, K, n, rank)
+        assert _rebuilt_lie(got) == got
+        x = _random_member(rng, fk, 3) + bracket(v, gens[2]).truncate(cutoff)
+        x = x + _random_member(rng, comm, cutoff)
+        if x.is_zero:
+            continue
+        rep = theorem_decomposition(x, K, n)
+        assert rep.holds and rep.certified
+        assert _rebuilt_lie(rep.v0) == rep.v0 and _rebuilt_lie(rep.v1) == rep.v1
+        for r in rep.residues.values():
+            assert _rebuilt_poly(r) == r
+        seen += 1
+    assert seen >= 5

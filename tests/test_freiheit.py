@@ -353,6 +353,55 @@ def test_group_criterion_positive_with_witness():
     assert rep2.conjugate_found and rep2.witness is not None
 
 
+def test_word_search_size_in_closed_form():
+    from foxcalc.freiheit import _SEARCH_BUDGET, _reduced_words
+    from foxcalc.words import shortlex_words
+
+    for rank in range(1, 4):
+        for bound in range(5):
+            assert _reduced_words(rank, bound) == sum(1 for _ in shortlex_words(Alphabet(rank), bound))
+    assert _reduced_words(3, 4) * _reduced_words(2, 4) == 150_857 <= _SEARCH_BUDGET
+    assert _reduced_words(3, 5) * _reduced_words(2, 5) > _SEARCH_BUDGET
+    assert _reduced_words(2, 10**12) > _SEARCH_BUDGET  # no enumeration, no huge power
+
+
+@pytest.mark.parametrize("bound", [5, 10**12])
+def test_group_criterion_refuses_hostile_search_bound(monkeypatch, bound):
+    import foxcalc.freiheit as freiheit
+
+    monkeypatch.setattr(freiheit, "_word_search", lambda *a: pytest.fail("search ran"))
+    r = parse_word("g1 g2 g1^-1 g2^-1", Alphabet(3))
+    with pytest.raises(ValueError, match="word search"):
+        group_criterion_bruteforce(r, level=2, search_bound=bound)
+
+
+def test_group_criterion_search_short_of_the_witness_is_inconclusive():
+    # the graded witness [g2, g1]^6 has atomic length 24: a search to bound 3
+    # cannot reach it, and the graded verdict stands
+    al = Alphabet(3)
+    rep = group_criterion_bruteforce(parse_word("g1^-2 g2^3 g1^2 g2^-3", al), search_bound=3)
+    assert rep.conjugate_found and rep.mode == "graded+search-inconclusive"
+    u, h = rep.witness
+    assert u == parse_word("", al) and len(h.letters) == 24
+
+
+def test_group_criterion_search_missing_a_witness_within_bound_raises(monkeypatch):
+    import foxcalc.freiheit as freiheit
+
+    monkeypatch.setattr(freiheit, "_word_search", lambda *a: None)
+    r = parse_word("g1 g2 g1^-1 g2^-1", Alphabet(3))
+    with pytest.raises(RuntimeError, match="contradicts"):
+        group_criterion_bruteforce(r, level=2, search_bound=4)
+
+
+@pytest.mark.parametrize("rank,h_rank", [(3, None), (3, 0), (3, 3), (4, 2)])
+def test_free_factor_is_the_span_of_words_over_its_letters(rank, h_rank):
+    top = rank - 1 if h_rank is None else h_rank
+    h = _free_factor(rank, h_rank, 5)
+    assert h == GradedSubspace._words(rank, 5, frozenset(range(1, top + 1)))
+    assert h == subalgebra_closure([LieElt.gen(rank, j) for j in range(1, top + 1)], rank, 5)
+
+
 def test_group_criterion_level_validation():
     al = Alphabet(3)
     with pytest.raises(ValueError):
