@@ -57,5 +57,8 @@ expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --s
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 1
 expect 2 fox lie freiheit --rank 3 --relator "[y1, [y1, y2]] + [y2, y3]" --spec 6 --cutoff 10
 expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 40
+expect 2 fox group derive --rank 2 --word "g1^100000000" --gen g1
+expect 2 fox group schumann --rank 2 --word "g1^100000000" --quotient trivial
+expect 2 fox group conjcrit --rank 3 --relator "g1^100000000" --bound 1
 
 exit $fail

@@ -2,8 +2,9 @@
 # Same-answers check against another revision: runs the README `fox`
 # commands, four more Lie commands, eight group-criteria commands, four
 # frontier Freiheitssatz commands, five frontier commands on generic
-# (two-term) relators, two of them with specs that need every degree, and
-# two Kharlampovich checks at cutoff 8,
+# (two-term) relators, two of them with specs that need every degree, two
+# Kharlampovich checks at cutoff 8, and three PBW commands on elements with
+# rational coefficients,
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
 # stdout plus exit code.  Exits 1 on any difference.
@@ -75,4 +76,9 @@ check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]]" --cutoff 9
 # [N, N] built in the element's degrees only: one member (exit 0), one not (exit 1)
 check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]]" --cutoff 8
 check lie kharlampovich --rank 3 --expr "[y1, y2] + [[y1, y2], [y1, y3]]" --cutoff 8
+# rational coefficients through PBW straightening: one member of [N, N]
+# (exit 0), one not (exit 1), and a decomposition (exit 0)
+check lie kharlampovich --rank 3 --expr "1/2*[[y1, y2], [y1, y3]] - 2/3*[[y1, y3], [y2, y3]]" --cutoff 7
+check lie kharlampovich --rank 3 --expr "3/2*[y1, y2] + 1/3*[[y1, y2], [y1, y3]]" --cutoff 7
+check lie decompose --rank 3 --expr "1/2*y1 + 2/3*[y1, y2] - 3/4*[[y1, y2], [y1, y3]]" --keep 1,2 --cutoff 6
 exit $fail

@@ -9,6 +9,11 @@ subspaces and has four blocks per degree:
 Block order "abcd" or "dcba" fixes the PBW order; standard monomials are
 nondecreasing products of basis elements.
 
+Straightening computes in integers, like the echelon kernel: the generator
+and bracket tables hold integer numerators over one denominator per entry,
+a polynomial enters as integer numerators over one denominator, and
+Fractions are formed only in the result, one per standard monomial.
+
 SubalgebraIdealContext(rank, K, N) takes X = F_K and Y = N, a graded ideal.
 All contexts live in one cache keyed by (rank, K, N); ideal_context(N) is
 the K = empty entry, whose chain is 0 <= 0 <= N since F_K = 0.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .lie_core import (
@@ -31,7 +37,16 @@ from .lie_core import (
     subalgebra_closure,
 )
 from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
-from .linalg import Echelon, SpanSolver, normalized
+from .linalg import Echelon, SpanSolver, _integral, normalized
+
+# an integer table entry (q, ((k, n_k), ..)): the coordinates n_k / q over
+# the adapted basis, q the lcm of their denominators
+IntRow = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _int_row(coords: dict[int, Fraction]) -> IntRow:
+    q, row = _integral(coords)
+    return q, tuple(row.items())
 
 
 class AssocPoly(Graded):
@@ -130,10 +145,13 @@ class PBWContext:
         for k, e in enumerate(basis.elements):
             self._by_degree.setdefault(e.degree, []).append(k)
         self._solvers: dict[int, SpanSolver] = {}
-        self._gen_coords: dict[int, dict[int, Fraction]] = {}
-        for j in range(1, self.rank + 1):
-            self._gen_coords[j] = self.coords_of_lie(LieElt.gen(self.rank, j))
-        self._bracket_cache: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # integer tables: generator y_j and bracket [e_i, e_j] over the
+        # adapted basis; the bracket table fills on first use
+        self._gen_rows = {
+            j: _int_row(self.coords_of_lie(LieElt.gen(self.rank, j)))
+            for j in range(1, self.rank + 1)
+        }
+        self._bracket_rows: dict[tuple[int, int], IntRow] = {}
         self.block_of = {k: e.block for k, e in enumerate(basis.elements)}
 
     def _solver(self, d: int) -> SpanSolver:
@@ -159,52 +177,68 @@ class PBWContext:
                     out[k] = c
         return out
 
-    def bracket_coords(self, i: int, j: int) -> dict[int, Fraction]:
-        key = (i, j)
-        if key not in self._bracket_cache:
-            b = bracket(self.basis.elements[i].value, self.basis.elements[j].value)
-            self._bracket_cache[key] = (
-                {} if b.is_zero or b.max_degree() > self.cutoff else self.coords_of_lie(b)
-            )
-        return self._bracket_cache[key]
+    def _bracket_row(self, i: int, j: int) -> IntRow:
+        """[e_i, e_j] over the adapted basis, entered in the bracket table."""
+        b = bracket(self.basis.elements[i].value, self.basis.elements[j].value)
+        coords = {} if b.is_zero or b.max_degree() > self.cutoff else self.coords_of_lie(b)
+        row = self._bracket_rows[i, j] = _int_row(coords)
+        return row
 
     def rewrite(self, p: AssocPoly) -> dict[tuple[int, ...], Fraction]:
         """Standard-monomial coordinates of p: maps nondecreasing index
-        tuples over the adapted basis to coefficients."""
+        tuples over the adapted basis to coefficients.
+
+        Straightening runs on integer numerators over one denominator:
+        p = P / den with P integral, and a stack entry (mono, n, q) stands
+        for n / (q * den) times mono, q the product of the table
+        denominators met on its way.  Standard monomials collect their
+        numerators per q; a Fraction is formed only in the result, once
+        per monomial, over the lcm of those q."""
         if p.rank != self.rank:
             raise ValueError("rank mismatch")
         if p.max_degree() > self.cutoff:
             raise ValueError("degree exceeds cutoff")
-        stack: list[tuple[tuple[int, ...], Fraction]] = []
-        standard: list[tuple[tuple[int, ...], Fraction]] = []
-        for word, coeff in p.terms.items():
-            terms = [((), coeff)]
+        den, ints = _integral(p.terms)
+        stack: list[tuple[tuple[int, ...], int, int]] = []
+        for word, n in ints.items():
+            terms = [((), n, 1)]
             for letter in word:
-                subs = self._gen_coords[letter]
+                qj, subs = self._gen_rows[letter]
                 terms = [
-                    (mono + (k,), c * ck)
-                    for mono, c in terms
-                    for k, ck in subs.items()
+                    (mono + (k,), c * nk, q * qj)
+                    for mono, c, q in terms
+                    for k, nk in subs
                 ]
             stack.extend(terms)
+        table = self._bracket_rows
+        standard: dict[int, dict[tuple[int, ...], int]] = {}  # q -> mono -> n
         while stack:
-            mono, coeff = stack.pop()
-            if not coeff:
-                continue
+            mono, n, q = stack.pop()
             bad = None
             for t in range(len(mono) - 1):
                 if mono[t] > mono[t + 1]:
                     bad = t
                     break
             if bad is None:
-                standard.append((mono, coeff))
+                acc = standard.setdefault(q, {})
+                acc[mono] = acc.get(mono, 0) + n
                 continue
             i, j = mono[bad], mono[bad + 1]
             head, tail = mono[:bad], mono[bad + 2 :]
-            stack.append((head + (j, i) + tail, coeff))
-            for k, ck in self.bracket_coords(i, j).items():
-                stack.append((head + (k,) + tail, coeff * ck))
-        return sum_terms(standard)
+            stack.append((head + (j, i) + tail, n, q))
+            qb, row = table.get((i, j)) or self._bracket_row(i, j)
+            q *= qb
+            for k, nk in row:
+                stack.append((head + (k,) + tail, n * nk, q))
+        q = lcm(*standard)
+        if len(standard) == 1:
+            (acc,) = standard.values()
+        else:
+            acc = sum_terms(
+                (mono, n * (q // qm)) for qm, part in standard.items() for mono, n in part.items()
+            )
+        q *= den
+        return {mono: Fraction(n, q) for mono, n in acc.items() if n}
 
     def expand_monomial(self, mono: tuple[int, ...]) -> AssocPoly:
         out = AssocPoly.one(self.rank)

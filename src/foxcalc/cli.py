@@ -105,6 +105,21 @@ def _check_cutoff(rank: int, cutoff: int) -> None:
         )
 
 
+# Largest sum of |exponent| over a parsed word that the commands expanding
+# it letter by letter accept (Fox derivatives, Schumann, the conjugacy
+# criterion); g1^100000 answers in seconds, g1^100000000 would hang.
+_ATOM_BUDGET = 10**5
+
+
+def _word(text: str, alphabet: Alphabet) -> Word:
+    """Parse a word and refuse it up front when its atoms exceed the budget."""
+    w = parse_word(text, alphabet)
+    atoms = sum(abs(letter.exp) for letter in w.letters)
+    if atoms > _ATOM_BUDGET:
+        raise ValueError(f"word has {atoms} atoms (sum of |exponent|), more than {_ATOM_BUDGET}")
+    return w
+
+
 def _ideal(spec: str, rank: int, cutoff: int) -> GradedSubspace:
     head, _, rest = spec.partition(":")
     if head == "power":
@@ -130,7 +145,7 @@ def _emit(doc: dict, summary: str, code: int) -> int:
 
 def _cmd_group_derive(args) -> int:
     alphabet = _alphabet(args)
-    w = parse_word(args.word, alphabet)
+    w = _word(args.word, alphabet)
     d = fox_derivative(w, _fox_index(args.gen))
     terms = [
         {"word": format_word(u), "coeff": c}
@@ -142,7 +157,7 @@ def _cmd_group_derive(args) -> int:
 
 def _cmd_group_schumann(args) -> int:
     alphabet = _alphabet(args)
-    rep = schumann_check(parse_word(args.word, alphabet), _quotient(args.quotient, alphabet))
+    rep = schumann_check(_word(args.word, alphabet), _quotient(args.quotient, alphabet))
     doc = {"holds": rep.holds, "residues": _residues_json(rep.residues)}
     return _emit(doc, f"all derivatives vanish mod N: {rep.holds}", 0 if rep.holds else 1)
 
@@ -199,7 +214,7 @@ def _cmd_group_transversal(args) -> int:
 def _cmd_group_conjcrit(args) -> int:
     alphabet = _alphabet(args)
     rep = group_criterion_bruteforce(
-        parse_word(args.relator, alphabet),
+        _word(args.relator, alphabet),
         level=args.level,
         h_rank=args.h_rank,
         search_bound=args.bound,

@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
-from .linalg import Echelon, Vector, in_span, normalized, pivot, rref
+from .linalg import Echelon, Vector, _integral, in_span, normalized, pivot, rref
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +154,13 @@ class LieProjectionError(ValueError):
 
 
 def expand_to_assoc(a: LieElt):
-    """Expansion in the free associative algebra (an AssocPoly)."""
+    """Expansion in the free associative algebra (an AssocPoly), summed in
+    integer numerators over one denominator: one Fraction per word."""
     from .assoc_env import AssocPoly
 
-    return AssocPoly._summed(
-        (a.rank,),
-        ((m, c * k) for w, c in a.terms.items() for m, k in _expand_word(w).items()),
-    )
+    den, ints = _integral(a.terms)
+    acc = sum_terms((m, n * k) for w, n in ints.items() for m, k in _expand_word(w).items())
+    return AssocPoly._trusted((a.rank,), {m: Fraction(n, den) for m, n in acc.items()})
 
 
 @lru_cache(maxsize=None)

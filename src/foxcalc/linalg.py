@@ -47,7 +47,9 @@ Vector = Union[Sequence, dict]  # dense, or sparse {col: value}
 
 def _integral(vec: Vector) -> tuple[int, Row]:
     """(den, den * vec) as a sparse integer row, den the lcm of the
-    denominators of the entries of vec."""
+    denominators of the entries of vec.  The envelope side uses it too:
+    PBW straightening and envelope expansion carry integer numerators over
+    one denominator."""
     sparse = isinstance(vec, dict)
     den = lcm(*[x.denominator for x in (vec.values() if sparse else vec)])
     items = vec.items() if sparse else enumerate(vec)

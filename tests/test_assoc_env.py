@@ -199,3 +199,109 @@ def test_poly_commutator_matches_lie_bracket():
     a, b = LieElt.gen(2, 1), LieElt.gen(2, 2)
     pc = poly_commutator(expand_to_assoc(a), expand_to_assoc(b))
     assert project_to_lyndon(pc) == bracket(a, b)
+
+
+# -- integer straightening against the step-by-step Fraction reference --
+
+
+def _reference_rewrite(ctx, p):
+    """Straightening as it ran on Fractions: every stack entry carries its
+    coefficient, every swap and bracket multiplies Fractions."""
+    from foxcalc.lie_core import bracket
+    from foxcalc.lincomb import sum_terms
+
+    gens = {j: ctx.coords_of_lie(LieElt.gen(ctx.rank, j)) for j in range(1, ctx.rank + 1)}
+
+    def bracket_coords(i, j):
+        b = bracket(ctx.basis.elements[i].value, ctx.basis.elements[j].value)
+        return {} if b.is_zero or b.max_degree() > ctx.cutoff else ctx.coords_of_lie(b)
+
+    stack, standard = [], []
+    for word, coeff in p.terms.items():
+        terms = [((), coeff)]
+        for letter in word:
+            terms = [(m + (k,), c * ck) for m, c in terms for k, ck in gens[letter].items()]
+        stack.extend(terms)
+    while stack:
+        mono, coeff = stack.pop()
+        bad = next((t for t in range(len(mono) - 1) if mono[t] > mono[t + 1]), None)
+        if bad is None:
+            standard.append((mono, coeff))
+            continue
+        i, j = mono[bad], mono[bad + 1]
+        head, tail = mono[:bad], mono[bad + 2 :]
+        stack.append((head + (j, i) + tail, coeff))
+        for k, ck in bracket_coords(i, j).items():
+            stack.append((head + (k,) + tail, coeff * ck))
+    return sum_terms(standard)
+
+
+def _random_coeff(rng):
+    if rng.random() < 0.5:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    return Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([2, 3, 4, 9]))
+
+
+def _random_poly(rng, rank, cutoff):
+    terms = [((), _random_coeff(rng))] if rng.random() < 0.3 else []
+    for _ in range(rng.randint(0, 4)):
+        mono = tuple(rng.randint(1, rank) for _ in range(rng.randint(1, cutoff)))
+        terms.append((mono, _random_coeff(rng)))
+    return AssocPoly(rank, terms)
+
+
+# ideals whose adapted bases have bracket denominators {2, 3} and {3, 9, 27},
+# and one whose generator rows have a denominator (y2 = (N - 2*y1) / 3)
+_NONINTEGRAL_RELATORS = (
+    "2*[y1, y2] + 3*[y1, y3]",
+    "2*[y1, [y1, y2]] + 3*[y2, [y1, y3]]",
+    "2*y1 + 3*y2",
+)
+
+
+@pytest.mark.parametrize("relator", _NONINTEGRAL_RELATORS)
+@pytest.mark.parametrize("K", [frozenset(), frozenset({1, 2})])
+def test_integer_rewrite_matches_fraction_reference(relator, K):
+    from foxcalc.assoc_env import SubalgebraIdealContext
+    from foxcalc.lie_core import parse_lie
+
+    rank, cutoff = 3, 5
+    n = ideal_closure([parse_lie(relator, rank)], rank, cutoff)
+    ctx = SubalgebraIdealContext(rank, K, n).ctx
+    rng = random.Random(f"{relator} {sorted(K)}")
+    cases = [AssocPoly.zero(rank), AssocPoly.one(rank).scale(Fraction(-2, 3))]
+    cases += [_random_poly(rng, rank, cutoff) for _ in range(40)]
+    for p in cases:
+        want = _reference_rewrite(ctx, p)
+        got = ctx.rewrite(p)
+        assert got == want
+        assert all(type(c) is Fraction and c for c in got.values())
+        for drop in ("c", "ac"):
+            assert ctx.residue(p, drop) == {
+                m: c for m, c in want.items() if not any(ctx.block_of[k] in drop for k in m)
+            }
+        assert ctx.expand(got) == p
+    # the non-integral bookkeeping was exercised, not only q = 1
+    tables = ctx._bracket_rows if "[" in relator else ctx._gen_rows
+    assert any(q > 1 for q, _ in tables.values())
+
+
+def test_expand_to_assoc_matches_fraction_products():
+    from foxcalc.lie_core import _expand_word, lyndon_words
+    from foxcalc.lincomb import sum_terms
+
+    rng = random.Random(5)
+    for rank in (2, 3):
+        words = [w for d in range(1, 6) for w in lyndon_words(rank, d)]
+        cases = [LieElt.zero(rank)]
+        cases += [
+            LieElt(rank, {w: _random_coeff(rng) for w in rng.sample(words, rng.randint(1, 5))})
+            for _ in range(60)
+        ]
+        for a in cases:
+            want = sum_terms(
+                (m, c * k) for w, c in a.terms.items() for m, k in _expand_word(w).items()
+            )
+            got = expand_to_assoc(a)
+            assert got.terms == want
+            assert all(type(c) is Fraction for c in got.terms.values())

@@ -278,3 +278,29 @@ def test_cutoff_budget_edges():
     _check_cutoff(1, 999_998)
     with pytest.raises(ValueError, match="Lyndon basis"):
         _check_cutoff(3, 15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "derive", "--rank", "2", "--word", "g1^100000000", "--gen", "g1"),
+        ("group", "schumann", "--rank", "2", "--word", "g1^100000000", "--quotient", "trivial"),
+        ("group", "conjcrit", "--rank", "3", "--relator", "g1^100000000", "--bound", "1"),
+        # the budget counts every syllable: two halves add up past it
+        ("group", "derive", "--rank", "2", "--word", "g1^50001 g2 g1^-50000", "--gen", "g2"),
+    ],
+)
+def test_hostile_exponent_exits_2(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "atoms" in out.err
+
+
+def test_atom_budget_edge():
+    from foxcalc.cli import _word
+    from foxcalc.words import Alphabet
+
+    assert len(_word("g1^100000", Alphabet(2)).letters) == 1
+    with pytest.raises(ValueError, match="atoms"):
+        _word("g1^99999 g2^-2", Alphabet(2))
