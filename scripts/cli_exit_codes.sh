@@ -60,5 +60,16 @@ expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 40
 expect 2 fox group derive --rank 2 --word "g1^100000000" --gen g1
 expect 2 fox group schumann --rank 2 --word "g1^100000000" --quotient trivial
 expect 2 fox group conjcrit --rank 3 --relator "g1^100000000" --bound 1
+# quotient and root specs: every generator named once and in range, no
+# suffix on trivial/abel other than abel:kill, no root other than F/power:m
+expect 0 fox group schumann --rank 1 --factors 2 --word "a1" --quotient abel:kill
+expect 2 fox group schumann --rank 1 --factors 2 --word "a1" --quotient abel
+expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient "index:2,2:g1=1,0;g2=0,1;g5=1,1"
+expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient "index:2,2:g1=1,0;g2=0,1;a1=1,0"
+expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient "index:2,2:g0=1,0;g1=1,0;g2=0,1"
+expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient "index:2,2:g1=1,0;g2=0,1;g1=0,1"
+expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient trivial:x
+expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient abel:x
+expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 2 --cutoff 4 --root gamma:2
 
 exit $fail

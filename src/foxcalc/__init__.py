@@ -5,90 +5,11 @@ Schreier transversals and membership criteria modulo a normal subgroup.
 Lie side: Lyndon-basis free Lie algebras, PBW rewriting in the universal
 envelope, Lie Fox derivatives, constructive decomposition theorems and
 Freiheitssatz verifiers.  All arithmetic is exact (int / Fraction).
-"""
 
-from .words import (
-    Alphabet,
-    FactorLetter,
-    FreeLetter,
-    Word,
-    commutator,
-    conjugate,
-    cyclically_reduce,
-    format_word,
-    identity,
-    invert,
-    multiply,
-    parse_word,
-    shortlex_words,
-    word_length,
-)
-from .group_ring import (
-    QuotientOracle,
-    RingElt,
-    abelianization_oracle,
-    augmentation,
-    discrete_oracle,
-    finite_index_oracle,
-    format_ring,
-    free_nilpotent_oracle,
-    parse_ring,
-    reduce_mod,
-    trivial_oracle,
-)
-from .magnus import TruncSeries, embed, embed_ring, format_series, gamma_weight, ideal_weight
-from .fox_group import (
-    CriterionReport,
-    all_indices,
-    factor_index,
-    fox_derivative,
-    free_index,
-    fundamental_decomposition,
-    retraction,
-    schumann_check,
-    subgroup_fox,
-    subgroup_gamma_criterion,
-    theorem1_check,
-)
-from .transversal import (
-    SchreierGenerator,
-    Transversal,
-    derivative_leading_term_check,
-    lattice_membership,
-)
-from .lie_core import (
-    GradedSubspace,
-    LieElt,
-    bracket,
-    format_lie,
-    ideal_closure,
-    leftnorm,
-    lyndon_words,
-    parse_lie,
-    power_subspace,
-    standard_bracketing,
-    subalgebra_closure,
-    witt_dimension,
-)
-from .assoc_env import AssocPoly, PBWContext, adapted_basis, format_poly, parse_poly, reduce_mod_ideal
-from .fox_lie import (
-    SigmaError,
-    free_base_dims,
-    kharlampovich_check,
-    lie_fox,
-    solve_sigma_zero,
-    solve_sigma_zero_ideal,
-    theorem_decomposition,
-)
-from .freiheit import (
-    SeriesSpec,
-    free_generating_set,
-    group_criterion_bruteforce,
-    ideal_generated,
-    lie_criterion,
-    lie_freiheitssatz_verify,
-    series_components,
-    series_intersection_check,
-)
+The package namespace exports nothing; import the submodules.  Each of them
+imports only modules listed before it here: words, lincomb, linalg, lattice,
+magnus, group_ring, transversal, fox_group, lie_core, assoc_env, fox_lie,
+freiheit, cli.
+"""
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Free associative algebra over Q (universal envelope of the free Lie
-algebra), adapted PBW bases, and reduction modulo the ideal generated by a
-graded Lie ideal.
+"""Adapted PBW bases of the universal envelope of the free Lie algebra, and
+reduction modulo the ideal generated by a graded Lie ideal.  Envelope
+elements are lie_core's AssocPoly, next to the expansion that makes them.
 
 Every adapted basis here belongs to a chain X cap Y <= X <= X + Y of graded
 subspaces and has four blocks per degree:
@@ -20,13 +20,13 @@ the K = empty entry, whose chain is 0 <= 0 <= N since F_K = 0.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
 from .lie_core import (
+    AssocPoly,
     GradedSubspace,
     LieElt,
     bracket,
@@ -36,7 +36,7 @@ from .lie_core import (
     lyndon_words,
     subalgebra_closure,
 )
-from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
+from .lincomb import sum_terms
 from .linalg import Echelon, SpanSolver, _integral, normalized
 
 # an integer table entry (q, ((k, n_k), ..)): the coordinates n_k / q over
@@ -47,35 +47,6 @@ IntRow = tuple[int, tuple[tuple[int, int], ...]]
 def _int_row(coords: dict[int, Fraction]) -> IntRow:
     q, row = _integral(coords)
     return q, tuple(row.items())
-
-
-class AssocPoly(Graded):
-    """Polynomial in noncommuting x_1..x_rank with rational coefficients."""
-
-    __slots__ = _SHAPE = ("rank",)
-    _coerce = Fraction
-
-    def __init__(self, rank: int, terms: Terms = ()):
-        self.rank = rank
-        super().__init__(terms)
-
-    @classmethod
-    def one(cls, rank: int) -> "AssocPoly":
-        return cls(rank, {(): Fraction(1)})
-
-    def __mul__(self, other: "AssocPoly") -> "AssocPoly":
-        self._check_shape(other)
-        return self._like(
-            sum_terms(
-                (m1 + m2, c1 * c2)
-                for m1, c1 in self.terms.items()
-                for m2, c2 in other.terms.items()
-            )
-        )
-
-
-def poly_commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
-    return a * b - b * a
 
 
 @dataclass(frozen=True)
@@ -322,37 +293,3 @@ def reduce_mod_ideal(p: AssocPoly, n: GradedSubspace) -> AssocPoly:
     envelope generated by the graded Lie ideal N."""
     ctx = ideal_context(n)
     return ctx.expand(ctx.residue(p, "c"))
-
-
-def parse_poly(text: str, rank: int) -> AssocPoly:
-    """Parse sums like ``"x1*x2 - x2*x1 + 3"``; every sign must be followed
-    by a term, and only the first term may lack one."""
-    parts = re.split(r"([+-])", text)
-    if parts[0].strip():
-        parts.insert(0, "+")
-    elif len(parts) == 1:
-        return AssocPoly.zero(rank)
-    else:
-        del parts[0]
-    return AssocPoly(
-        rank, (_poly_term(sign, term) for sign, term in zip(parts[::2], parts[1::2]))
-    )
-
-
-def _poly_term(sign: str, term: str) -> tuple[tuple[int, ...], Fraction]:
-    if not term.strip():
-        raise ValueError(f"{sign!r} is not followed by a term")
-    coeff = Fraction(1 if sign == "+" else -1)
-    mono: list[int] = []
-    for factor in term.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise ValueError("empty factor")
-        if factor.startswith("x"):
-            mono.append(int(factor[1:]))
-        else:
-            coeff *= parse_coeff(factor)
-    return tuple(mono), coeff
-
-
-format_poly = format_terms

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .assoc_env import format_poly
 from .fox_group import (
     factor_index,
     fox_derivative,
@@ -25,11 +24,10 @@ from .freiheit import SeriesSpec, group_criterion_bruteforce, lie_freiheitssatz_
 from .group_ring import (
     abelianization_oracle,
     finite_index_oracle,
-    format_ring,
     free_nilpotent_oracle,
     trivial_oracle,
 )
-from .lie_core import GradedSubspace, expand_to_assoc, format_lie, parse_lie, power_subspace, witt_dimension
+from .lie_core import GradedSubspace, expand_to_assoc, parse_lie, power_subspace, witt_dimension
 from .transversal import Transversal
 from .words import Alphabet, Word, format_word, parse_word
 
@@ -58,30 +56,31 @@ def _keep_set(text: str) -> frozenset:
 
 
 def _quotient(spec: str, alphabet: Alphabet):
-    """trivial | abel | abel:kill | nilpotent:c | index:ORDERS:g1=..;g2=..;a1=.."""
+    """trivial | abel | abel:kill | nilpotent:c | index:ORDERS:g1=..;g2=..;a1=..
+    with exactly one image per generator of the alphabet."""
     head, _, rest = spec.partition(":")
-    if head == "trivial":
+    if spec == "trivial":
         return trivial_oracle(alphabet)
-    if head == "abel":
+    if spec in ("abel", "abel:kill"):
         return abelianization_oracle(alphabet, kill_factors=rest == "kill")
     if head == "nilpotent":
         return free_nilpotent_oracle(alphabet, int(rest))
     if head == "index":
         orders_text, _, images_text = rest.partition(":")
         orders = [int(t) for t in orders_text.split(",")]
-        free_images = [None] * alphabet.free_rank
-        factor_images = [None] * alphabet.n_factors
+        images = {"free": [None] * alphabet.free_rank, "factor": [None] * alphabet.n_factors}
         for part in images_text.split(";"):
             name, _, vec = part.partition("=")
             kind, i = _fox_index(name)
-            img = [int(t) for t in vec.split(",")]
-            if kind == "free":
-                free_images[i - 1] = img
-            else:
-                factor_images[i - 1] = img
-        if any(v is None for v in free_images) or any(v is None for v in factor_images):
+            slots = images[kind]
+            if not 1 <= i <= len(slots):
+                raise ValueError(f"quotient spec names {name.strip()!r}, not a generator of the alphabet")
+            if slots[i - 1] is not None:
+                raise ValueError(f"quotient spec gives {name.strip()!r} twice")
+            slots[i - 1] = [int(t) for t in vec.split(",")]
+        if None in images["free"] or None in images["factor"]:
             raise ValueError("missing generator image in quotient spec")
-        return finite_index_oracle(alphabet, orders, free_images, factor_images)
+        return finite_index_oracle(alphabet, orders, images["free"], images["factor"])
     raise ValueError(f"unknown quotient spec {spec!r}")
 
 
@@ -120,11 +119,16 @@ def _word(text: str, alphabet: Alphabet) -> Word:
     return w
 
 
-def _ideal(spec: str, rank: int, cutoff: int) -> GradedSubspace:
+def _power(spec: str, what: str, expected: str = "power:m") -> int:
+    """m from a ``power:m`` spec."""
     head, _, rest = spec.partition(":")
-    if head == "power":
-        return power_subspace(GradedSubspace.full(rank, cutoff), int(rest))
-    raise ValueError(f"unknown ideal spec {spec!r} (expected power:m)")
+    if head != "power":
+        raise ValueError(f"unknown {what} spec {spec!r} (expected {expected})")
+    return int(rest)
+
+
+def _ideal(spec: str, rank: int, cutoff: int) -> GradedSubspace:
+    return power_subspace(GradedSubspace.full(rank, cutoff), _power(spec, "ideal"))
 
 
 def _residues_json(residues: dict) -> dict:
@@ -151,7 +155,7 @@ def _cmd_group_derive(args) -> int:
         {"word": format_word(u), "coeff": c}
         for u, c in sorted(d.terms.items(), key=lambda t: format_word(t[0]))
     ]
-    doc = {"derivative": format_ring(d), "terms": terms}
+    doc = {"derivative": str(d), "terms": terms}
     return _emit(doc, f"D_{args.gen}({args.word}) = {doc['derivative']}", 0)
 
 
@@ -239,7 +243,7 @@ def _cmd_lie_derive(args) -> int:
     fox = lie_fox(expand_to_assoc(v))
     doc = {
         "constant": str(fox.constant),
-        "partials": {str(j): format_poly(p) for j, p in fox.partials.items()},
+        "partials": {str(j): str(p) for j, p in fox.partials.items()},
     }
     return _emit(doc, f"{len(fox.partials)} partials", 0)
 
@@ -252,9 +256,9 @@ def _cmd_lie_decompose(args) -> int:
     rep = theorem_decomposition(v, K, n)
     doc = {
         "holds": rep.holds,
-        "residues": {str(k): format_poly(r) for k, r in rep.residues.items()},
-        "v0": format_lie(rep.v0) if rep.v0 is not None else None,
-        "v1": format_lie(rep.v1) if rep.v1 is not None else None,
+        "residues": {str(k): str(r) for k, r in rep.residues.items()},
+        "v0": str(rep.v0) if rep.v0 is not None else None,
+        "v1": str(rep.v1) if rep.v1 is not None else None,
         "certified": rep.certified,
     }
     return _emit(doc, f"decomposition exists: {rep.holds}", 0 if rep.holds else 1)
@@ -272,7 +276,7 @@ def _cmd_lie_kharlampovich(args) -> int:
 def _cmd_lie_freiheit(args) -> int:
     _check_cutoff(args.rank, args.cutoff)
     r = parse_lie(args.relator, args.rank)
-    root_power = 1 if args.root == "F" else int(args.root.partition(":")[2])
+    root_power = 1 if args.root == "F" else _power(args.root, "root", "F or power:m")
     spec = SeriesSpec(tuple(int(t) for t in args.spec.split(",")), root_power)
     rep = lie_freiheitssatz_verify(r, spec, args.cutoff, h_rank=args.h_rank)
     doc = {

@@ -14,13 +14,13 @@ from typing import Optional, Sequence, Union
 from .group_ring import QuotientOracle, RingElt, reduce_mod
 from .lincomb import terms_of
 from .magnus import embed, gamma_weight
+from .transversal import SchreierGenerator, Transversal, lattice_membership, transversal_for
 from .words import (
     Alphabet,
     FactorLetter,
     FreeLetter,
     Letter,
     Word,
-    commutator,
     invert,
     multiply,
     reduce,
@@ -156,6 +156,26 @@ def substitute_ring(a: RingElt, base: Sequence[Word]) -> RingElt:
     return RingElt(base[0].alphabet, ((image(w), c) for w, c in a.terms.items()))
 
 
+def derivative_leading_term_check(
+    t: Transversal, gen0: SchreierGenerator, gen: SchreierGenerator
+) -> bool:
+    """Head-term shape of D_{j0} on Schreier generators, j0 the free index
+    of gen0's defining letter: D_{j0}(gen0) = rep(s g_j0)^-1 + (terms over
+    other representatives), while other generators defined by the same
+    letter contribute no rep(s g_j0)^-1 head at all."""
+    if not isinstance(gen0.letter, FreeLetter):
+        raise ValueError("gen0 must be defined by a free letter")
+    j0 = free_index(gen0.letter.index)
+    head = t.representative(
+        multiply(gen0.rep, Word(t.alphabet, (gen0.letter,)))
+    )
+    decomp = t.derivative_decomposition(fox_derivative(gen.value, j0))
+    coeff = decomp.get(head)
+    if gen == gen0:
+        return coeff == RingElt.one(t.alphabet)
+    return coeff is None
+
+
 @dataclass
 class CriterionReport:
     holds: bool
@@ -233,11 +253,9 @@ def theorem1_check(
         report.status = "inconclusive-witness"
         return report
     report.witness = vhat
-    from .transversal import lattice_membership
-
-    # the alpha/beta transversal over K's letters carries F_K cap N; the
-    # oracle builds it once and keeps it, with its sub-lattice
-    t = q.transversal(frozenset(j for kind, j in K if kind == "free"))
+    # the alpha/beta transversal over K's letters carries F_K cap N; it is
+    # built once per oracle and kept, with its sub-lattice
+    t = transversal_for(q, frozenset(j for kind, j in K if kind == "free"))
     report.witness_member = lattice_membership(t, multiply(v, invert(vhat)), K)
     return report
 
@@ -288,9 +306,3 @@ def subgroup_gamma_criterion(
         w = gamma_weight(multiply(v, invert(vbar)), cutoff)
         report.witness_weight_ok = w is None or w >= n + 1
     return report
-
-
-def escalate_witness(v: Word, x: Word) -> Word:
-    """[v, x]: commutation with a fresh generator raises both the gamma
-    weight of the witness and the ideal weight of its derivatives by one."""
-    return commutator(v, x)

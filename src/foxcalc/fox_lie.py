@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .assoc_env import AssocPoly, SubalgebraIdealContext, ideal_context, reduce_mod_ideal
+from .assoc_env import SubalgebraIdealContext, ideal_context, reduce_mod_ideal
 from .lincomb import terms_of
 from .lie_core import (
+    AssocPoly,
     GradedSubspace,
     LieElt,
     _mobius,
@@ -67,10 +68,9 @@ def lie_fox_commutator_check(u: LieElt, v: LieElt) -> bool:
     return True
 
 
-LieExpr = object  # int (1-based base index) or a pair (left, right)
-
-
-def eval_expr(expr: LieExpr, base: Sequence[LieElt]) -> LieElt:
+def eval_expr(expr, base: Sequence[LieElt]) -> LieElt:
+    """A bracket expression over the base: an int is a 1-based base index,
+    a pair (left, right) the bracket of its two sides."""
     if isinstance(expr, int):
         return base[expr - 1]
     left, right = expr
@@ -125,9 +125,7 @@ def validate_free_base(base: Sequence[LieElt], rank: int, cutoff: int) -> bool:
     return all(sub.dim(d) == expect.get(d, 0) for d in range(1, cutoff + 1))
 
 
-def lie_chain_rule_check(
-    base: Sequence[LieElt], expr: LieExpr, cutoff: Optional[int] = None
-) -> bool:
+def lie_chain_rule_check(base: Sequence[LieElt], expr) -> bool:
     """D_j(f) = sum_k D_j(h_k) partial_k(f) for f a bracket expression in
     the base h_1..h_m (note the derivative of the base element multiplies
     from the left, unlike the group-ring chain rule)."""

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .assoc_env import AssocPoly, PBWContext, adapted_basis
+from .assoc_env import PBWContext, adapted_basis
 from .fox_lie import free_base_dims, lie_fox
 from .lie_core import (
+    AssocPoly,
     GradedSubspace,
     LieElt,
     expand_to_assoc,

@@ -3,13 +3,16 @@
 Ring elements are finite Z-linear combinations of reduced words.  A
 :class:`QuotientOracle` answers "which coset of N does this word lie in"
 through a hashable key; two words get the same key iff they agree modulo N.
+An oracle holds the transversals that transversal.transversal_for builds
+for it, so they live as long as it does.
 """
 from __future__ import annotations
 
 import re
 from typing import Sequence, Union
 
-from .lincomb import LinComb, Terms, format_terms, sum_terms
+from .lincomb import LinComb, Terms, sum_terms
+from .magnus import embed_words
 from .words import (
     Alphabet,
     FreeLetter,
@@ -71,14 +74,6 @@ class RingElt(LinComb):
         return sum(self.terms.values())
 
 
-def ring_multiply(a: RingElt, b: Union[RingElt, Word]) -> RingElt:
-    return a * b
-
-
-def augmentation(a: RingElt) -> int:
-    return a.augmentation()
-
-
 class QuotientOracle:
     """Coset map for a normal subgroup N: ``coset_key(w)`` is a hashable key
     constant on cosets of N and separating distinct cosets.  ``keys_fn``
@@ -90,7 +85,8 @@ class QuotientOracle:
         self.alphabet = alphabet
         self._keys_fn = keys_fn
         self.finite_index = finite_index
-        self._transversals: dict = {}
+        # sub-alphabet -> Transversal, filled by transversal.transversal_for
+        self.transversals: dict = {}
 
     def coset_keys(self, ws: Sequence[Word]) -> list:
         """The keys of several words, in order."""
@@ -106,19 +102,6 @@ class QuotientOracle:
     def contains(self, w: Word) -> bool:
         """Is w in N?"""
         return self.coset_key(w) == self.coset_key(identity(self.alphabet))
-
-    def transversal(self, keep: frozenset[int] = frozenset()):
-        """The Schreier transversal that carries F_K cap N for the kept free
-        indices: alpha/beta over ``keep``, shortlex when nothing is kept.
-        N never changes, so each is built once and kept; there is one per
-        sub-alphabet asked for."""
-        t = self._transversals.get(keep)
-        if t is None:
-            from .transversal import Transversal
-
-            t = Transversal(self, "alphabeta", keep) if keep else Transversal(self)
-            self._transversals[keep] = t
-        return t
 
     def __repr__(self):
         return f"QuotientOracle({self.kind})"
@@ -174,7 +157,6 @@ def free_nilpotent_oracle(alphabet: Alphabet, nil_class: int) -> QuotientOracle:
         raise ValueError("free-nilpotent oracle requires a free alphabet")
     if nil_class < 1:
         raise ValueError("nilpotency class must be positive")
-    from .magnus import embed_words
 
     def keys(ws):
         return [tuple(sorted(m.terms.items())) for m in embed_words(ws, nil_class)]
@@ -256,6 +238,3 @@ def _ring_term(group: list[str], sign: int, alphabet: Alphabet) -> tuple[Word, i
         coeff = int(first)
         group = group[1:]
     return parse_word(" ".join(group), alphabet), sign * coeff
-
-
-format_ring = format_terms

@@ -11,7 +11,8 @@ for pairs of Lyndon words u < v, extended bilinearly and filled by
 Lyndon-Shirshov rewriting on the standard factorisation u = u1 u2:
 [b(u), b(v)] = b(uv) when u is a letter or u2 >= v, else Jacobi.  The
 envelope expansion, on the same factorisation, serves only expand_to_assoc
-and project_to_lyndon (PBW rewriting, the Lie Fox derivatives).
+and project_to_lyndon (PBW rewriting, the Lie Fox derivatives); their
+envelope elements, AssocPoly, are defined and parsed here.
 
 A GradedSubspace keeps each degree as a linalg.Echelon of canonical integer
 rows over the Lyndon coordinates; membership hands those rows to the kernel
@@ -42,11 +43,12 @@ between calls.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .lincomb import Graded, Terms, format_terms, parse_coeff, sum_terms
+from .lincomb import Graded, Terms, parse_coeff, sum_terms
 from .linalg import Echelon, Vector, _integral, in_span, normalized, pivot, rref
 
 
@@ -153,11 +155,67 @@ class LieProjectionError(ValueError):
         self.residual = residual
 
 
-def expand_to_assoc(a: LieElt):
-    """Expansion in the free associative algebra (an AssocPoly), summed in
-    integer numerators over one denominator: one Fraction per word."""
-    from .assoc_env import AssocPoly
+class AssocPoly(Graded):
+    """Polynomial in noncommuting x_1..x_rank with rational coefficients:
+    an element of the universal envelope, where expand_to_assoc sends Lie
+    elements and project_to_lyndon brings them back."""
 
+    __slots__ = _SHAPE = ("rank",)
+    _coerce = Fraction
+
+    def __init__(self, rank: int, terms: Terms = ()):
+        self.rank = rank
+        super().__init__(terms)
+
+    @classmethod
+    def one(cls, rank: int) -> "AssocPoly":
+        return cls(rank, {(): Fraction(1)})
+
+    def __mul__(self, other: "AssocPoly") -> "AssocPoly":
+        self._check_shape(other)
+        return self._like(
+            sum_terms(
+                (m1 + m2, c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            )
+        )
+
+
+def parse_poly(text: str, rank: int) -> AssocPoly:
+    """Parse sums like ``"x1*x2 - x2*x1 + 3"``; every sign must be followed
+    by a term, and only the first term may lack one."""
+    parts = re.split(r"([+-])", text)
+    if parts[0].strip():
+        parts.insert(0, "+")
+    elif len(parts) == 1:
+        return AssocPoly.zero(rank)
+    else:
+        del parts[0]
+    return AssocPoly(
+        rank, (_poly_term(sign, term) for sign, term in zip(parts[::2], parts[1::2]))
+    )
+
+
+def _poly_term(sign: str, term: str) -> tuple[tuple[int, ...], Fraction]:
+    if not term.strip():
+        raise ValueError(f"{sign!r} is not followed by a term")
+    coeff = Fraction(1 if sign == "+" else -1)
+    mono: list[int] = []
+    for factor in term.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise ValueError("empty factor")
+        if factor.startswith("x"):
+            mono.append(int(factor[1:]))
+        else:
+            coeff *= parse_coeff(factor)
+    return tuple(mono), coeff
+
+
+def expand_to_assoc(a: LieElt) -> AssocPoly:
+    """Expansion in the free associative algebra, summed in integer
+    numerators over one denominator: one Fraction per word."""
     den, ints = _integral(a.terms)
     acc = sum_terms((m, n * k) for w, n in ints.items() for m, k in _expand_word(w).items())
     return AssocPoly._trusted((a.rank,), {m: Fraction(n, den) for m, n in acc.items()})
@@ -177,7 +235,7 @@ def _expand_word(w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     )
 
 
-def project_to_lyndon(p) -> LieElt:
+def project_to_lyndon(p: AssocPoly) -> LieElt:
     """Inverse of expand_to_assoc on Lie elements; raises
     :class:`LieProjectionError` otherwise."""
     # triangular projection: take off c*b(w) for the least monomial w while w
@@ -187,8 +245,6 @@ def project_to_lyndon(p) -> LieElt:
         c = coords[w] = residual[w]
         sum_terms(((m, -c * k) for m, k in _expand_word(w).items()), residual)
     if residual:
-        from .assoc_env import AssocPoly
-
         raise LieProjectionError(AssocPoly(p.rank, residual))
     return LieElt._trusted((p.rank,), coords)
 
@@ -492,9 +548,6 @@ def render_bracketing(tree) -> str:
     if isinstance(tree, int):
         return f"y{tree}"
     return f"[{render_bracketing(tree[0])},{render_bracketing(tree[1])}]"
-
-
-format_lie = format_terms
 
 
 class _LieParser:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from .lincomb import Graded, Terms, format_terms, sum_terms, terms_of
+from .lincomb import Graded, Terms, sum_terms, terms_of
 from .words import Word
 
 
@@ -131,6 +131,3 @@ def ideal_weight(a, cutoff: int) -> Optional[int]:
     """Minimal degree of the Magnus image of a ring element; 0 iff the
     augmentation is nonzero.  None means the image vanishes up to cutoff."""
     return embed_ring(a, cutoff).min_degree()
-
-
-format_series = format_terms

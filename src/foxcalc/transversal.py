@@ -7,13 +7,15 @@ Two styles:
     remaining cosets ("beta classes") extend earlier representatives by one
     letter of the full alphabet.
 Both are Schreier systems: prefix closure is re-verified at construction.
+transversal_for builds one per oracle and kept sub-alphabet and keeps it on
+the oracle; lattice_membership certifies theorem 1's witnesses with it.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .fox_group import FoxIndex, fox_derivative, free_index
 from .group_ring import QuotientOracle, RingElt
 from .lattice import hermite_normal_form, lattice_contains
 from .words import (
@@ -102,8 +104,6 @@ class Transversal:
         """Extend the rep table by a shortlex-ordered search over the coset
         graph: candidates rep * x are popped smallest first and a coset gets
         the first candidate that reaches it."""
-        import heapq
-
         letters = self._letters(sub_only)
         heap: list = []
         counter = 0
@@ -314,35 +314,28 @@ class Transversal:
         return {t: RingElt(self.alphabet, pairs) for t, pairs in groups.items()}
 
 
-def derivative_leading_term_check(
-    t: Transversal, gen0: SchreierGenerator, gen: SchreierGenerator
-) -> bool:
-    """Head-term shape of D_{j0} on Schreier generators, j0 the free index
-    of gen0's defining letter: D_{j0}(gen0) = rep(s g_j0)^-1 + (terms over
-    other representatives), while other generators defined by the same
-    letter contribute no rep(s g_j0)^-1 head at all."""
-    if not isinstance(gen0.letter, FreeLetter):
-        raise ValueError("gen0 must be defined by a free letter")
-    j0 = free_index(gen0.letter.index)
-    head = t.representative(
-        multiply(gen0.rep, Word(t.alphabet, (gen0.letter,)))
-    )
-    decomp = t.derivative_decomposition(fox_derivative(gen.value, j0))
-    coeff = decomp.get(head)
-    if gen == gen0:
-        return coeff == RingElt.one(t.alphabet)
-    return coeff is None
+def transversal_for(q: QuotientOracle, keep: frozenset[int] = frozenset()) -> Transversal:
+    """The Schreier transversal that carries F_K cap N for the kept free
+    indices: alpha/beta over ``keep``, shortlex when nothing is kept.  N
+    never changes, so each is built once and kept on the oracle, one per
+    sub-alphabet asked for, for as long as the oracle lives."""
+    t = q.transversals.get(keep)
+    if t is None:
+        t = Transversal(q, "alphabeta", keep) if keep else Transversal(q)
+        q.transversals[keep] = t
+    return t
 
 
-def lattice_membership(t: Transversal, u: Word, K: frozenset[FoxIndex]) -> bool:
+def lattice_membership(t: Transversal, u: Word, K: frozenset[tuple[str, int]]) -> bool:
     """Certify u in (F_K cap N)^F [N, N] through the free abelianisation of
-    N on its Schreier generators.  Free alphabets, finite index only.  t is
-    used as it is when it is the alpha/beta transversal over K's letters
-    (or K has none); otherwise the oracle's transversal over them is."""
+    N on its Schreier generators, K a set of Fox indices ("free", j) and
+    ("factor", i).  Free alphabets, finite index only.  t is used as it is
+    when it is the alpha/beta transversal over K's letters (or K has none);
+    otherwise the oracle's transversal over them is."""
     if t.alphabet.n_factors:
         raise ValueError("lattice membership requires a free alphabet")
     keep = frozenset(j for kind, j in K if kind == "free")
     if keep and (t.style, t.subalphabet) != ("alphabeta", keep):
-        t = t.oracle.transversal(keep)
+        t = transversal_for(t.oracle, keep)
     vec = t._vector(t._rewrite(u))
     return lattice_contains(t.sub_lattice() if keep else [], vec)

@@ -2,9 +2,14 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
 from foxcalc.cli import main
-from foxcalc.group_ring import parse_ring
-from foxcalc.words import Alphabet, parse_word
+from foxcalc.fox_group import free_index, schumann_check, subgroup_gamma_criterion
+from foxcalc.fox_lie import lie_fox
+from foxcalc.group_ring import abelianization_oracle, free_nilpotent_oracle, parse_ring
+from foxcalc.lie_core import expand_to_assoc, parse_lie, parse_poly
+from foxcalc.words import Alphabet, commutator, format_word, parse_word
 
 
 def run(capsys, *argv):
@@ -304,3 +309,95 @@ def test_atom_budget_edge():
     assert len(_word("g1^100000", Alphabet(2)).letters) == 1
     with pytest.raises(ValueError, match="atoms"):
         _word("g1^99999 g2^-2", Alphabet(2))
+
+
+COMM = "g1 g2 g1^-1 g2^-1"  # in N for every quotient spec below
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        "index:2,2:g1=1,0;g2=0,1;g5=1,1",  # no g5 at rank 2
+        "index:2,2:g1=1,0;g2=0,1;a1=1,0",  # no cyclic factor
+        "index:2,2:g0=1,0;g1=1,0;g2=0,1",  # g0 is no generator, not the last one
+        "index:2,2:g1=1,0;g2=0,1;g1=0,1",  # g1 given twice
+        "trivial:x",
+        "abel:x",
+        "abel:",
+    ],
+)
+def test_bad_quotient_spec_exits_2(capsys, quotient):
+    code = main(["group", "schumann", "--rank", "2", "--word", COMM, "--quotient", quotient])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "quotient spec" in out.err
+
+
+def test_bad_root_spec_exits_2(capsys):
+    argv = ["lie", "freiheit", "--rank", "3", "--relator", "[y1, y3]", "--spec", "2", "--cutoff", "4"]
+    code = main(argv + ["--root", "gamma:2"])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "root spec" in out.err
+    code, doc = run(capsys, *argv, "--root", "power:2")
+    assert code in (0, 1) and doc["entries"]
+
+
+def _residues(rep) -> dict:
+    return {
+        f"{'g' if kind == 'free' else 'a'}{i}": {str(key): c for key, c in r.items()}
+        for (kind, i), r in rep.residues.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "word, n_class", [("g1^-3 g2^2 g1^3 g2^-2", 1), ("g1^3 g2^-2 g1^-3 g2^2", 2)]
+)
+def test_gamma_criterion_cli_matches_library(capsys, word, n_class):
+    code, doc = run(
+        capsys, "group", "gamma-criterion", "--rank", "2", "--word", word, "--keep", "g1",
+        "--class", str(n_class), "--cutoff", "4",
+    )
+    rep = subgroup_gamma_criterion(
+        parse_word(word, Alphabet(2)), frozenset({free_index(1)}), n_class, 4
+    )
+    assert code == (0 if rep.holds else 1)
+    assert doc == {
+        "holds": rep.holds,
+        "vbar": format_word(rep.vbar),
+        "derivative_ok": {f"g{j}": rep.derivative_ok[free_index(j)] for j in (1, 2)},
+        "witness_weight_ok": rep.witness_weight_ok,
+    }
+
+
+def test_lie_derive_cli_matches_library(capsys):
+    expr = "[y1, [y2, y3]] + 1/2*y2"
+    code, doc = run(capsys, "lie", "derive", "--rank", "3", "--expr", expr)
+    fox = lie_fox(expand_to_assoc(parse_lie(expr, 3)))
+    assert code == 0
+    assert Fraction(doc["constant"]) == fox.constant
+    assert {int(j): parse_poly(p, 3) for j, p in doc["partials"].items()} == fox.partials
+
+
+def test_nilpotent_quotient_cli_matches_library(capsys):
+    al = Alphabet(2)
+    g1, g2 = parse_word("g1", al), parse_word("g2", al)
+    for v in (commutator(commutator(g1, g2), g1), commutator(commutator(g1, g2), commutator(g1, g2 ** 2))):
+        code, doc = run(
+            capsys, "group", "schumann", "--rank", "2", "--word", format_word(v), "--quotient", "nilpotent:2"
+        )
+        rep = schumann_check(v, free_nilpotent_oracle(al, 2))
+        assert code == (0 if rep.holds else 1)
+        assert doc == {"holds": rep.holds, "residues": _residues(rep)}
+
+
+def test_abel_kill_quotient_cli_matches_library(capsys):
+    al = Alphabet(1, (2,))
+    argv = ["group", "schumann", "--rank", "1", "--factors", "2", "--word", "a1"]
+    code, doc = run(capsys, *argv, "--quotient", "abel:kill")
+    rep = schumann_check(parse_word("a1", al), abelianization_oracle(al, kill_factors=True))
+    assert code == (0 if rep.holds else 1)
+    assert doc == {"holds": rep.holds, "residues": _residues(rep)}
+    # a1 lies in the kernel only once the factor is killed
+    code, doc = run(capsys, *argv, "--quotient", "abel")
+    assert code == 2 and doc is None

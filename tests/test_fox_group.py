@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from foxcalc.fox_group import (
     all_indices,
-    escalate_witness,
     fox_derivative,
     free_index,
     fundamental_decomposition,
@@ -20,7 +19,6 @@ from foxcalc.group_ring import (
     RingElt,
     finite_index_oracle,
     reduce_mod,
-    ring_multiply,
     trivial_oracle,
 )
 from foxcalc.magnus import embed, embed_ring, gamma_weight, ideal_weight
@@ -52,17 +50,13 @@ def index4_oracle():
 @settings(max_examples=80)
 def test_derivation_law(u, v):
     for k in all_indices(MIXED):
-        assert fox_derivative(multiply(u, v), k) == ring_multiply(
-            fox_derivative(u, k), v
-        ) + fox_derivative(v, k)
+        assert fox_derivative(multiply(u, v), k) == fox_derivative(u, k) * v + fox_derivative(v, k)
 
 
 @given(words(MIXED, 8))
 def test_inverse_law(u):
     for k in all_indices(MIXED):
-        assert fox_derivative(invert(u), k) == ring_multiply(
-            fox_derivative(u, k), invert(u)
-        ).scale(-1)
+        assert fox_derivative(invert(u), k) == (fox_derivative(u, k) * invert(u)).scale(-1)
 
 
 @given(st.lists(st.tuples(words(MIXED, 4), st.integers(-4, 4)), max_size=5))
@@ -82,7 +76,7 @@ def test_conjugation_congruence(n, f):
     assert q.contains(n)
     for k in all_indices(FREE2):
         lhs = reduce_mod(fox_derivative(conjugate(n, f), k), q)
-        rhs = reduce_mod(ring_multiply(fox_derivative(n, k), f), q)
+        rhs = reduce_mod(fox_derivative(n, k) * f, q)
         assert lhs == rhs
 
 
@@ -119,6 +113,24 @@ def test_theorem1_examples():
     assert rep.holds and rep.witness == g1 ** 2 and rep.witness_member
     rep = theorem1_check(g2 ** 2, frozenset({free_index(1)}), q)
     assert not rep.holds and rep.witness_member is False
+
+
+def test_theorem1_witness_from_the_search():
+    """The retraction of g2 onto F_{g1} is 1, which misses g2's coset of
+    N = ker(g1, g2 -> 1 in Z/2): the bounded search finds g1 instead."""
+    q = finite_index_oracle(FREE2, (2,), [(1,), (1,)])
+    rep = theorem1_check(parse_word("g2", FREE2), frozenset({free_index(1)}), q)
+    assert rep.witness == parse_word("g1", FREE2)
+    assert (rep.holds, rep.witness_member, rep.status) == (False, False, "decided")
+
+
+def test_theorem1_without_a_witness_is_inconclusive():
+    """N = ker(g1 -> 0, g2 -> 1 in Z/2): F_{g1} lies in N, so no word of
+    F_{g1} shares g2's coset and the search ends without a witness."""
+    q = finite_index_oracle(FREE2, (2,), [(0,), (1,)])
+    rep = theorem1_check(parse_word("g2", FREE2), frozenset({free_index(1)}), q)
+    assert not rep.holds and rep.status == "inconclusive-witness"
+    assert rep.witness is None and rep.witness_member is None
 
 
 def test_theorem1_equivalence_sweep_short():
@@ -165,7 +177,7 @@ def test_gamma_criterion_and_escalation():
     # v involving g2 at degree 1 fails already at n=1
     assert not subgroup_gamma_criterion(multiply(g2, g1), K, 1, 4).holds
     # escalation bumps the witness weight by one
-    w = escalate_witness(commutator(g1, g2), g2)
+    w = commutator(commutator(g1, g2), g2)
     assert gamma_weight(w, 4) == 3
     assert (
         ideal_weight(fox_derivative(w, free_index(1)), 4)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foxcalc.assoc_env import AssocPoly, reduce_mod_ideal
+from foxcalc.assoc_env import reduce_mod_ideal
 from foxcalc.fox_lie import (
     SigmaError,
     SubalgebraIdealContext,
@@ -21,6 +21,7 @@ from foxcalc.fox_lie import (
     validate_free_base,
 )
 from foxcalc.lie_core import (
+    AssocPoly,
     GradedSubspace,
     LieElt,
     bracket,

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foxcalc.assoc_env import AssocPoly
 from foxcalc.group_ring import RingElt
-from foxcalc.lie_core import LieElt, lyndon_words
+from foxcalc.lie_core import AssocPoly, LieElt, lyndon_words
 from foxcalc.magnus import TruncSeries
 from foxcalc.words import Alphabet, identity, parse_word
 

@@ -4,14 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foxcalc.fox_group import free_index
+from foxcalc.fox_group import derivative_leading_term_check, free_index
 from foxcalc.group_ring import abelianization_oracle, finite_index_oracle, trivial_oracle
 from foxcalc.lattice import hermite_normal_form, lattice_contains
-from foxcalc.transversal import (
-    Transversal,
-    derivative_leading_term_check,
-    lattice_membership,
-)
+from foxcalc.transversal import Transversal, lattice_membership
 from foxcalc.words import (
     Alphabet,
     FreeLetter,
