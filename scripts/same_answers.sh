@@ -3,8 +3,9 @@
 # commands, four more Lie commands, eight group-criteria commands, four
 # frontier Freiheitssatz commands, five frontier commands on generic
 # (two-term) relators, two of them with specs that need every degree, two
-# Kharlampovich checks at cutoff 8, and three PBW commands on elements with
-# rational coefficients,
+# Kharlampovich checks at cutoff 8, three PBW commands on elements with
+# rational coefficients, and three commands that read [N, N] in several
+# degrees of one N or an ideal built as gamma_3,
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
 # stdout plus exit code.  Exits 1 on any difference.
@@ -81,4 +82,9 @@ check lie kharlampovich --rank 3 --expr "[y1, y2] + [[y1, y2], [y1, y3]]" --cuto
 check lie kharlampovich --rank 3 --expr "1/2*[[y1, y2], [y1, y3]] - 2/3*[[y1, y3], [y2, y3]]" --cutoff 7
 check lie kharlampovich --rank 3 --expr "3/2*[y1, y2] + 1/3*[[y1, y2], [y1, y3]]" --cutoff 7
 check lie decompose --rank 3 --expr "1/2*y1 + 2/3*[y1, y2] - 3/4*[[y1, y2], [y1, y3]]" --keep 1,2 --cutoff 6
+# [N, N] kept on N across degrees (exit 0), over N = gamma_3 (exit 1), and a
+# decomposition over gamma_3, an ideal by construction (exit 0)
+check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]] + [[y1, y2], [[y1, y2], y3]]" --cutoff 6
+check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, [y1, y3]]]" --ideal power:3 --cutoff 6
+check lie decompose --rank 3 --expr "y1 + [[y1, y2], y2]" --keep 1,2 --ideal power:3 --cutoff 6
 exit $fail

@@ -242,7 +242,11 @@ class PBWContext:
 
 def is_ideal(n: GradedSubspace) -> bool:
     """Is the graded subspace closed under bracketing with the generators
-    (hence an ideal), as far as the cutoff can tell?"""
+    (hence an ideal), as far as the cutoff can tell?  A subspace built as
+    an ideal (gamma_m(L), ideal_closure) says so itself; any other is
+    checked bracket by bracket."""
+    if n.built_as_ideal:
+        return True
     gens = [LieElt.gen(n.rank, j) for j in range(1, n.rank + 1)]
     for d in sorted(n.comp):
         if d + 1 > n.cutoff:

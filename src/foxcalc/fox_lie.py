@@ -253,10 +253,12 @@ def solve_sigma_zero_ideal(
 def commutator_subspace(
     n: GradedSubspace, degrees: Optional[Iterable[int]] = None
 ) -> GradedSubspace:
-    """Graded span of [N, N]; given degrees, only those components are built
-    and the others are left empty, which is enough for membership of an
-    element with those degrees ([N, N]_d depends only on N).  A degree
-    above the cutoff raises ValueError."""
+    """Graded span of [N, N]; given degrees, only those components are
+    returned and the others are left empty, which is enough for membership
+    of an element with those degrees ([N, N]_d depends only on N).  N keeps
+    [N, N] degree by degree, so each degree is built once per N, the first
+    time any call asks for it.  A degree above the cutoff raises ValueError
+    and builds nothing."""
     return n.bracket_span(n, degrees)
 
 
@@ -274,7 +276,9 @@ def theorem_decomposition(
 ) -> DecompositionReport:
     """D_k(v) = 0 mod N_U for all k outside K  iff  v = v0 + v1 mod [N, N]
     with v0 in F_K and v1 in the ideal generated by F_K cap N; the
-    decomposition is produced constructively when the criterion holds."""
+    decomposition is produced constructively when the criterion holds.  Its
+    certificate, v - v0 - v1 in [N, N], reads [N, N] in that element's
+    degrees, which N keeps once built."""
     rank = v.rank
     K = frozenset(K)
     if not K <= set(range(1, rank + 1)):
@@ -313,7 +317,8 @@ def theorem_decomposition(
 
 def kharlampovich_check(v: LieElt, n: GradedSubspace) -> bool:
     """All D_j(v) = 0 mod N_U  iff  v in [N, N]; both sides are computed and
-    compared, a mismatch raises.  [N, N] is built in v's degrees only."""
+    compared, a mismatch raises.  [N, N] is read in v's degrees only; N
+    keeps each degree once built, so a session on one N builds it once."""
     if not n.member(v):
         raise ValueError("v must lie in N")
     fox = lie_fox(expand_to_assoc(v))

@@ -138,10 +138,14 @@ def _free_factor(rank: int, h_rank: Optional[int], cutoff: int) -> GradedSubspac
 
 
 def _criterion(r: LieElt, comps: list, h: GradedSubspace) -> LieCriterionResult:
-    """lie_criterion over an already computed series and H."""
+    """lie_criterion over an already computed series and H.  Membership of r
+    reads only r's degrees, so H + N_next is built in those alone."""
     i = filtration_level(r, comps)
     n_next = _flatten_series(comps)[i][2]
-    return LieCriterionResult(i, not h.sum(n_next).member(r))
+    span = GradedSubspace._trusted(
+        r.rank, h.cutoff, {d: h.echelon(d).sum(n_next.echelon(d)) for d in r.degrees()}
+    )
+    return LieCriterionResult(i, not span.member(r))
 
 
 def lie_criterion(
@@ -204,22 +208,29 @@ def lie_freiheitssatz_verify(
     comps = series_components(spec, r.rank, cutoff)
     h = _free_factor(r.rank, h_rank, cutoff)
     crit = _criterion(r, comps, h)
-    top = max(
-        (
-            d
-            for d in range(1, cutoff + 1)
-            if any(t.dim(d) < witt_dimension(r.rank, d) for _, _, t in comps)
-        ),
-        default=0,
-    )
-    big_r = GradedSubspace._trusted(r.rank, cutoff, ideal_generated(r, top).comp)
+    top = 0
+    for d in range(1, cutoff + 1):
+        witt = witt_dimension(r.rank, d)
+        if any(t.dim(d) < witt for _, _, t in comps):
+            top = d
+    big_r = ideal_generated(r, top)
+    # up to D, one pair of intersections per distinct component echelon:
+    # gamma_l(L) shares L's echelons, and the joint N_{k,m_k+1} = N_{k+1,1}
+    # is one object; echelons are not hashable, so they are keyed by identity
+    dims: dict[tuple[int, int], tuple[int, int]] = {}
+    for d in range(1, top + 1):
+        h_d, r_d = h.echelon(d), big_r.echelon(d)
+        for _, _, term in comps:
+            n_d = term.echelon(d)
+            if (d, id(n_d)) not in dims:
+                lhs, rhs = h_d.intersect(r_d.sum(n_d)), h_d.intersect(n_d)
+                dims[d, id(n_d)] = len(lhs.pivot_rows), len(rhs.pivot_rows)
     entries = []
-    prev = None
     for k, l, term in comps:
-        if term is not prev:  # the joint N_{k,m_k+1} = N_{k+1,1} is one object
-            lhs, rhs, prev = h.intersect(big_r.sum(term)), h.intersect(term), term
         for d in range(1, cutoff + 1):
-            entries.append(FreiheitEntry(k, l, d, lhs.dim(d), rhs.dim(d)))
+            # above D, R + N_kl and N_kl are both L_d: both sides are H_d
+            lhs, rhs = dims[d, id(term.echelon(d))] if d <= top else (h.dim(d), h.dim(d))
+            entries.append(FreiheitEntry(k, l, d, lhs, rhs))
     all_equal = all(e.equal for e in entries)
     consistent = all_equal == crit.satisfied if crit.satisfied else True
     return FreiheitReport(crit, entries, all_equal, consistent)

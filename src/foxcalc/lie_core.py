@@ -38,8 +38,14 @@ subalgebra_closure and power_subspace return these directly and close by
 brackets only for other generators or bases.  Their echelons are unit rows,
 so the kernel intersects with them by column order, without Zassenhaus
 doubling.  gamma_l(L) shares the echelons of the L it is taken from, so a
-series over L builds the unit rows of each degree once; nothing is kept
-between calls.
+series over L builds the unit rows of each degree once.
+
+A subspace is immutable, and keeps what is known of it for as long as it
+lives: its own commutator subspace [S, S], degree by degree as bracket_span
+builds it, and whether it was built as an ideal of the whole algebra
+(gamma_m(L) and ideal_closure).  So a session that asks about one ideal N
+builds each degree of [N, N] once; [N, N]_d lies in N_d, and the stored
+echelons go when N goes.  Nothing else is kept between calls.
 """
 from __future__ import annotations
 
@@ -318,14 +324,19 @@ class GradedSubspace:
     component is an Echelon of canonical integer rows over the Lyndon
     coordinates (primitive, positive at the pivot, zero at the other
     pivots): one form per subspace, so equal subspaces compare and hash
-    equal.  Components are never grown once the subspace is built."""
+    equal.  Components are never grown once the subspace is built.
 
-    __slots__ = ("rank", "cutoff", "comp", "_hash")
+    ``_known`` holds what is known of the subspace without changing it
+    (equality and hash ignore it): ``_known[d]``, the echelon of
+    [self, self]_d once bracket_span has built it, and ``_known["ideal"]``,
+    True when the subspace was built as an ideal of the whole algebra."""
+
+    __slots__ = ("rank", "cutoff", "comp", "_hash", "_known")
 
     def __init__(self, rank: int, cutoff: int, comp: Mapping[int, Iterable[Vector]] = ()):
         """comp maps a degree to rows spanning that component, in any form
         Echelon accepts; they are reduced to canonical rows here."""
-        self.rank, self.cutoff, self._hash = rank, cutoff, None
+        self.rank, self.cutoff, self._hash, self._known = rank, cutoff, None, {}
         self.comp = {
             d: ech for d, rows in dict(comp).items() if (ech := Echelon(rows)).pivot_rows
         }
@@ -334,7 +345,7 @@ class GradedSubspace:
     def _trusted(cls, rank: int, cutoff: int, comp: Mapping[int, Echelon]) -> "GradedSubspace":
         """A subspace holding echelons that no one grows any more."""
         out = object.__new__(cls)
-        out.rank, out.cutoff, out._hash = rank, cutoff, None
+        out.rank, out.cutoff, out._hash, out._known = rank, cutoff, None, {}
         out.comp = {d: ech for d, ech in comp.items() if ech.pivot_rows}
         return out
 
@@ -438,14 +449,31 @@ class GradedSubspace:
                 return False
         return True
 
+    @property
+    def built_as_ideal(self) -> bool:
+        """Is this subspace an ideal of the whole algebra by construction
+        (gamma_m(L), ideal_closure)?  False says only that it was not
+        built as one."""
+        return self._known.get("ideal", False)
+
     def bracket_span(
         self, other: "GradedSubspace", degrees: Iterable[int] | None = None
     ) -> "GradedSubspace":
         """Graded span of [self, other] up to the cutoff; given degrees, only
         those components are built (each depends on self and other alone)
-        and the others are left empty."""
+        and the others are left empty.  [self, self] is kept on self: each
+        of its degrees is built once, the first time it is asked for, and
+        the result shares the kept echelons."""
         self._check(other)
-        return _graded_brackets(self.rank, self.cutoff, (), self, other, degrees)
+        if other is not self:
+            return _graded_brackets(self.rank, self.cutoff, (), self, other, degrees)
+        known = self._known
+        wanted = range(1, self.cutoff + 1) if degrees is None else sorted(set(degrees))
+        missing = [d for d in wanted if d not in known]
+        if missing:
+            built = _graded_brackets(self.rank, self.cutoff, (), self, self, missing)
+            known.update((d, built.echelon(d)) for d in missing)
+        return GradedSubspace._trusted(self.rank, self.cutoff, {d: known[d] for d in wanted})
 
 
 def _graded_brackets(
@@ -524,20 +552,25 @@ def ideal_closure(elements: Sequence[LieElt], rank: int, cutoff: int) -> GradedS
     degree d and the brackets of the ideal's canonical rows in degree d - 1
     with the letters."""
     letters = GradedSubspace.full(rank, 1)
-    return _graded_brackets(rank, cutoff, [e.truncate(cutoff) for e in elements], None, letters)
+    out = _graded_brackets(rank, cutoff, [e.truncate(cutoff) for e in elements], None, letters)
+    out._known["ideal"] = True
+    return out
 
 
 def power_subspace(base: GradedSubspace, power: int) -> GradedSubspace:
     """power-th term of the lower central series of the subspace: iterated
     bracket spans [[base, base], base], ...; for the whole algebra, which is
     generated in degree 1, the span of the degrees >= power, which shares
-    the base's echelons (components are never grown once built)."""
+    the base's echelons (components are never grown once built) and is an
+    ideal by construction."""
     if power < 1:
         raise ValueError("power must be positive")
     if all(base.dim(d) == witt_dimension(base.rank, d) for d in range(1, base.cutoff + 1)):
-        return GradedSubspace._trusted(
+        out = GradedSubspace._trusted(
             base.rank, base.cutoff, {d: ech for d, ech in base.comp.items() if d >= power}
         )
+        out._known["ideal"] = True
+        return out
     out = base
     for _ in range(power - 1):
         out = out.bracket_span(base)

@@ -98,6 +98,47 @@ def test_is_ideal():
     assert not is_ideal(h)
 
 
+def _bracket_checked(n):
+    """is_ideal on a copy of n that records nothing, so the bracket check runs."""
+    copy = GradedSubspace._trusted(n.rank, n.cutoff, dict(n.comp))
+    assert not copy.built_as_ideal
+    return is_ideal(copy)
+
+
+def test_ideal_record_agrees_with_the_bracket_check():
+    """gamma_m(L) and ideal_closure record that they are ideals, and the
+    bracket check agrees; subspaces built otherwise record nothing, and
+    is_ideal gives the bracket check's answer for them, which is False for
+    F_K and [F_K, F_K] (K a proper subset of at least two letters) and the
+    span of an element of degree below the cutoff.  [F_K, F_K] for one
+    letter is zero, an ideal the record does not know of."""
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for rank, cutoff in ((2, 5), (3, 4), (4, 3)):
+        full = GradedSubspace.full(rank, cutoff)
+        ideals = [power_subspace(full, m) for m in range(1, cutoff + 2)]
+        for _ in range(3):
+            d = rng.randint(1, 3)
+            row = {k: rng.choice((-2, -1, 1, 3)) for k in range(witt_dimension(rank, d)) if rng.random() < 0.6}
+            ideals.append(ideal_closure([lie_from_vector(rank, d, row or {0: 1})], rank, cutoff))
+        for n in ideals:
+            assert n.built_as_ideal and is_ideal(n) and _bracket_checked(n)
+            seen[True] += 1
+        K = rng.sample(range(1, rank + 1), rng.randint(min(2, rank - 1), rank - 1))
+        fk = subalgebra_closure([LieElt.gen(rank, j) for j in K], rank, cutoff)
+        d = rng.randint(1, cutoff - 1)
+        row = {k: rng.choice((-2, -1, 1, 3)) for k in range(witt_dimension(rank, d))}
+        others = [power_subspace(fk, m) for m in (1, 2)]
+        others.append(GradedSubspace.span([lie_from_vector(rank, d, row)], rank, cutoff))
+        others.append(_random_subspace(rng, rank, cutoff).sum(others[-1]))
+        for x in others:
+            want = _bracket_checked(x)
+            assert not x.built_as_ideal and is_ideal(x) == want
+            seen[want] += 1
+        assert not any(map(_bracket_checked, others[:3] if len(K) > 1 else others[:3:2]))
+    assert seen[False] >= 9 and seen[True] >= 20
+
+
 def test_adapted_basis_orientations():
     cutoff = 4
     full = GradedSubspace.full(2, cutoff)

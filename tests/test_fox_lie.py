@@ -398,9 +398,11 @@ def test_commutator_subspace_in_given_degrees_matches_full_span(label, n):
     """[N, N] built in a set of degrees equals the full [N, N] there and is
     empty elsewhere; Kharlampovich verdicts on random elements of N are
     those of membership in the full [N, N]; a degree above the cutoff
-    raises."""
+    raises.  The oracle is the full [N, N] of a fresh copy of N, since N
+    keeps the degrees it has built."""
     rng = random.Random(label)
-    full = n.bracket_span(n)
+    fresh = GradedSubspace._trusted(n.rank, n.cutoff, dict(n.comp))
+    full = fresh.bracket_span(fresh)
     degrees = range(1, n.cutoff + 1)
     for _ in range(6):
         ds = set(rng.sample(degrees, rng.randint(0, n.cutoff)))
@@ -426,6 +428,88 @@ def test_commutator_subspace_in_given_degrees_matches_full_span(label, n):
     if top:
         with pytest.raises(ValueError, match="exceeds cutoff"):
             kharlampovich_check(top[0], small)
+
+
+def _fresh_commutator(n, degrees):
+    """[N, N] in the given degrees, built from scratch on a copy of N."""
+    copy = GradedSubspace._trusted(n.rank, n.cutoff, dict(n.comp))
+    return copy.bracket_span(copy, degrees)
+
+
+@pytest.mark.parametrize("label,n", [pytest.param(*case, id=case[0]) for case in _commutator_cases()])
+def test_commutator_session_matches_fresh_copies(label, n):
+    """One N through a session of shuffled, overlapping and empty degree
+    sets, with kharlampovich_check, theorem_decomposition and
+    commutator_subspace interleaved: every [N, N] answer equals the one a
+    fresh copy of N builds, and the verdicts are those of membership in it."""
+    rng = random.Random("session-" + label)
+    degrees = list(range(1, n.cutoff + 1))
+    K = frozenset(range(1, n.rank))
+    for step in range(12):
+        ds = rng.sample(degrees, rng.randint(0, len(degrees)))
+        ds += rng.sample(degrees, rng.randint(0, 2))  # overlaps, in any order
+        part = commutator_subspace(n, ds)
+        assert part == _fresh_commutator(n, ds)
+        assert {d for d in part.comp} <= set(ds)
+        v = _random_member(rng, n if step % 2 else _fresh_commutator(n, None), n.cutoff)
+        if v.is_zero:
+            continue
+        if step % 3 == 2:
+            rep = theorem_decomposition(v, K, n)
+            assert not rep.holds or rep.certified is True
+        else:
+            assert kharlampovich_check(v, n) == _fresh_commutator(n, v.degrees()).member(v)
+    assert commutator_subspace(n, ()) == GradedSubspace.zero(n.rank, n.cutoff)
+    assert commutator_subspace(n) == _fresh_commutator(n, None)
+
+
+def test_commutator_repeat_builds_nothing(monkeypatch):
+    """A degree of [N, N] asked for again takes no bracket; the answers
+    share N's kept echelons, and a degree set and its complement fill the
+    rest without rebuilding the first."""
+    import foxcalc.lie_core as lie_core
+
+    calls = []
+    raw = lie_core.bracket
+    monkeypatch.setattr(lie_core, "bracket", lambda a, b: calls.append(1) or raw(a, b))
+    n = power_subspace(GradedSubspace.full(3, 6), 2)
+    first = commutator_subspace(n, {4, 6})
+    assert calls
+    calls.clear()
+    again = commutator_subspace(n, [6, 4, 4])
+    assert not calls and again == first
+    whole = commutator_subspace(n)
+    assert calls and whole == _fresh_commutator(n, None)
+    assert all(x.echelon(d) is first.echelon(d) for x in (again, whole) for d in (4, 6))
+    calls.clear()
+    assert commutator_subspace(n) == whole and n.bracket_span(n, range(1, 7)) == whole
+    assert kharlampovich_check(whole.basis_elements(6)[0], n)
+    assert not calls
+
+
+def test_commutator_above_cutoff_keeps_the_stored_degrees():
+    n = power_subspace(GradedSubspace.full(3, 5), 2)
+    commutator_subspace(n, {4})
+    kept = dict(n._known)
+    for ds in ({6}, {3, 6}, {2, 4, 5, 9}):
+        with pytest.raises(ValueError, match="exceeds cutoff"):
+            commutator_subspace(n, ds)
+        assert n._known == kept and all(n._known[d] is kept[d] for d in kept)
+
+
+def test_commutator_store_leaves_hash_and_equality():
+    """Filling [N, N] changes neither N's hash nor what it equals; two equal
+    but distinct N each build their own [N, N]."""
+    full = GradedSubspace.full(3, 5)
+    a, b = power_subspace(full, 2), power_subspace(full, 2)
+    before = hash(a)
+    assert a == b and a is not b
+    commutator_subspace(a)
+    assert hash(a) == before == hash(b) and a == b
+    assert a == GradedSubspace._trusted(3, 5, dict(a.comp))
+    assert not any(d in b._known for d in range(1, 6))
+    assert commutator_subspace(b, {5}) == commutator_subspace(a, {5})
+    assert b._known[5] is not a._known[5]
 
 
 def test_closures_take_no_degree_set():

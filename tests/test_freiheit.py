@@ -101,25 +101,44 @@ def test_h_rank_out_of_range(h_rank):
         group_criterion_bruteforce(parse_word("g1 g3 g1^-1 g3^-1", Alphabet(3)), h_rank=h_rank)
 
 
-def test_freiheit_verify_intersects_each_term_once(monkeypatch):
-    """The block joint N_{1,m_1+1} = N_{2,1} is one object: its two
-    intersections are computed once and reported under both (k, l)."""
-    calls = []
-    intersect = GradedSubspace.intersect
+def test_freiheit_verify_intersects_each_degree_component_once(monkeypatch):
+    """Up to D the verifier intersects once per degree and distinct
+    component echelon on each side: gamma_l(L) shares L's echelons and the
+    block joint N_{1,m_1+1} = N_{2,1} is one object, so both are read once.
+    Above D it intersects nothing, and the entries still match those of
+    the full closure, term by term."""
+    import foxcalc.freiheit as fr
 
-    def counted(self, other):
-        calls.append(other)
-        return intersect(self, other)
-
-    monkeypatch.setattr(GradedSubspace, "intersect", counted)
-    spec = SeriesSpec((1, 2))
-    rep = lie_freiheitssatz_verify(parse_lie("[y1, y3]", 3), spec, 5)
-    terms = {id(t) for _, _, t in series_components(spec, 3, 5)}
-    assert len(calls) == 2 * len(terms) == 2 * 4
-    rows = {(e.k, e.l): [] for e in rep.entries}
-    for e in rep.entries:
-        rows[(e.k, e.l)].append((e.dim_with_relator, e.dim_series))
-    assert rows[(1, 2)] == rows[(2, 1)]
+    built, calls = [], []
+    series = fr.series_components
+    monkeypatch.setattr(fr, "series_components", lambda *a: built.append(series(*a)) or built[-1])
+    intersect = Echelon.intersect
+    monkeypatch.setattr(Echelon, "intersect", lambda self, other: calls.append(other) or intersect(self, other))
+    rng = random.Random(21)
+    specs = [SeriesSpec((1, 2)), SeriesSpec((3,)), SeriesSpec((2, 2)), SeriesSpec((2,), 2)]
+    for spec, (rank, cutoff) in itertools.product(specs, ((3, 5), (4, 4))):
+        words = lyndon_words(rank, 2)
+        coeffs = {w: Fraction(rng.choice((-2, 1, 3))) for w in rng.sample(words, rng.randint(1, 2))}
+        r, h_rank = LieElt(rank, coeffs), rng.choice((None, 1, rank))
+        built.clear()
+        calls.clear()
+        rep = lie_freiheitssatz_verify(r, spec, cutoff, h_rank)
+        (comps,) = built
+        top = max(
+            (d for d in range(1, cutoff + 1) for _, _, t in comps if t.dim(d) < len(lyndon_words(rank, d))),
+            default=0,
+        )
+        pairs = {(d, id(t.echelon(d))) for d in range(1, top + 1) for _, _, t in comps}
+        assert len(calls) == 2 * len(pairs) < 2 * top * len(comps)
+        # each rhs intersection reads a component echelon as it is
+        echelons = {id(t.echelon(d)) for d in range(1, top + 1) for _, _, t in comps}
+        assert {id(o) for o in calls} >= echelons
+        assert rep.entries == _entries_with_full_ideal(r, spec, cutoff, h_rank)
+        if spec.block_lengths == (1, 2):
+            rows = {(e.k, e.l): [] for e in rep.entries}
+            for e in rep.entries:
+                rows[(e.k, e.l)].append((e.dim_with_relator, e.dim_series))
+            assert rows[(1, 2)] == rows[(2, 1)]
 
 
 @pytest.mark.parametrize("relator", ["[y1, [y1, y2]] + [y2, y3]", "[y1, y3] + [y1, [y1, y2]]"])
