@@ -60,6 +60,11 @@ expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 40
 expect 2 fox group derive --rank 2 --word "g1^100000000" --gen g1
 expect 2 fox group schumann --rank 2 --word "g1^100000000" --quotient trivial
 expect 2 fox group conjcrit --rank 3 --relator "g1^100000000" --bound 1
+# index quotients past the transversal budget (product of orders 4096) are
+# refused at once by the commands that build a transversal
+expect 0 fox group transversal --rank 2 --quotient "index:64,64:g1=1,0;g2=0,1"
+expect 2 fox group transversal --rank 2 --quotient "index:300,300:g1=1,0;g2=0,1"
+expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:100000:g1=1;g2=0"
 # quotient and root specs: every generator named once and in range, no
 # suffix on trivial/abel other than abel:kill, no root other than F/power:m
 expect 0 fox group schumann --rank 1 --factors 2 --word "a1" --quotient abel:kill

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands, four more Lie commands, eight group-criteria commands, four
+# commands, four more Lie commands, ten group-criteria commands, four
 # frontier Freiheitssatz commands, five frontier commands on generic
 # (two-term) relators, two of them with specs that need every degree, two
 # Kharlampovich checks at cutoff 8, three PBW commands on elements with
@@ -59,6 +59,9 @@ check group gamma-criterion --rank 3 --word "g1 g2 g3 g1^-1" --keep g1,g2 --clas
 check group theorem1 --rank 2 --word "g2^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1"
 check group theorem1 --rank 3 --word "g1^2 g2^2" --keep g1,g2 --quotient "index:2,2,2:g1=1,0,0;g2=0,1,0;g3=0,0,1"
 check group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --style alphabeta --sub 1
+# the alpha/beta transversal on a factor alphabet, and theorem 1 at index 400
+check group transversal --rank 2 --factors 3 --quotient "index:6,3:g1=1,0;g2=0,1;a1=0,1" --style alphabeta --sub 2
+check group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:20,20:g1=1,0;g2=0,1"
 # Magnus keys of a long word's Fox terms, and theorem 1 with a conjugate of
 # F_K cap N read off the rank-3 sub-lattice
 check group schumann --rank 3 --quotient nilpotent:2 --word "g3^-1 g2^-1 g1^-1 g2 g1 g3 g1^-1 g2^-1 g1 g2 g1^-2 g3^-1 g2^-1 g3 g2 g1 g2^-1 g3^-1 g2 g3 g1 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3 g1^-1 g3^-1 g2^-1 g3 g2 g1^-1 g2^-1 g3^-1 g2 g3 g1^2 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3"

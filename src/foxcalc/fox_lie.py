@@ -175,6 +175,15 @@ def solve_sigma_zero(
     the left-normed bracket [[..[n, w_1], ..], w_z]."""
     K = frozenset(K)
     env = SubalgebraIdealContext(rank, K, n)
+    v = _fold_sigma(u, K, env, rank)
+    _verify_solution("solve_sigma_zero", v, u, K, env)
+    return v
+
+
+def _fold_sigma(
+    u: Mapping[int, AssocPoly], K: frozenset[int], env: SubalgebraIdealContext, rank: int
+) -> LieElt:
+    """solve_sigma_zero's construction, without its final check."""
     sigma = []
     for j in sorted(K):
         p = u.get(j, AssocPoly.zero(rank))
@@ -197,7 +206,6 @@ def solve_sigma_zero(
     v = LieElt._summed((rank,), terms_of(folded))
     if bad:
         raise SigmaError("sigma is not 0 mod N_U", env.ctx.expand(bad))
-    _verify_solution("solve_sigma_zero", v, u, K, env)
     return v
 
 
@@ -224,8 +232,8 @@ def solve_sigma_zero_ideal(
     """Like solve_sigma_zero but with u_j in all of U(F): produces v in the
     ideal generated by F_K cap N.  Each u_j is split modulo N_U as
     sum_l u_{jl} f_l with f_l a pure block-d monomial and u_{jl} in U(F_K);
-    the plain solver handles each f_l slice and the d letters are folded
-    back on the right."""
+    the plain solver's construction handles each f_l slice and the d
+    letters are folded back on the right.  Only the summed v is checked."""
     K = frozenset(K)
     env = SubalgebraIdealContext(rank, K, n)
     slices: dict[tuple[int, ...], dict[int, dict]] = {}
@@ -243,7 +251,7 @@ def solve_sigma_zero_ideal(
     def fold(dpart: tuple[int, ...]) -> LieElt:
         u_slice = {j: env.ctx.expand(parts) for j, parts in slices[dpart].items()}
         tail = [env.ctx.basis.elements[k].value for k in dpart]
-        return leftnorm(solve_sigma_zero(u_slice, K, n, rank), tail)
+        return leftnorm(_fold_sigma(u_slice, K, env, rank), tail)
 
     v = LieElt._summed((rank,), terms_of(fold(dpart) for dpart in sorted(slices)))
     _verify_solution("solve_sigma_zero_ideal", v, u, K, env)

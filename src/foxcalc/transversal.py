@@ -1,25 +1,26 @@
 """Schreier transversals for a normal subgroup N given by a coset oracle.
 
-Two styles:
-  * "shortlex": the representative of a coset is its shortlex-least word;
-  * "alphabeta": cosets meeting the subgroup generated by a sub-alphabet
-    ("alpha classes") get representatives built over the sub-alphabet first,
-    remaining cosets ("beta classes") extend earlier representatives by one
-    letter of the full alphabet.
-Both are Schreier systems: prefix closure is re-verified at construction.
-transversal_for builds one per oracle and kept sub-alphabet and keeps it on
-the oracle; lattice_membership certifies theorem 1's witnesses with it.
+A transversal over a sub-alphabet S of free indices is found by one
+shortlex-ordered search of the coset graph, run over S's letters first:
+cosets meeting F_S ("alpha classes") get the least words over S, and the
+remaining cosets ("beta classes") extend earlier representatives by one
+atom of the full alphabet.  With S empty this is the shortlex transversal,
+whose representatives are the shortlex-least words of their cosets.  The
+search records the coset of rep x for every atom x, which is the coset
+table; prefix closure is checked by induction, one key per coset.
+transversal_for builds one per oracle and kept sub-alphabet and keeps it
+on the oracle; lattice_membership certifies theorem 1's witnesses with it.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .group_ring import QuotientOracle, RingElt
 from .lattice import hermite_normal_form, lattice_contains
 from .words import (
-    FactorLetter,
     FreeLetter,
     Letter,
     Word,
@@ -28,9 +29,7 @@ from .words import (
     identity,
     invert,
     multiply,
-    reduce,
     shortlex_key,
-    to_atomic,
     word_length,
 )
 
@@ -45,44 +44,29 @@ class SchreierGenerator:
 
 
 class Transversal:
-    """Schreier transversal over a quotient oracle.
+    """Schreier transversal over a quotient oracle and a sub-alphabet.
 
     Finite-index oracles are explored completely at construction.  For the
     abelianization oracle the table grows lazily, bounded by the length of
-    the queried word; other infinite-index oracles are rejected for the
-    alphabeta style.
+    the queried word; other infinite-index oracles are rejected for a
+    nonempty sub-alphabet.
     """
 
-    def __init__(
-        self,
-        oracle: QuotientOracle,
-        style: str = "shortlex",
-        subalphabet: Optional[frozenset[int]] = None,
-    ):
-        if style not in ("shortlex", "alphabeta"):
-            raise ValueError("style must be 'shortlex' or 'alphabeta'")
+    def __init__(self, oracle: QuotientOracle, subalphabet: frozenset[int] = frozenset()):
         self.oracle = oracle
         self.alphabet = oracle.alphabet
-        self.style = style
-        if subalphabet is not None and style != "alphabeta":
-            raise ValueError("a subalphabet needs the alphabeta style")
-        if style == "alphabeta":
-            if subalphabet is None:
-                subalphabet = frozenset(range(1, self.alphabet.free_rank))
-            if not subalphabet or not all(
-                1 <= j <= self.alphabet.free_rank for j in subalphabet
-            ):
-                raise ValueError("subalphabet must be a set of free indices")
-        self.subalphabet = subalphabet
+        if not all(1 <= j <= self.alphabet.free_rank for j in subalphabet):
+            raise ValueError("subalphabet must be a set of free indices")
+        self.subalphabet = frozenset(subalphabet)
         self._reps: dict = {}  # coset key -> Word
-        self._kinds: dict = {}  # coset key -> "alpha" | "beta"
+        self._succ: dict = {}  # coset key -> keys of rep x, x over atomic_alphabet
         self._explored_to = 0
         self._table: Optional[tuple] = None
         self._sub_hnf: Optional[list] = None
         if oracle.finite_index:
             self._explore(None)
             self._verify_prefix_closure()
-        elif oracle.kind != "abelianization" and style == "alphabeta":
+        elif oracle.kind != "abelianization" and self.subalphabet:
             raise ValueError(
                 "lazy alphabeta transversals are only supported over the "
                 "abelianization oracle"
@@ -90,76 +74,61 @@ class Transversal:
 
     # -- construction ---------------------------------------------------
 
-    def _letters(self, sub_only: bool) -> list[Letter]:
-        atoms = atomic_alphabet(self.alphabet)
-        if not sub_only:
-            return list(atoms)
-        return [
-            a
-            for a in atoms
-            if isinstance(a, FreeLetter) and a.index in self.subalphabet
-        ]
-
-    def _bfs(self, sub_only: bool, kind: str, max_length: Optional[int]) -> None:
-        """Extend the rep table by a shortlex-ordered search over the coset
-        graph: candidates rep * x are popped smallest first and a coset gets
-        the first candidate that reaches it."""
-        letters = self._letters(sub_only)
-        heap: list = []
-        counter = 0
-
-        def push_children(rep: Word) -> None:
-            nonlocal counter
-            for x in letters:
-                cand = multiply(rep, Word(self.alphabet, (x,)))
-                if word_length(cand) <= word_length(rep) and not isinstance(
-                    x, FactorLetter
-                ):
-                    continue  # free-letter cancellation: prefix already seen
-                if max_length is not None and word_length(cand) > max_length:
-                    continue
-                counter += 1
-                heapq.heappush(heap, (shortlex_key(cand), counter, cand))
-
-        key0 = self.oracle.coset_key(identity(self.alphabet))
-        if key0 not in self._reps:
-            self._reps[key0] = identity(self.alphabet)
-            self._kinds[key0] = kind
-        for rep in list(self._reps.values()):
-            push_children(rep)
-        while heap:
-            _, _, cand = heapq.heappop(heap)
-            key = self.oracle.coset_key(cand)
-            if key in self._reps:
-                continue
-            self._reps[key] = cand
-            self._kinds[key] = kind
-            push_children(cand)
-
     def _explore(self, max_length: Optional[int]) -> None:
         """Build the rep table from scratch, up to ``max_length`` (None: the
-        whole coset graph).  Alpha assignments must precede beta ones, so a
-        bigger bound reruns both phases."""
-        self._reps.clear()
-        self._kinds.clear()
-        if self.style == "alphabeta":
-            self._bfs(sub_only=True, kind="alpha", max_length=max_length)
-        self._bfs(
-            sub_only=False,
-            kind="beta" if self.style == "alphabeta" else "alpha",
-            max_length=max_length,
-        )
+        whole coset graph).  Candidates rep x are popped smallest first and
+        a coset gets the first candidate that reaches it, over S's letters
+        and then over every atom from all representatives found.  A coset
+        found keys rep x for every atom x in one batch; only children whose
+        coset is still unnumbered are pushed."""
+        al = self.alphabet
+        atoms = atomic_alphabet(al)
+        steps = [Word(al, (x,)) for x in atoms]
+        sub = [a for a, x in enumerate(atoms) if self._over_sub((x,))]
+        reps, succ = self._reps, self._succ
+        reps.clear()
+        succ.clear()
+        children: dict = {}  # coset key -> the words rep x
+        heap: list = []
+        order = itertools.count()
+
+        def visit(key, rep: Word) -> None:
+            reps[key] = rep
+            children[key] = [multiply(rep, x) for x in steps]
+            succ[key] = self.oracle.coset_keys(children[key])
+
+        def push(key, positions) -> None:
+            for a in positions:
+                cand, k = children[key][a], succ[key][a]
+                if k not in reps and (max_length is None or word_length(cand) <= max_length):
+                    heapq.heappush(heap, (shortlex_key(cand), next(order), cand, k))
+
+        visit(self.oracle.coset_key(identity(al)), identity(al))
+        for positions in (sub, range(len(atoms))):
+            for key in list(reps):
+                push(key, positions)
+            while heap:
+                _, _, cand, key = heapq.heappop(heap)
+                if key not in reps:
+                    visit(key, cand)
+                    push(key, positions)
 
     def _verify_prefix_closure(self) -> None:
-        for rep in list(self._reps.values()):
-            atoms = to_atomic(rep)
-            for t in range(len(atoms)):
-                prefix = reduce(atoms[:t], self.alphabet)
-                key = self.oracle.coset_key(prefix)
-                if self._reps.get(key) != prefix:
-                    raise RuntimeError(
-                        f"transversal is not prefix closed at {prefix}"
-                    )
+        """Each representative but 1, less its last atom, must represent
+        its own coset; by induction on length every prefix then does."""
+        al = self.alphabet
+        back = [invert(Word(al, (x,))) for x in atomic_alphabet(al)]
+        prefixes = [
+            multiply(rep, back[atom_runs(rep)[-1][0]])
+            for rep in self._reps.values()
+            if not rep.is_identity
+        ]
+        for prefix, key in zip(prefixes, self.oracle.coset_keys(prefixes)):
+            if self._reps.get(key) != prefix:
+                raise RuntimeError(f"transversal is not prefix closed at {prefix}")
+
+    def _over_sub(self, letters) -> bool:
+        return all(isinstance(x, FreeLetter) and x.index in self.subalphabet for x in letters)
 
     # -- queries --------------------------------------------------------
 
@@ -176,8 +145,8 @@ class Transversal:
         return self._reps[key]
 
     def class_kind(self, u: Word) -> str:
-        self.representative(u)
-        return self._kinds[self.oracle.coset_key(u)]
+        """The kind of u's coset: "alpha" when it meets F_S, else "beta"."""
+        return "alpha" if self._over_sub(self.representative(u).letters) else "beta"
 
     def representatives(self) -> list[Word]:
         if not self.oracle.finite_index:
@@ -212,10 +181,7 @@ class Transversal:
             reps = [self._reps[k] for k in keys]
             position = {k: c for c, k in enumerate(keys)}
             atoms = atomic_alphabet(al)
-            succ = [
-                [position[self.oracle.coset_key(multiply(s, Word(al, (x,))))] for x in atoms]
-                for s in reps
-            ]
+            succ = [[position[k] for k in self._succ[key]] for key in keys]
             gens: list[SchreierGenerator] = []
             gen_at: dict = {}  # (coset, positive atom) -> generator position
             for c, s in enumerate(reps):
@@ -277,7 +243,7 @@ class Transversal:
 
     def sub_lattice(self) -> list[list[int]]:
         """HNF of the image of (F_S cap N)^F in N/[N, N], S the
-        sub-alphabet (empty in the shortlex style), built once.
+        sub-alphabet, built once.
 
         On the alpha/beta transversal the alpha representatives are the
         words in F_S, so F_S cap N is generated by the Schreier generators
@@ -286,11 +252,10 @@ class Transversal:
         coset of rep^-1: reading each such w from every coset spans the
         normal closure."""
         if self._sub_hnf is None:
-            keep = self.subalphabet or frozenset()
             gens, steps = self._coset_table()
             rows = []
             for g in gens:
-                if g.letter.index in keep and all(x.index in keep for x in g.rep.letters):
+                if self._over_sub(g.rep.letters + (g.letter,)):
                     for coset in range(len(steps)):
                         end, pairs = self._read(coset, g.value)
                         if end != coset:
@@ -315,14 +280,13 @@ class Transversal:
 
 
 def transversal_for(q: QuotientOracle, keep: frozenset[int] = frozenset()) -> Transversal:
-    """The Schreier transversal that carries F_K cap N for the kept free
-    indices: alpha/beta over ``keep``, shortlex when nothing is kept.  N
-    never changes, so each is built once and kept on the oracle, one per
-    sub-alphabet asked for, for as long as the oracle lives."""
+    """The Schreier transversal over the kept free indices, which carries
+    F_K cap N (shortlex when nothing is kept).  N never changes, so each is
+    built once and kept on the oracle, one per sub-alphabet asked for, for
+    as long as the oracle lives."""
     t = q.transversals.get(keep)
     if t is None:
-        t = Transversal(q, "alphabeta", keep) if keep else Transversal(q)
-        q.transversals[keep] = t
+        t = q.transversals[keep] = Transversal(q, keep)
     return t
 
 
@@ -330,12 +294,12 @@ def lattice_membership(t: Transversal, u: Word, K: frozenset[tuple[str, int]]) -
     """Certify u in (F_K cap N)^F [N, N] through the free abelianisation of
     N on its Schreier generators, K a set of Fox indices ("free", j) and
     ("factor", i).  Free alphabets, finite index only.  t is used as it is
-    when it is the alpha/beta transversal over K's letters (or K has none);
-    otherwise the oracle's transversal over them is."""
+    when it is the transversal over K's letters (or K has none); otherwise
+    the oracle's transversal over them is."""
     if t.alphabet.n_factors:
         raise ValueError("lattice membership requires a free alphabet")
     keep = frozenset(j for kind, j in K if kind == "free")
-    if keep and (t.style, t.subalphabet) != ("alphabeta", keep):
+    if keep and t.subalphabet != keep:
         t = transversal_for(t.oracle, keep)
     vec = t._vector(t._rewrite(u))
     return lattice_contains(t.sub_lattice() if keep else [], vec)

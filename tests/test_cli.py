@@ -252,6 +252,32 @@ def test_transversal_sub_needs_alphabeta_style(capsys, sub):
     assert code == 0 and doc["index"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "theorem1", "--rank", "2", "--word", "g1^2", "--keep", "g1", "--quotient",
+         "index:100000:g1=1;g2=0"),
+        ("group", "transversal", "--rank", "2", "--quotient", "index:300,300:g1=1,0;g2=0,1"),
+        ("group", "transversal", "--rank", "2", "--quotient", "index:4097:g1=1;g2=0"),
+    ],
+)
+def test_index_past_the_transversal_budget_exits_2(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "product of orders" in out.err
+
+
+def test_index_budget_spares_schumann_and_the_budget_itself(capsys):
+    # schumann needs only coset keys: g2 lies in N, and D_2(g2) = 1 is no 0
+    code, doc = run(capsys, "group", "schumann", "--rank", "2", "--word", "g2",
+                    "--quotient", "index:100000:g1=1;g2=0")
+    assert code == 1 and not doc["holds"]
+    code, doc = run(capsys, "group", "transversal", "--rank", "2", "--quotient",
+                    "index:4096:g1=1;g2=0")
+    assert code == 0 and doc["index"] == 4096
+
+
 def test_inhomogeneous_relator_exits_2(capsys):
     argv = ["lie", "freiheit", "--rank", "3", "--relator", "[y1, [y1, y2]] + [y2, y3]", "--spec", "6"]
     code = main(argv + ["--cutoff", "10"])

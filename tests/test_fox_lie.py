@@ -249,6 +249,25 @@ def test_solve_sigma_zero_ideal_residue_shape_is_internal(monkeypatch):
         solve_sigma_zero_ideal(u, K, n, rank)
 
 
+def test_solve_sigma_zero_ideal_checks_the_summed_solution(monkeypatch):
+    # slices are folded without a check of their own, so a slice fold that
+    # goes wrong must still be caught by the one check of the summed v
+    import foxcalc.fox_lie as fox_lie
+
+    rank, K = 3, frozenset({1, 2})
+    n, fk = sigma_setup()
+    v = bracket(fk.intersect(n).basis_elements(2)[0], LieElt.gen(rank, 3))
+    fox = lie_fox(expand_to_assoc(v))
+    u = {j: fox.partials[j] for j in sorted(K)}
+    assert not solve_sigma_zero_ideal(u, K, n, rank).is_zero
+    fold = fox_lie._fold_sigma
+    monkeypatch.setattr(
+        fox_lie, "_fold_sigma", lambda *args: fold(*args) + LieElt.gen(rank, 1)
+    )
+    with pytest.raises(RuntimeError, match="solve_sigma_zero_ideal"):
+        solve_sigma_zero_ideal(u, K, n, rank)
+
+
 def test_is_zero_mod_agrees_with_reduce_mod_ideal():
     """For every K the a and c symbols span N, so the monomials holding one
     span N_U: each context decides p in N_U as reduce_mod_ideal does."""

@@ -12,6 +12,7 @@ from foxcalc.words import (
     Alphabet,
     FreeLetter,
     Word,
+    atomic_alphabet,
     commutator,
     conjugate,
     format_word,
@@ -89,18 +90,22 @@ def test_derivative_leading_terms_all_pairs():
 
 def test_alphabeta_classes():
     q = abelianization_oracle(FREE2)
-    t = Transversal(q, style="alphabeta", subalphabet=frozenset({1}))
+    t = Transversal(q, subalphabet=frozenset({1}))
     w = parse_word("g1 g2 g2^-1", FREE2)
     assert t.representative(w) == parse_word("g1", FREE2)
     assert t.class_kind(w) == "alpha"
     assert t.class_kind(parse_word("g1 g2", FREE2)) == "beta"
+    # over the empty sub-alphabet only N itself meets F_S = 1
+    shortlex = Transversal(q)
+    assert shortlex.class_kind(parse_word("g1 g1^-1", FREE2)) == "alpha"
+    assert shortlex.class_kind(w) == "beta"
 
 
 def test_alphabeta_rejected_off_abelianization():
     from foxcalc.group_ring import discrete_oracle
 
     with pytest.raises(ValueError):
-        Transversal(discrete_oracle(FREE2), style="alphabeta")
+        Transversal(discrete_oracle(FREE2), frozenset({1}))
 
 
 def test_factor_alphabet_transversal():
@@ -184,7 +189,7 @@ def test_lattice_membership_any_transversal_matches_sub_coset_search(orders, ima
     for keep in ((), (1,), (2,), (1, 2)):
         K = frozenset(free_index(j) for j in keep)
         # the alpha/beta transversal over K's letters, or any one for K = {}
-        alphabeta = Transversal(q, "alphabeta", frozenset(keep or (1,)))
+        alphabeta = Transversal(q, frozenset(keep or (1,)))
         sub = [u for u in members if set(x.index for x in u.letters) <= set(keep)]
         for _ in range(12):
             u = rng.choice(members)
@@ -203,7 +208,7 @@ def test_lattice_membership_reads_a_fitting_transversal(monkeypatch):
     import foxcalc.transversal as tv
 
     q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
-    fitting = Transversal(q, "alphabeta", frozenset({1}))
+    fitting = Transversal(q, frozenset({1}))
     shortlex = Transversal(q)
     builds = []
     init = tv.Transversal.__init__
@@ -218,15 +223,15 @@ def test_lattice_membership_reads_a_fitting_transversal(monkeypatch):
     assert lattice_membership(fitting, u, K)
     assert not lattice_membership(shortlex, parse_word("g2^2", FREE2), frozenset())
     assert builds == []
-    # a transversal of another style is replaced by the fitting one, once
+    # a transversal over another sub-alphabet is replaced by the fitting one, once
     assert lattice_membership(shortlex, u, K)
-    assert builds == [(q, "alphabeta", frozenset({1}))]
+    assert builds == [(q, frozenset({1}))]
 
 
-def test_subalphabet_needs_alphabeta_style():
+def test_subalphabet_must_name_free_indices():
     q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
-    for sub in ({1}, {5}):
-        with pytest.raises(ValueError):
+    for sub in ({5}, {0}, {1, 3}):
+        with pytest.raises(ValueError, match="free indices"):
             Transversal(q, subalphabet=frozenset(sub))
 
 
@@ -308,7 +313,7 @@ def test_sub_lattice_matches_explicit_conjugate_rows(q, data):
     keep = frozenset(
         data.draw(st.sets(st.integers(1, al.free_rank), min_size=1, max_size=al.free_rank))
     )
-    t = Transversal(q, "alphabeta", keep)
+    t = Transversal(q, keep)
     sub = [
         g.value
         for g in t.schreier_generators()
@@ -322,6 +327,59 @@ def test_sub_lattice_matches_explicit_conjugate_rows(q, data):
     assert t.sub_lattice() == hermite_normal_form(rows)
     assert t.sub_lattice() is t.sub_lattice()
     assert Transversal(q).sub_lattice() == []
+
+
+def _cosets_reached(q, letters):
+    """The coset keys of the subgroup the letters generate, by closure."""
+    one = identity(q.alphabet)
+    seen, frontier = {q.coset_key(one)}, [one]
+    while frontier:
+        grown = [multiply(w, x) for w in frontier for x in letters]
+        frontier = []
+        for w, k in zip(grown, q.coset_keys(grown)):
+            if k not in seen:
+                seen.add(k)
+                frontier.append(w)
+    return seen
+
+
+@given(finite_oracles(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_search_matches_a_scan_of_shortlex_words(q, data):
+    """The search against one scan of shortlex_words: a coset meeting F_S
+    gets the first word over S in it; any other coset gets the first word
+    in it that extends a representative by one atom, which over S = {} is
+    simply its first word.  Every coset-table step is keyed again."""
+    al = q.alphabet
+    sub = frozenset(data.draw(st.sets(st.integers(1, al.free_rank), max_size=al.free_rank)))
+    t = Transversal(q, sub)
+
+    def over_sub(w):
+        return all(isinstance(x, FreeLetter) and x.index in sub for x in w.letters)
+
+    atoms = [Word(al, (x,)) for x in atomic_alphabet(al)]
+    alpha = _cosets_reached(q, [x for x in atoms if over_sub(x)])
+    cosets = _cosets_reached(q, atoms)
+    # a representative of length L passes L + 1 cosets, so |cosets| bounds L
+    want, first = {}, {}
+    for w in shortlex_words(al, len(cosets)):
+        key = q.coset_key(w)
+        first.setdefault(key, w)
+        prefix = reduce(to_atomic(w)[:-1], al)
+        if key not in want and (
+            over_sub(w) if key in alpha else want.get(q.coset_key(prefix)) == prefix
+        ):
+            want[key] = w
+            if len(want) == len(cosets):
+                break
+    reps = t.representatives()
+    assert {q.coset_key(r): r for r in reps} == want
+    if not sub:
+        assert want == first
+    _, steps = t._coset_table()
+    for c, rep in enumerate(reps):
+        for a, x in enumerate(atoms):
+            assert q.coset_key(reps[steps[c][a][0]]) == q.coset_key(multiply(rep, x))
 
 
 def test_rewrite_that_misses_the_base_coset_is_an_internal_error(monkeypatch):
@@ -344,14 +402,24 @@ def test_lattice_membership_refuses_words_outside_n():
 
 def test_non_prefix_closed_transversal_is_refused(monkeypatch):
     explore = Transversal._explore
-
-    def broken(self, max_length):
-        explore(self, max_length)
+    al = Alphabet(1, (3,))
+    cases = [
         # g1^3 g2 lies in the coset of g1 g2, but its prefix g1^2 is no
         # representative
-        key = self.oracle.coset_key(parse_word("g1 g2", FREE2))
-        self._reps[key] = parse_word("g1^3 g2", FREE2)
+        (finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)]), "g1 g2", "g1^3 g2"),
+        # g1^-1 g2 too, and g1^-1 is no representative either
+        (finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)]), "g1 g2", "g1^-1 g2"),
+        # g1 lies in N, so g1 a1^2 lies in the coset of a1^2; its last atom
+        # is a factor syllable and its prefix g1 no representative
+        (finite_index_oracle(al, (3,), [(0,)], [(1,)]), "a1^2", "g1 a1^2"),
+    ]
+    for q, coset, rep in cases:
 
-    monkeypatch.setattr(Transversal, "_explore", broken)
-    with pytest.raises(RuntimeError, match="not prefix closed"):
-        index4()
+        def broken(self, max_length):
+            explore(self, max_length)
+            key = self.oracle.coset_key(parse_word(coset, q.alphabet))
+            self._reps[key] = parse_word(rep, q.alphabet)
+
+        monkeypatch.setattr(Transversal, "_explore", broken)
+        with pytest.raises(RuntimeError, match="not prefix closed"):
+            Transversal(q)
