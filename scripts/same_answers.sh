@@ -1,6 +1,6 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands, four more Lie commands, ten group-criteria commands, four
+# commands, four more Lie commands, eleven group-criteria commands, four
 # frontier Freiheitssatz commands, five frontier commands on generic
 # (two-term) relators, two of them with specs that need every degree, two
 # Kharlampovich checks at cutoff 8, three PBW commands on elements with
@@ -52,11 +52,13 @@ check lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,2 --cutoff 7
 check lie kharlampovich --rank 3 --expr "[[y1, y2], y3]" --cutoff 6
 check lie freiheit --rank 3 --relator "[y1, y2] + [y2, y3]" --spec 6 --cutoff 8
 # group criteria: the gamma criterion read off one Magnus image, theorem 1
-# on the alpha/beta transversal over K, and that transversal itself
+# on the alpha/beta transversal over K (once with a witness the retraction
+# misses), and that transversal itself
 check group gamma-criterion --rank 2 --word "g1^-3 g2^2 g1^3 g2^-2" --keep g1 --class 1 --cutoff 4
 check group gamma-criterion --rank 2 --word "g1^3 g2^-2 g1^-3 g2^2" --keep g1 --class 2 --cutoff 4
 check group gamma-criterion --rank 3 --word "g1 g2 g3 g1^-1" --keep g1,g2 --class 0 --cutoff 2
 check group theorem1 --rank 2 --word "g2^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1"
+check group theorem1 --rank 2 --word "g2" --keep g1 --quotient "index:2:g1=1;g2=1"
 check group theorem1 --rank 3 --word "g1^2 g2^2" --keep g1,g2 --quotient "index:2,2,2:g1=1,0,0;g2=0,1,0;g3=0,0,1"
 check group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --style alphabeta --sub 1
 # the alpha/beta transversal on a factor alphabet, and theorem 1 at index 400

@@ -185,7 +185,6 @@ def _cmd_group_theorem1(args) -> int:
         parse_word(args.word, alphabet),
         _keep_set(args.keep),
         _quotient(args.quotient, alphabet, _INDEX_BUDGET),
-        bound=args.bound,
     )
     doc = {
         "holds": rep.holds,
@@ -356,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--keep", required=True, help="comma list of kept generators")
     p.add_argument("--quotient", required=True)
-    p.add_argument("--bound", type=int, default=8)
     p.set_defaults(fn=_cmd_group_theorem1)
 
     p = gsub.add_parser("gamma-criterion", help="membership modulo a lower central term")

@@ -24,7 +24,6 @@ from .words import (
     invert,
     multiply,
     reduce,
-    shortlex_words,
 )
 
 # A differentiation index: ("free", j) or ("factor", i).
@@ -216,47 +215,43 @@ def retraction(u: Word, keep: frozenset[FoxIndex]) -> Word:
     return reduce(letters, u.alphabet)
 
 
-def _in_sub(u: Word, keep: frozenset[FoxIndex]) -> bool:
-    return retraction(u, keep) == u
-
-
 def theorem1_check(
     v: Word,
     K: frozenset[FoxIndex],
     q: QuotientOracle,
-    bound: int = 8,
 ) -> CriterionReport:
     """Two-sided test of: D_k(v) = 0 mod N for all k not in K  iff  there is
     vhat in F_K with v vhat^-1 in (F_K cap N)^F [N, N].
 
-    Needs a finite-index oracle; the membership side is certified through
-    the integer lattice of N made abelian (free alphabets only).
+    Needs a finite-index oracle and a free alphabet.  Both sides are exact.
+    The alpha/beta transversal over K's letters decides the witness: its
+    alpha classes are the cosets that meet F_K, each represented by the
+    shortlex-least word of F_K in it.  The witness is the retraction of v
+    when that shares v's coset, else the representative of v's coset when
+    it is alpha; on a beta coset no vhat exists (witness None, membership
+    False).  Any two witnesses differ by an element of F_K cap N, so the
+    membership side, certified through the integer lattice of N made
+    abelian, does not depend on the choice.
     """
     if not q.finite_index:
         raise ValueError("theorem1_check needs a finite-index oracle")
-    if bound < 0:
-        raise ValueError("search bound must be non-negative")
     alphabet = v.alphabet
+    if alphabet.n_factors:
+        raise ValueError("theorem 1 requires a free alphabet")
     K = frozenset(K)
     if not K <= set(all_indices(alphabet)):
         raise ValueError("kept indices must lie in the alphabet")
     report = _residue_report(v, q, K)
-    # witness: try the retraction first, then bounded shortlex search
+    # built once per oracle and kept, with its sub-lattice
+    t = transversal_for(q, frozenset(j for _, j in K))
     vhat = retraction(v, K)
     if not q.contains(multiply(v, invert(vhat))):
-        vhat = None
-        for cand in shortlex_words(alphabet, bound):
-            if _in_sub(cand, K) and q.contains(multiply(v, invert(cand))):
-                vhat = cand
-                break
-    if vhat is None:
-        report.status = "inconclusive-witness"
-        return report
+        vhat = t.representative(v)
+        if t.class_kind(vhat) == "beta":
+            report.witness_member = False
+            return report
     report.witness = vhat
-    # the alpha/beta transversal over K's letters carries F_K cap N; it is
-    # built once per oracle and kept, with its sub-lattice
-    t = transversal_for(q, frozenset(j for kind, j in K if kind == "free"))
-    report.witness_member = lattice_membership(t, multiply(v, invert(vhat)), K)
+    report.witness_member = lattice_membership(t, multiply(v, invert(vhat)))
     return report
 
 

@@ -7,9 +7,11 @@ remaining cosets ("beta classes") extend earlier representatives by one
 atom of the full alphabet.  With S empty this is the shortlex transversal,
 whose representatives are the shortlex-least words of their cosets.  The
 search records the coset of rep x for every atom x, which is the coset
-table; prefix closure is checked by induction, one key per coset.
+table; prefix closure is checked by induction, one key per coset.  Only
+finite-index oracles are taken, so every coset is found at construction.
 transversal_for builds one per oracle and kept sub-alphabet and keeps it
-on the oracle; lattice_membership certifies theorem 1's witnesses with it.
+on the oracle; theorem 1 reads its witness off it (an alpha
+representative) and lattice_membership certifies the witness with it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .words import (
     invert,
     multiply,
     shortlex_key,
-    word_length,
 )
 
 
@@ -44,15 +45,12 @@ class SchreierGenerator:
 
 
 class Transversal:
-    """Schreier transversal over a quotient oracle and a sub-alphabet.
-
-    Finite-index oracles are explored completely at construction.  For the
-    abelianization oracle the table grows lazily, bounded by the length of
-    the queried word; other infinite-index oracles are rejected for a
-    nonempty sub-alphabet.
-    """
+    """Schreier transversal over a finite-index quotient oracle and a
+    sub-alphabet, explored completely at construction."""
 
     def __init__(self, oracle: QuotientOracle, subalphabet: frozenset[int] = frozenset()):
+        if not oracle.finite_index:
+            raise ValueError("a transversal needs a finite-index oracle")
         self.oracle = oracle
         self.alphabet = oracle.alphabet
         if not all(1 <= j <= self.alphabet.free_rank for j in subalphabet):
@@ -60,34 +58,25 @@ class Transversal:
         self.subalphabet = frozenset(subalphabet)
         self._reps: dict = {}  # coset key -> Word
         self._succ: dict = {}  # coset key -> keys of rep x, x over atomic_alphabet
-        self._explored_to = 0
         self._table: Optional[tuple] = None
         self._sub_hnf: Optional[list] = None
-        if oracle.finite_index:
-            self._explore(None)
-            self._verify_prefix_closure()
-        elif oracle.kind != "abelianization" and self.subalphabet:
-            raise ValueError(
-                "lazy alphabeta transversals are only supported over the "
-                "abelianization oracle"
-            )
+        self._explore()
+        self._verify_prefix_closure()
 
     # -- construction ---------------------------------------------------
 
-    def _explore(self, max_length: Optional[int]) -> None:
-        """Build the rep table from scratch, up to ``max_length`` (None: the
-        whole coset graph).  Candidates rep x are popped smallest first and
-        a coset gets the first candidate that reaches it, over S's letters
-        and then over every atom from all representatives found.  A coset
-        found keys rep x for every atom x in one batch; only children whose
-        coset is still unnumbered are pushed."""
+    def _explore(self) -> None:
+        """Build the rep table over the whole coset graph.  Candidates rep x
+        are popped smallest first and a coset gets the first candidate that
+        reaches it, over S's letters and then over every atom from all
+        representatives found.  A coset found keys rep x for every atom x
+        in one batch; only children whose coset is still unnumbered are
+        pushed."""
         al = self.alphabet
         atoms = atomic_alphabet(al)
         steps = [Word(al, (x,)) for x in atoms]
         sub = [a for a, x in enumerate(atoms) if self._over_sub((x,))]
         reps, succ = self._reps, self._succ
-        reps.clear()
-        succ.clear()
         children: dict = {}  # coset key -> the words rep x
         heap: list = []
         order = itertools.count()
@@ -100,7 +89,7 @@ class Transversal:
         def push(key, positions) -> None:
             for a in positions:
                 cand, k = children[key][a], succ[key][a]
-                if k not in reps and (max_length is None or word_length(cand) <= max_length):
+                if k not in reps:
                     heapq.heappush(heap, (shortlex_key(cand), next(order), cand, k))
 
         visit(self.oracle.coset_key(identity(al)), identity(al))
@@ -133,30 +122,17 @@ class Transversal:
     # -- queries --------------------------------------------------------
 
     def representative(self, u: Word) -> Word:
-        if u.alphabet != self.alphabet:
-            raise ValueError("alphabet mismatch")
-        length = max(word_length(u), 1)
-        if not self.oracle.finite_index and length > self._explored_to:
-            self._explore(length)
-            self._explored_to = length
-        key = self.oracle.coset_key(u)
-        if key not in self._reps:
-            raise RuntimeError(f"coset of {u} not found within the length bound")
-        return self._reps[key]
+        return self._reps[self.oracle.coset_key(u)]
 
     def class_kind(self, u: Word) -> str:
         """The kind of u's coset: "alpha" when it meets F_S, else "beta"."""
         return "alpha" if self._over_sub(self.representative(u).letters) else "beta"
 
     def representatives(self) -> list[Word]:
-        if not self.oracle.finite_index:
-            raise ValueError("full table needs a finite-index oracle")
         return sorted(self._reps.values(), key=shortlex_key)
 
     @property
     def index(self) -> int:
-        if not self.oracle.finite_index:
-            raise ValueError("index is defined for finite-index oracles only")
         return len(self._reps)
 
     def schreier_generators(self) -> list[SchreierGenerator]:
@@ -173,8 +149,6 @@ class Transversal:
         Schreier generator that step reads or None, its exponent): a
         positive atom x read from s reads s x rep(s x)^-1, and its inverse
         read from rep(s x) reads that generator's inverse."""
-        if not self.oracle.finite_index:
-            raise ValueError("schreier_generators needs a finite-index oracle")
         if self._table is None:
             al = self.alphabet
             keys = sorted(self._reps, key=lambda k: shortlex_key(self._reps[k]))
@@ -290,16 +264,10 @@ def transversal_for(q: QuotientOracle, keep: frozenset[int] = frozenset()) -> Tr
     return t
 
 
-def lattice_membership(t: Transversal, u: Word, K: frozenset[tuple[str, int]]) -> bool:
-    """Certify u in (F_K cap N)^F [N, N] through the free abelianisation of
-    N on its Schreier generators, K a set of Fox indices ("free", j) and
-    ("factor", i).  Free alphabets, finite index only.  t is used as it is
-    when it is the transversal over K's letters (or K has none); otherwise
-    the oracle's transversal over them is."""
+def lattice_membership(t: Transversal, u: Word) -> bool:
+    """Certify u in (F_S cap N)^F [N, N], S the sub-alphabet of t, through
+    the free abelianisation of N on its Schreier generators.  Free
+    alphabets only."""
     if t.alphabet.n_factors:
         raise ValueError("lattice membership requires a free alphabet")
-    keep = frozenset(j for kind, j in K if kind == "free")
-    if keep and t.subalphabet != keep:
-        t = transversal_for(t.oracle, keep)
-    vec = t._vector(t._rewrite(u))
-    return lattice_contains(t.sub_lattice() if keep else [], vec)
+    return lattice_contains(t.sub_lattice(), t._vector(t._rewrite(u)))

@@ -89,6 +89,29 @@ def test_schumann_exit_codes(capsys):
     assert code == 1 and not doc["holds"]
 
 
+@pytest.mark.parametrize("word", ["g1", "a1"])
+def test_theorem1_refuses_a_factor_alphabet(capsys, word):
+    # g1 is its own witness; no word of F_{g1} shares a1's coset
+    code = main(["group", "theorem1", "--rank", "1", "--factors", "3", "--word", word,
+                 "--keep", "g1", "--quotient", "index:3:g1=0;a1=1"])
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert "free alphabet" in out.err
+
+
+def test_theorem1_has_no_search_bound(capsys):
+    assert main(["group", "theorem1", "--rank", "2", "--word", "g1^2", "--keep", "g1",
+                 "--quotient", "index:2,2:g1=1,0;g2=0,1", "--bound", "3"]) == 2
+
+
+def test_theorem1_cli_decides_without_a_witness(capsys):
+    code, doc = run(capsys, "group", "theorem1", "--rank", "2", "--word", "g1", "--keep", "g2",
+                    "--quotient", "index:6:g1=1;g2=3")
+    assert code == 1
+    assert doc["witness"] is None and doc["witness_member"] is False
+    assert doc["status"] == "decided"
+
+
 def test_theorem1_cli(capsys):
     code, doc = run(
         capsys,
@@ -229,8 +252,6 @@ def test_out_of_range_generator_sets_exit_2(capsys, argv):
     [
         ("group", "gamma-criterion", "--rank", "2", "--word", "g1 g2 g1^-1 g2^-1", "--keep", "g1",
          "--class", "-1", "--cutoff", "3"),
-        ("group", "theorem1", "--rank", "2", "--word", "g1^2", "--keep", "g1", "--quotient",
-         "index:2,2:g1=1,0;g2=0,1", "--bound", "-1"),
         ("group", "conjcrit", "--rank", "3", "--relator", "g1 g2 g1^-1 g2^-1", "--bound", "-2"),
     ],
 )

@@ -117,20 +117,100 @@ def test_theorem1_examples():
 
 def test_theorem1_witness_from_the_search():
     """The retraction of g2 onto F_{g1} is 1, which misses g2's coset of
-    N = ker(g1, g2 -> 1 in Z/2): the bounded search finds g1 instead."""
+    N = ker(g1, g2 -> 1 in Z/2): the witness is g1, the alpha
+    representative of that coset."""
     q = finite_index_oracle(FREE2, (2,), [(1,), (1,)])
     rep = theorem1_check(parse_word("g2", FREE2), frozenset({free_index(1)}), q)
     assert rep.witness == parse_word("g1", FREE2)
     assert (rep.holds, rep.witness_member, rep.status) == (False, False, "decided")
 
 
-def test_theorem1_without_a_witness_is_inconclusive():
+def test_theorem1_without_a_witness_is_decided_false():
     """N = ker(g1 -> 0, g2 -> 1 in Z/2): F_{g1} lies in N, so no word of
-    F_{g1} shares g2's coset and the search ends without a witness."""
+    F_{g1} shares g2's coset (a beta class) and no vhat exists."""
     q = finite_index_oracle(FREE2, (2,), [(0,), (1,)])
     rep = theorem1_check(parse_word("g2", FREE2), frozenset({free_index(1)}), q)
-    assert not rep.holds and rep.status == "inconclusive-witness"
-    assert rep.witness is None and rep.witness_member is None
+    assert (rep.holds, rep.witness_member, rep.status) == (False, False, "decided")
+    assert rep.witness is None
+
+
+def test_theorem1_witness_beyond_any_short_search():
+    """N = ker(g1 -> 1, g2 -> 30 in Z/60): the least word of F_{g1} in g2's
+    coset is g1^30."""
+    q = finite_index_oracle(FREE2, (60,), [(1,), (30,)])
+    rep = theorem1_check(parse_word("g2", FREE2), frozenset({free_index(1)}), q)
+    assert rep.witness == parse_word("g1^30", FREE2)
+    assert (rep.holds, rep.witness_member, rep.status) == (False, False, "decided")
+
+
+def test_theorem1_refuses_a_factor_alphabet():
+    al = Alphabet(1, (3,))
+    q = finite_index_oracle(al, (3,), [(0,)], [(1,)])
+    # g1 is its own witness; no word of F_{g1} shares a1's coset
+    for word in ("g1", "a1"):
+        with pytest.raises(ValueError, match="free alphabet"):
+            theorem1_check(parse_word(word, al), frozenset({free_index(1)}), q)
+
+
+@st.composite
+def abelian_quotients(draw):
+    """A finite abelian quotient of F2 or F3 (orders and the image of each
+    generator) and a set of kept free indices."""
+    alphabet = draw(st.sampled_from([FREE2, FREE3]))
+    orders = draw(st.sampled_from([(2, 2), (6,), (2, 4), (3,), (4,), (2, 2, 2)]))
+    images = [
+        tuple(draw(st.integers(0, o - 1)) for o in orders) for _ in range(alphabet.free_rank)
+    ]
+    keep = draw(st.sets(st.integers(1, alphabet.free_rank), max_size=alphabet.free_rank))
+    return alphabet, orders, images, frozenset(keep)
+
+
+def _image(v, orders, images):
+    """phi(v) in the finite abelian group."""
+    out = [0] * len(orders)
+    for x in v.letters:
+        out = [(a + x.exp * b) % o for a, b, o in zip(out, images[x.index - 1], orders)]
+    return tuple(out)
+
+
+def _generated(orders, gens):
+    """The subgroup the gens generate, by closure under adding a generator."""
+    zero = tuple(0 for _ in orders)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        grown = [tuple((a + b) % o for a, b, o in zip(x, g, orders)) for x in frontier for g in gens]
+        frontier = [x for x in grown if x not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@given(abelian_quotients(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_theorem1_is_exact_on_random_abelian_quotients(quotient, data):
+    """Every report is decided and agrees with its certificate; the witness
+    is the retraction when that shares v's coset, else the first word of
+    F_K in v's coset in shortlex order, and there is none exactly when
+    phi(v) lies outside the subgroup the phi(g_j), j in K, generate."""
+    alphabet, orders, images, keep = quotient
+    q = finite_index_oracle(alphabet, orders, images)
+    K = frozenset(free_index(j) for j in keep)
+    reached = _generated(orders, [images[j - 1] for j in keep])
+    for _ in range(6):
+        v = data.draw(words(alphabet, 8))
+        rep = theorem1_check(v, K, q)
+        assert rep.status == "decided" and rep.holds == rep.witness_member
+        assert (rep.witness is None) == (_image(v, orders, images) not in reached)
+        key = q.coset_key(v)
+        if q.coset_key(retraction(v, K)) == key:
+            assert rep.witness == retraction(v, K)
+        elif rep.witness is not None:
+            # a coset of F_K cap N in F_K has a word of length < |reached|
+            first = next(
+                w
+                for w in shortlex_words(alphabet, len(reached))
+                if keep.issuperset(x.index for x in w.letters) and q.coset_key(w) == key
+            )
+            assert rep.witness == first
 
 
 def test_theorem1_equivalence_sweep_short():

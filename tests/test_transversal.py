@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foxcalc.fox_group import derivative_leading_term_check, free_index
-from foxcalc.group_ring import abelianization_oracle, finite_index_oracle, trivial_oracle
+from foxcalc.group_ring import (
+    abelianization_oracle,
+    discrete_oracle,
+    finite_index_oracle,
+    free_nilpotent_oracle,
+    trivial_oracle,
+)
 from foxcalc.lattice import hermite_normal_form, lattice_contains
 from foxcalc.transversal import Transversal, lattice_membership
 from foxcalc.words import (
@@ -89,23 +95,29 @@ def test_derivative_leading_terms_all_pairs():
 
 
 def test_alphabeta_classes():
-    q = abelianization_oracle(FREE2)
+    q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
     t = Transversal(q, subalphabet=frozenset({1}))
-    w = parse_word("g1 g2 g2^-1", FREE2)
+    w = parse_word("g1^3", FREE2)
     assert t.representative(w) == parse_word("g1", FREE2)
     assert t.class_kind(w) == "alpha"
     assert t.class_kind(parse_word("g1 g2", FREE2)) == "beta"
+    assert t.class_kind(parse_word("g2^-1", FREE2)) == "beta"
     # over the empty sub-alphabet only N itself meets F_S = 1
     shortlex = Transversal(q)
-    assert shortlex.class_kind(parse_word("g1 g1^-1", FREE2)) == "alpha"
+    assert shortlex.class_kind(parse_word("g1^2", FREE2)) == "alpha"
     assert shortlex.class_kind(w) == "beta"
 
 
 def test_alphabeta_rejected_off_abelianization():
-    from foxcalc.group_ring import discrete_oracle
-
     with pytest.raises(ValueError):
         Transversal(discrete_oracle(FREE2), frozenset({1}))
+
+
+def test_infinite_index_oracles_are_refused():
+    for q in (abelianization_oracle(FREE2), discrete_oracle(FREE2), free_nilpotent_oracle(FREE2, 2)):
+        for sub in (frozenset(), frozenset({1})):
+            with pytest.raises(ValueError, match="finite-index"):
+                Transversal(q, sub)
 
 
 def test_factor_alphabet_transversal():
@@ -125,14 +137,15 @@ def test_factor_alphabet_transversal():
 
 
 def test_lattice_membership_examples():
-    t = index4()
-    K = frozenset({free_index(1)})
+    t = Transversal(index4().oracle, frozenset({1}))
     g1, g2 = parse_word("g1", FREE2), parse_word("g2", FREE2)
-    assert lattice_membership(t, g1 ** 2, K)
-    assert not lattice_membership(t, g2 ** 2, K)
+    assert lattice_membership(t, g1 ** 2)
+    assert not lattice_membership(t, g2 ** 2)
     # commutators of N lie in [N, N], hence in the lattice for any K
     c = commutator(g1 ** 2, g2 ** 2)
-    assert lattice_membership(t, c, K)
+    assert lattice_membership(t, c)
+    assert lattice_membership(index4(), c)
+    assert not lattice_membership(index4(), g1 ** 2)
 
 
 def _sub_coset_membership(t, u, K):
@@ -188,8 +201,8 @@ def test_lattice_membership_any_transversal_matches_sub_coset_search(orders, ima
     verdicts = set()
     for keep in ((), (1,), (2,), (1, 2)):
         K = frozenset(free_index(j) for j in keep)
-        # the alpha/beta transversal over K's letters, or any one for K = {}
-        alphabeta = Transversal(q, frozenset(keep or (1,)))
+        # the alpha/beta transversal over K's letters (shortlex for K = {})
+        alphabeta = Transversal(q, frozenset(keep))
         sub = [u for u in members if set(x.index for x in u.letters) <= set(keep)]
         for _ in range(12):
             u = rng.choice(members)
@@ -198,34 +211,9 @@ def test_lattice_membership_any_transversal_matches_sub_coset_search(orders, ima
                 c = commutator(rng.choice(members), rng.choice(members))
                 u = multiply(conjugate(rng.choice(sub), rng.choice(members)), c)
             want = _sub_coset_membership(shortlex, u, K)
-            assert lattice_membership(shortlex, u, K) == want
-            assert lattice_membership(alphabeta, u, K) == want
+            assert lattice_membership(alphabeta, u) == want
             verdicts.add(want)
     assert verdicts == {True, False}
-
-
-def test_lattice_membership_reads_a_fitting_transversal(monkeypatch):
-    import foxcalc.transversal as tv
-
-    q = finite_index_oracle(FREE2, (2, 2), [(1, 0), (0, 1)])
-    fitting = Transversal(q, frozenset({1}))
-    shortlex = Transversal(q)
-    builds = []
-    init = tv.Transversal.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(tv.Transversal, "__init__", counting)
-    K = frozenset({free_index(1)})
-    u = parse_word("g1^2", FREE2)
-    assert lattice_membership(fitting, u, K)
-    assert not lattice_membership(shortlex, parse_word("g2^2", FREE2), frozenset())
-    assert builds == []
-    # a transversal over another sub-alphabet is replaced by the fitting one, once
-    assert lattice_membership(shortlex, u, K)
-    assert builds == [(q, frozenset({1}))]
 
 
 def test_subalphabet_must_name_free_indices():
@@ -390,14 +378,14 @@ def test_rewrite_that_misses_the_base_coset_is_an_internal_error(monkeypatch):
     with pytest.raises(RuntimeError, match="did not return to the base coset"):
         t.rewrite_in_schreier(g1)
     with pytest.raises(RuntimeError, match="did not return to the base coset"):
-        lattice_membership(t, g1, frozenset())
+        lattice_membership(t, g1)
 
 
 def test_lattice_membership_refuses_words_outside_n():
-    t = index4()
+    q = index4().oracle
     for keep in ((), (1,), (1, 2)):
         with pytest.raises(ValueError, match="u must lie in N"):
-            lattice_membership(t, parse_word("g1 g2^2", FREE2), frozenset(free_index(j) for j in keep))
+            lattice_membership(Transversal(q, frozenset(keep)), parse_word("g1 g2^2", FREE2))
 
 
 def test_non_prefix_closed_transversal_is_refused(monkeypatch):
@@ -415,8 +403,8 @@ def test_non_prefix_closed_transversal_is_refused(monkeypatch):
     ]
     for q, coset, rep in cases:
 
-        def broken(self, max_length):
-            explore(self, max_length)
+        def broken(self):
+            explore(self)
             key = self.oracle.coset_key(parse_word(coset, q.alphabet))
             self._reps[key] = parse_word(rep, q.alphabet)
 
