@@ -252,6 +252,9 @@ def test_out_of_range_generator_sets_exit_2(capsys, argv):
     [
         ("group", "gamma-criterion", "--rank", "2", "--word", "g1 g2 g1^-1 g2^-1", "--keep", "g1",
          "--class", "-1", "--cutoff", "3"),
+        # a cutoff below class + 1 is refused too; the negative class is named first
+        ("group", "gamma-criterion", "--rank", "2", "--word", "g1^2", "--keep", "g2",
+         "--class", "-2", "--cutoff", "-5"),
         ("group", "conjcrit", "--rank", "3", "--relator", "g1 g2 g1^-1 g2^-1", "--bound", "-2"),
     ],
 )
