@@ -4,8 +4,9 @@
 # frontier Freiheitssatz commands, five frontier commands on generic
 # (two-term) relators, two of them with specs that need every degree, two
 # Kharlampovich checks at cutoff 8, three PBW commands on elements with
-# rational coefficients, and three commands that read [N, N] in several
-# degrees of one N or an ideal built as gamma_3,
+# rational coefficients, three commands that read [N, N] in several
+# degrees of one N or an ideal built as gamma_3, and five PBW commands over
+# gamma_3, where bracket terms survive reduction modulo N_U,
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
 # stdout plus exit code.  Exits 1 on any difference.
@@ -92,4 +93,12 @@ check lie decompose --rank 3 --expr "1/2*y1 + 2/3*[y1, y2] - 3/4*[[y1, y2], [y1,
 check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, y3]] + [[y1, y2], [[y1, y2], y3]]" --cutoff 6
 check lie kharlampovich --rank 3 --expr "[[y1, y2], [y1, [y1, y3]]]" --ideal power:3 --cutoff 6
 check lie decompose --rank 3 --expr "y1 + [[y1, y2], y2]" --keep 1,2 --ideal power:3 --cutoff 6
+# modulo gamma_3 the bracket of two degree-1 symbols survives reduction:
+# Kharlampovich checks at cutoff 7 (exit 0, exit 1), a failing
+# decomposition that prints its residue, and two at rank 4 (exit 0, exit 1)
+check lie kharlampovich --rank 3 --expr "[[y1, [y1, y2]], [y2, [y1, y3]]]" --ideal power:3 --cutoff 7
+check lie kharlampovich --rank 3 --expr "[[y1, y2], y3] + [[y1, [y1, y2]], [y3, [y2, y3]]]" --ideal power:3 --cutoff 7
+check lie decompose --rank 3 --expr "[[y1, y3], y2] + [[y1, y2], [y1, [y1, y3]]]" --keep 1,2 --ideal power:3 --cutoff 7
+check lie kharlampovich --rank 4 --expr "[[y1, [y1, y2]], [y3, [y3, y4]]]" --ideal power:3 --cutoff 6
+check lie kharlampovich --rank 4 --expr "[[y1, y2], y4] + [[y1, [y1, y2]], [y3, [y3, y4]]]" --ideal power:3 --cutoff 6
 exit $fail

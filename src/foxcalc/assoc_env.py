@@ -9,10 +9,18 @@ subspaces and has four blocks per degree:
 Block order "abcd" or "dcba" fixes the PBW order; standard monomials are
 nondecreasing products of basis elements.
 
-Straightening computes in integers, like the echelon kernel: the generator
-and bracket tables hold integer numerators over one denominator per entry,
-a polynomial enters as integer numerators over one denominator, and
-Fractions are formed only in the result, one per standard monomial.
+Straightening sorts each monomial in one insertion pass, pushing one
+bracket term per adjacent swap.  It computes in integers, like the echelon
+kernel: the generator and bracket tables hold integer numerators over one
+denominator per entry, a polynomial enters as integer numerators over one
+denominator, and Fractions are formed only in the result, one per standard
+monomial.
+
+Reduction modulo an ideal names the blocks of one side of the chain that is
+an ideal of F: Y = a + c, or X = a + b.  The standard monomials holding a
+symbol of that side span the two-sided ideal it generates in the envelope
+(PBW), so every monomial holding one, standard or not, is dropped as soon
+as it is made; the other blocks' standard monomials are the residue.
 
 SubalgebraIdealContext(rank, K, N) takes X = F_K and Y = N, a graded ideal.
 All contexts live in one cache keyed by (rank, K, N); ideal_context(N) is
@@ -58,20 +66,22 @@ class AdaptedElement:
 
 class AdaptedBasis:
     """Homogeneous basis of the free Lie algebra (up to the cutoff) split
-    into the four chain blocks, totally ordered for PBW straightening."""
+    into the four blocks of the chain of x and y, totally ordered for PBW
+    straightening."""
 
     def __init__(
         self,
-        rank: int,
-        cutoff: int,
+        x: GradedSubspace,
+        y: GradedSubspace,
         elements: Sequence[AdaptedElement],
         orientation: str,
     ):
         if orientation not in ("abcd", "dcba"):
             raise ValueError("orientation must be 'abcd' or 'dcba'")
         block_rank = {b: k for k, b in enumerate(orientation)}
-        self.rank = rank
-        self.cutoff = cutoff
+        self.x, self.y = x, y
+        self.rank = x.rank
+        self.cutoff = x.cutoff
         self.orientation = orientation
         # stable sort keeps the construction order inside each block/degree
         self.elements = tuple(
@@ -101,7 +111,7 @@ def adapted_basis(
         extend(x.echelon(d).rows(), "b")
         extend(y.echelon(d).rows(), "c")
         extend(({k: 1} for k in range(len(lyndon_words(rank, d)))), "d")
-    return AdaptedBasis(rank, cutoff, elements, orientation)
+    return AdaptedBasis(x, y, elements, orientation)
 
 
 class PBWContext:
@@ -122,8 +132,16 @@ class PBWContext:
             j: _int_row(self.coords_of_lie(LieElt.gen(self.rank, j)))
             for j in range(1, self.rank + 1)
         }
+        # the generators that are one basis symbol (coefficient 1)
+        self._gen_symbol = {
+            j: row[0][0]
+            for j, (q, row) in self._gen_rows.items()
+            if len(row) == 1 and row[0][1] == q
+        }
         self._bracket_rows: dict[tuple[int, int], IntRow] = {}
         self.block_of = {k: e.block for k, e in enumerate(basis.elements)}
+        # drop blocks -> their symbols, once checked to be an ideal side
+        self._dead: dict[str, frozenset[int]] = {}
 
     def _solver(self, d: int) -> SpanSolver:
         if d not in self._solvers:
@@ -155,52 +173,101 @@ class PBWContext:
         row = self._bracket_rows[i, j] = _int_row(coords)
         return row
 
-    def rewrite(self, p: AssocPoly) -> dict[tuple[int, ...], Fraction]:
-        """Standard-monomial coordinates of p: maps nondecreasing index
-        tuples over the adapted basis to coefficients.
+    def _dead_symbols(self, drop: str) -> frozenset[int]:
+        """The symbols of the blocks in drop: none at all, or every symbol of
+        one side of the chain that is an ideal of F, Y (blocks a, c) or X
+        (blocks a, b); any other set raises ValueError.  Each side is
+        checked once per context: a subspace with an ideal context was
+        checked when that context was built, any other through is_ideal."""
+        if drop in self._dead:
+            return self._dead[drop]
+        if not set(drop) <= set("abcd"):
+            raise ValueError(f"unknown block in {drop!r}")
+        dead = frozenset(k for k, b in self.block_of.items() if b in drop)
+        if dead:
+            for side, space in (("ac", self.basis.y), ("ab", self.basis.x)):
+                if dead == {k for k, b in self.block_of.items() if b in side}:
+                    break
+            else:
+                raise ValueError(f"blocks {drop!r} are not one side of the chain")
+            cached = (space.rank, frozenset(), space) in SubalgebraIdealContext._cache
+            if not (side in self._dead or cached or is_ideal(space)):
+                raise ValueError(f"blocks {side!r} do not span an ideal")
+            self._dead[side] = dead
+        self._dead[drop] = dead
+        return dead
 
-        Straightening runs on integer numerators over one denominator:
-        p = P / den with P integral, and a stack entry (mono, n, q) stands
-        for n / (q * den) times mono, q the product of the table
-        denominators met on its way.  Standard monomials collect their
-        numerators per q; a Fraction is formed only in the result, once
-        per monomial, over the lcm of those q."""
+    def rewrite(self, p: AssocPoly, drop: str = "") -> dict[tuple[int, ...], Fraction]:
+        """Standard-monomial coordinates of p: maps nondecreasing index
+        tuples over the adapted basis to coefficients, without the
+        monomials that hold a symbol of a block in ``drop``.
+
+        drop names no block, or the blocks of one side of the chain that is
+        an ideal of F (see _dead_symbols).  The monomials holding one of its
+        symbols span the two-sided ideal that side generates, so each
+        generator expansion, stack entry and bracket term holding one is
+        discarded where it is made: what remains is p modulo that ideal.
+
+        A popped monomial is sorted in one insertion pass.  Moving e_j left
+        past a greater e_i applies e_i e_j = e_j e_i + [e_i, e_j]: the
+        monomial goes on sorting, and each term of the bracket is pushed in
+        the pair's place.
+
+        Arithmetic is in integers: p = P / den with P integral, and a stack
+        entry (mono, n, q) stands for n / (q * den) times mono, q the
+        product of the table denominators met on its way.  Standard
+        monomials collect their numerators per q; a Fraction is formed only
+        in the result, once per monomial, over the lcm of those q."""
         if p.rank != self.rank:
             raise ValueError("rank mismatch")
         if p.max_degree() > self.cutoff:
             raise ValueError("degree exceeds cutoff")
+        dead = self._dead_symbols(drop)
         den, ints = _integral(p.terms)
+        gen_rows, gen_symbol = self._gen_rows, self._gen_symbol
         stack: list[tuple[tuple[int, ...], int, int]] = []
         for word, n in ints.items():
+            mono = tuple(map(gen_symbol.get, word))
+            if None not in mono:
+                if dead.isdisjoint(mono):
+                    stack.append((mono, n, 1))
+                continue
             terms = [((), n, 1)]
             for letter in word:
-                qj, subs = self._gen_rows[letter]
+                qj, subs = gen_rows[letter]
                 terms = [
                     (mono + (k,), c * nk, q * qj)
                     for mono, c, q in terms
                     for k, nk in subs
+                    if k not in dead
                 ]
             stack.extend(terms)
         table = self._bracket_rows
         standard: dict[int, dict[tuple[int, ...], int]] = {}  # q -> mono -> n
         while stack:
             mono, n, q = stack.pop()
-            bad = None
-            for t in range(len(mono) - 1):
-                if mono[t] > mono[t + 1]:
-                    bad = t
-                    break
-            if bad is None:
-                acc = standard.setdefault(q, {})
-                acc[mono] = acc.get(mono, 0) + n
-                continue
-            i, j = mono[bad], mono[bad + 1]
-            head, tail = mono[:bad], mono[bad + 2 :]
-            stack.append((head + (j, i) + tail, n, q))
-            qb, row = table.get((i, j)) or self._bracket_row(i, j)
-            q *= qb
-            for k, nk in row:
-                stack.append((head + (k,) + tail, n * nk, q))
+            cur = list(mono)
+            for t in range(1, len(cur)):
+                j = cur[t]
+                if cur[t - 1] <= j:
+                    continue
+                s = t
+                while s and cur[s - 1] > j:
+                    # cur[:s - 1] (i, j) cur[s + 1:]; j moves left of i
+                    i = cur[s - 1]
+                    qb, row = table.get((i, j)) or self._bracket_row(i, j)
+                    live = [(k, nk) for k, nk in row if k not in dead]
+                    if live:
+                        head, tail = tuple(cur[: s - 1]), tuple(cur[s + 1 :])
+                        qb *= q
+                        for k, nk in live:
+                            stack.append((head + (k,) + tail, n * nk, qb))
+                    cur[s] = i
+                    s -= 1
+                cur[s] = j
+            acc = standard.setdefault(q, {})
+            mono = tuple(cur)
+            acc[mono] = acc.get(mono, 0) + n
         q = lcm(*standard)
         if len(standard) == 1:
             (acc,) = standard.values()
@@ -231,13 +298,12 @@ class PBWContext:
         return "".join(self.block_of[k] for k in mono)
 
     def residue(self, p: AssocPoly, drop: str) -> dict[tuple[int, ...], Fraction]:
-        """Standard-monomial coordinates of p without the monomials that
-        hold a symbol of a block in ``drop``."""
-        return {
-            mono: c
-            for mono, c in self.rewrite(p).items()
-            if not any(self.block_of[k] in drop for k in mono)
-        }
+        """Standard-monomial coordinates of p modulo the two-sided ideal
+        generated by the side of the chain whose blocks drop names (Y = a + c
+        or X = a + b, an ideal of F): rewrite(p, drop), which never builds
+        the monomials it leaves out.  A drop set that is not such a side
+        raises ValueError."""
+        return self.rewrite(p, drop)
 
 
 def is_ideal(n: GradedSubspace) -> bool:

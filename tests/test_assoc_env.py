@@ -310,15 +310,21 @@ def test_integer_rewrite_matches_fraction_reference(relator, K):
     rng = random.Random(f"{relator} {sorted(K)}")
     cases = [AssocPoly.zero(rank), AssocPoly.one(rank).scale(Fraction(-2, 3))]
     cases += [_random_poly(rng, rank, cutoff) for _ in range(40)]
+    # "c" is the ideal side Y = a + c only while block a is empty
+    has_a = "a" in ctx.block_of.values()
+    drops = ("ac",) if has_a else ("c", "ac")
     for p in cases:
         want = _reference_rewrite(ctx, p)
         got = ctx.rewrite(p)
         assert got == want
         assert all(type(c) is Fraction and c for c in got.values())
-        for drop in ("c", "ac"):
+        for drop in drops:
             assert ctx.residue(p, drop) == {
                 m: c for m, c in want.items() if not any(ctx.block_of[k] in drop for k in m)
             }
+        if has_a:
+            with pytest.raises(ValueError):
+                ctx.residue(p, "c")
         assert ctx.expand(got) == p
     # the non-integral bookkeeping was exercised, not only q = 1
     tables = ctx._bracket_rows if "[" in relator else ctx._gen_rows
@@ -344,3 +350,101 @@ def test_expand_to_assoc_matches_fraction_products():
             got = expand_to_assoc(a)
             assert got.terms == want
             assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# -- reduction modulo an ideal side: pruned residue against the full rewrite --
+
+
+def _long_poly(rng, rank, cutoff):
+    """One to three words of length 5 up to the cutoff."""
+    return AssocPoly(
+        rank,
+        [
+            (tuple(rng.randint(1, rank) for _ in range(rng.randint(5, cutoff))), _random_coeff(rng))
+            for _ in range(rng.randint(1, 3))
+        ],
+    )
+
+
+_CONTEXT_KINDS = ("ideal-gamma2", "ideal-gamma3", "ideal-rational", "K1", "K12", "dcba")
+
+
+def _pbw_context(kind, cutoff):
+    """(context, drop sets) for each kind of context the library builds at
+    rank 3: ideal contexts, subalgebra contexts, and the "dcba" context of
+    free_generating_set, which drops its side X = B."""
+    from foxcalc.assoc_env import SubalgebraIdealContext
+    from foxcalc.freiheit import _free_factor
+    from foxcalc.lie_core import parse_lie
+
+    rank = 3
+    full = GradedSubspace.full(rank, cutoff)
+    gamma2 = power_subspace(full, 2)
+    if kind.startswith("ideal-"):
+        n = {
+            "gamma2": lambda: gamma2,
+            "gamma3": lambda: power_subspace(full, 3),
+            "rational": lambda: ideal_closure([parse_lie("2*[y1, y2] + 3*[y1, y3]", rank)], rank, cutoff),
+        }[kind[len("ideal-"):]]()
+        return ideal_context(n), ("c", "ac")
+    if kind == "K1":  # F_{1} meets gamma_2 in 0: block a is empty
+        return SubalgebraIdealContext(rank, frozenset({1}), gamma2).ctx, ("c", "ac")
+    if kind == "K12":
+        return SubalgebraIdealContext(rank, frozenset({1, 2}), gamma2).ctx, ("ac",)
+    h = _free_factor(rank, None, cutoff)
+    return PBWContext(adapted_basis(gamma2, h, "dcba")), ("ab",)
+
+
+@pytest.mark.parametrize("cutoff", [6, 7])
+@pytest.mark.parametrize("kind", _CONTEXT_KINDS)
+def test_pruned_residue_matches_filtered_rewrite(kind, cutoff):
+    """residue(p, drop) never builds a monomial holding a dropped symbol;
+    it equals the full rewrite with those monomials filtered out, and the
+    full rewrite equals the step-by-step Fraction reference."""
+    ctx, drops = _pbw_context(kind, cutoff)
+    rng = random.Random(f"{kind} {cutoff}")
+    for _ in range(6):
+        p = _long_poly(rng, ctx.rank, ctx.cutoff)
+        want = _reference_rewrite(ctx, p)
+        assert ctx.rewrite(p) == want
+        for drop in drops:
+            assert ctx.residue(p, drop) == {
+                m: c for m, c in want.items() if not any(ctx.block_of[k] in drop for k in m)
+            }
+
+
+def test_bracket_term_with_a_c_symbol_left_of_a_b_symbol():
+    """At K = {1, 2} over gamma_2, x3 x1 x1 is the monomial d b b: moving b
+    past d brackets [y3, y1], a c element, into the c symbol left of the
+    remaining b.  The residue drops that term as it is made; the full
+    rewrite straightens it."""
+    from foxcalc.assoc_env import SubalgebraIdealContext
+
+    rank, cutoff = 3, 6
+    n = power_subspace(GradedSubspace.full(rank, cutoff), 2)
+    ctx = SubalgebraIdealContext(rank, frozenset({1, 2}), n).ctx
+    p = AssocPoly(rank, {(3, 1, 1): Fraction(1)})
+    full = ctx.rewrite(p)
+    assert full == _reference_rewrite(ctx, p)
+    assert any(ctx.monomial_blocks(m) in ("bc", "ac") for m in full)
+    kept = {m: c for m, c in full.items() if set(ctx.monomial_blocks(m)) <= {"b", "d"}}
+    assert ctx.residue(p, "ac") == kept
+    assert ctx.residue(p, "ac") == {(ctx._gen_symbol[1], ctx._gen_symbol[1], ctx._gen_symbol[3]): 1}
+
+
+def test_residue_refuses_a_drop_set_that_is_not_an_ideal_side():
+    """Pruning is exact only for the blocks of one side of the chain that
+    is an ideal of F; any other drop set raises ValueError."""
+    from foxcalc.assoc_env import SubalgebraIdealContext
+
+    rank, cutoff = 3, 5
+    n = power_subspace(GradedSubspace.full(rank, cutoff), 2)
+    ctx = SubalgebraIdealContext(rank, frozenset({1, 2}), n).ctx
+    p = AssocPoly(rank, {(3, 1, 2): Fraction(1)})
+    assert "a" in ctx.block_of.values()
+    # b, d and their union name no side; c misses block a of Y; X = F_K
+    # is a side but not an ideal; e names no block
+    for drop in ("b", "d", "bd", "c", "ab", "abc", "e"):
+        with pytest.raises(ValueError):
+            ctx.residue(p, drop)
+    assert ctx.residue(p, "ac") == ctx.residue(p, "ca")
