@@ -79,5 +79,13 @@ expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient "inde
 expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient trivial:x
 expect 2 fox group schumann --rank 2 --word "g1 g2 g1^-1 g2^-1" --quotient abel:x
 expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 2 --cutoff 4 --root gamma:2
+# Magnus images past the letter budget (monomials times the degree, 10^6)
+# are refused as they grow: many syllables at a high class, through the
+# gamma criterion and the nilpotent oracle, and one syllable at a high
+# degree; a short word at a high class still answers
+expect 2 fox group gamma-criterion --rank 3 --word "g1^-1 g2^-1 g3^-1 g1^-1 g2^-1 g3^-1 g1^-1 g2^-1 g3^-1 g1^-1 g2^-1 g3^-1" --keep g1 --class 20 --cutoff 21
+expect 2 fox group schumann --rank 3 --word "g1^-1 g2^-1 g3^-1 g1^-1 g2^-1 g3^-1 g1^-1 g2^-1 g3^-1 g1^-1 g2^-1 g3^-1" --quotient nilpotent:20
+expect 2 fox group gamma-criterion --rank 2 --word "g1^-1" --keep g1 --class 5000 --cutoff 5001
+expect 1 fox group gamma-criterion --rank 2 --word "g1 g2 g1^-1 g2^-1" --keep g1 --class 20 --cutoff 21
 
 exit $fail

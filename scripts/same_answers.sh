@@ -1,6 +1,6 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands, four more Lie commands, eleven group-criteria commands, four
+# commands, four more Lie commands, nineteen group-criteria commands, four
 # frontier Freiheitssatz commands, five frontier commands on generic
 # (two-term) relators, two of them with specs that need every degree, two
 # Kharlampovich checks at cutoff 8, three PBW commands on elements with
@@ -101,4 +101,17 @@ check lie kharlampovich --rank 3 --expr "[[y1, y2], y3] + [[y1, [y1, y2]], [y3, 
 check lie decompose --rank 3 --expr "[[y1, y3], y2] + [[y1, y2], [y1, [y1, y3]]]" --keep 1,2 --ideal power:3 --cutoff 7
 check lie kharlampovich --rank 4 --expr "[[y1, [y1, y2]], [y3, [y3, y4]]]" --ideal power:3 --cutoff 6
 check lie kharlampovich --rank 4 --expr "[[y1, y2], y4] + [[y1, [y1, y2]], [y3, [y3, y4]]]" --ideal power:3 --cutoff 6
+# Magnus keys batched over all derivatives of v: schumann modulo gamma_4
+# on a weight-3 commutator (not in N, exit 2), a commutator of two (exit
+# 1) and one of two weight-4 commutators (exit 0); gamma criteria at
+# classes 3 and 4 on words of 20 or more syllables (exit 0, exit 1 each);
+# schumann over a factor alphabet
+check group schumann --rank 3 --quotient nilpotent:3 --word "g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3"
+check group schumann --rank 3 --quotient nilpotent:3 --word "g3^-1 g2^-1 g1^-1 g2 g1 g3 g1^-1 g2^-1 g1 g2 g1 g3^-1 g2^-2 g3 g2^2 g1^-1 g2^-2 g3^-1 g2^2 g3 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2^-1 g3 g2^2 g1 g2^-2 g3^-1 g2^2 g3 g1^-1"
+check group schumann --rank 3 --quotient nilpotent:3 --word "g1^-1 g3^-1 g2^-1 g1^-1 g2 g1 g3 g1^-1 g2^-1 g1 g2 g1 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3 g2^-1 g1^-1 g2 g3^-1 g2^-1 g3 g1 g3^-1 g2 g3 g2 g3^-1 g2^-1 g3 g1^-1 g3^-1 g2 g3 g2^-1 g1 g3^-1 g2^-1 g1^-1 g2 g1 g3 g1^-1 g2^-1 g1 g2 g1^-1 g2^-1 g1^-1 g2 g1 g3^-1 g1^-1 g2^-1 g1 g2 g3 g2 g3^-1 g2^-1 g3 g1 g3^-1 g2 g3 g2^-1 g3^-1 g2^-1 g3 g1^-1 g3^-1 g2 g3 g2^-1 g1 g2"
+check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2^-3 g1^2 g2 g3 g2^-2 g3^-1 g1^-1 g3 g1 g2 g1^-1 g3^-1 g1 g3^-1 g1^-1 g3 g1 g2^-1 g1^-1 g3^-1 g1 g3 g2 g3 g2 g3^-1" --keep g1,g2 --class 3 --cutoff 4
+check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2^-3 g1^2 g2 g3^-2 g2^-1 g3 g2 g1^-1 g2^-1 g3^-1 g2 g3 g1 g3" --keep g1,g2 --class 3 --cutoff 4
+check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2^-3 g1^2 g2 g3 g2^-1 g3^-1 g2^-1 g3^-1 g1^-1 g3 g1 g2 g1^-1 g3^-1 g1 g3 g1^-1 g3 g1 g2^-1 g1^-1 g3^-1 g1 g3 g2 g1^-1 g2^-1 g3^-1 g1^-1 g3 g1 g2 g1^-1 g3^-1 g1 g3^-1 g1^-1 g3 g1 g2^-1 g1^-1 g3^-1 g1 g3 g2 g3 g1 g2 g3^-1" --keep g1,g2 --class 4 --cutoff 5
+check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2^-3 g1^2 g2 g3^-1 g1^-1 g3^-1 g2^-1 g3 g2 g1 g2^-1 g3^-1 g2 g3 g2^-2 g3^-1 g2^-1 g3 g2 g1^-1 g2^-1 g3^-1 g2 g3 g1 g2^2 g3" --keep g1,g2 --class 4 --cutoff 5
+check group schumann --rank 2 --factors 3 --quotient "index:2,3:g1=1,0;g2=0,1;a1=0,1" --word "a1 g1^2 a1^2 g2^-1 g1^-2 a1 g2^2 a1 g1 g2^-1 a1 g1^-1"
 exit $fail

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .group_ring import QuotientOracle, RingElt, reduce_mod
-from .lincomb import terms_of
-from .magnus import embed, gamma_weight
+from .group_ring import QuotientOracle, RingElt
+from .lincomb import sum_terms, terms_of
+from .magnus import embed
 from .transversal import SchreierGenerator, Transversal, lattice_membership, transversal_for
 from .words import (
     Alphabet,
@@ -21,6 +21,7 @@ from .words import (
     FreeLetter,
     Letter,
     Word,
+    identity,
     invert,
     multiply,
     reduce,
@@ -187,21 +188,31 @@ class CriterionReport:
 def schumann_check(v: Word, q: QuotientOracle) -> CriterionReport:
     """All Fox derivatives of v vanish modulo N; for N meeting the cyclic
     factors trivially this characterises v in [N, N]."""
-    if not q.contains(v):
+    report, (key_v, key_one) = _residue_report(v, q, also=(v, identity(v.alphabet)))
+    if key_v != key_one:
         raise ValueError("v must lie in N")
-    return _residue_report(v, q)
+    return report
 
 
 def _residue_report(
-    v: Word, q: QuotientOracle, skip: frozenset[FoxIndex] = frozenset()
-) -> CriterionReport:
-    """D_k(v) mod N for every index k outside ``skip``; holds iff all vanish."""
+    v: Word,
+    q: QuotientOracle,
+    skip: frozenset[FoxIndex] = frozenset(),
+    also: Sequence[Word] = (),
+) -> tuple[CriterionReport, list]:
+    """D_k(v) mod N for every index k outside ``skip``; holds iff all vanish.
+    The terms of every D_k(v) go to the oracle in one batch, after the words
+    ``also``, whose keys come back beside the report; each residue is summed
+    as reduce_mod sums it."""
+    derivatives = [
+        (k, fox_derivative(v, k)) for k in all_indices(v.alphabet) if k not in skip
+    ]
+    keys = iter(q.coset_keys([*also, *(w for _, d in derivatives for w in d.terms)]))
+    also_keys = [next(keys) for _ in also]
     residues = {
-        k: reduce_mod(fox_derivative(v, k), q)
-        for k in all_indices(v.alphabet)
-        if k not in skip
+        k: sum_terms((next(keys), c) for c in d.terms.values()) for k, d in derivatives
     }
-    return CriterionReport(not any(residues.values()), residues)
+    return CriterionReport(not any(residues.values()), residues), also_keys
 
 
 def retraction(u: Word, keep: frozenset[FoxIndex]) -> Word:
@@ -241,7 +252,7 @@ def theorem1_check(
     K = frozenset(K)
     if not K <= set(all_indices(alphabet)):
         raise ValueError("kept indices must lie in the alphabet")
-    report = _residue_report(v, q, K)
+    report, _ = _residue_report(v, q, K)
     # built once per oracle and kept, with its sub-lattice
     t = transversal_for(q, frozenset(j for _, j in K))
     vhat = retraction(v, K)
@@ -270,7 +281,12 @@ def subgroup_gamma_criterion(
     iff D_k(v) has ideal weight >= n for k outside K and D_k(v) is congruent
     to an element of Z(F_K) mod the n-th power of the augmentation ideal for
     k in K.  When it holds, vbar = retraction of v satisfies
-    v vbar^-1 in gamma_{n+1}."""
+    v vbar^-1 in gamma_{n+1}.
+
+    The report reads the Magnus images of v and vbar up to degree n only:
+    the derivative side off M(v), and the witness side as M(vbar) == M(v)
+    there.  ``cutoff`` must be at least n + 1 (ValueError otherwise); above
+    that it changes nothing."""
     alphabet = v.alphabet
     if alphabet.n_factors:
         raise ValueError("gamma criterion requires a free alphabet")
@@ -284,8 +300,9 @@ def subgroup_gamma_criterion(
     keep = {j for kind, j in K if kind == "free"}
     # M(v) = 1 + sum_j x_j M(D_j v): the monomials of M(D_j v) below degree
     # n are those of M(v) up to degree n that start with x_j, x_j stripped
+    image = embed(v, n)
     led: dict = {k: [] for k in all_indices(alphabet)}
-    for m in embed(v, n).terms:
+    for m in image.terms:
         if m:
             led[free_index(m[0])].append(m[1:])
     # for k outside K no such monomial may exist; for k in K each must be a
@@ -298,6 +315,7 @@ def subgroup_gamma_criterion(
     vbar = retraction(v, K)
     report = GammaCriterionReport(holds, vbar, derivative_ok)
     if holds:
-        w = gamma_weight(multiply(v, invert(vbar)), cutoff)
-        report.witness_weight_ok = w is None or w >= n + 1
+        # truncation above degree n is a ring map, so M(v vbar^-1) = 1 mod
+        # degree > n iff M(v) = M(vbar) up to degree n
+        report.witness_weight_ok = embed(vbar, n) == image
     return report

@@ -6,7 +6,13 @@ the cutoff" and are not otherwise trusted.
 
 A syllable g_j^e has the closed-form image (1 + x_j)^e = sum_k C(e, k) x_j^k,
 exact for every integer e: for e = -n < 0 the generalised binomial reads
-C(-n, k) = (-1)^k C(n + k - 1, k).
+C(-n, k) = (-1)^k C(n + k - 1, k).  Multiplying a series s by it from the
+left keeps s (the k = 0 term) and adds C(e, k) x_j^k m for each monomial m
+of s and each k >= 1 that fits, so only monomials led by x_j change.
+
+An image may hold at most _LETTER_BUDGET letters, counted as monomials
+times the cutoff; a word whose running image passes that is refused with a
+ValueError as soon as it does.
 """
 from __future__ import annotations
 
@@ -15,6 +21,23 @@ from typing import Optional, Sequence
 
 from .lincomb import Graded, Terms, sum_terms, terms_of
 from .words import Word
+
+# Most letters a running Magnus image may hold, counted as its monomials
+# times the cutoff (no monomial is longer): past that, embedding refuses
+# the word.  The commands and tests of this package peak below 4,000; a
+# rank-3 word of 12 syllables at degree 20 reaches the budget in 0.2 s.
+_LETTER_BUDGET = 10**6
+
+
+def _monomial_limit(cutoff: int) -> int:
+    return _LETTER_BUDGET // max(cutoff, 1)
+
+
+def _too_large(cutoff: int) -> ValueError:
+    return ValueError(
+        f"Magnus image up to degree {cutoff} holds more than "
+        f"{_monomial_limit(cutoff)} monomials ({_LETTER_BUDGET} letters)"
+    )
 
 
 class TruncSeries(Graded):
@@ -53,23 +76,38 @@ class TruncSeries(Graded):
 
 
 def _binomials(exp: int, cutoff: int) -> list[int]:
-    """Coefficients of (1 + x)^exp up to degree ``cutoff``."""
+    """The non-zero coefficients C(exp, k) of (1 + x)^exp up to degree
+    ``cutoff``: k <= exp for exp >= 0, every k for exp < 0.  Refused when
+    the image of the syllable alone would pass the budget."""
+    top = min(cutoff, exp) if exp >= 0 else cutoff
+    if top >= _monomial_limit(cutoff):
+        raise _too_large(cutoff)
     return [
         comb(exp, k) if exp >= 0 else (-1) ** k * comb(k - exp - 1, k)
-        for k in range(cutoff + 1)
+        for k in range(top + 1)
     ]
 
 
 def _syllable_times(j: int, coeffs: list[int], terms: dict, cutoff: int) -> dict:
-    """Terms of (1 + x_j)^e * s, given the binomials of e and the terms of
-    s: each monomial m of s meets x_j^k m for every k that fits."""
-    out: dict = {}
+    """Terms of (1 + x_j)^e * s = s + sum_{k >= 1} C(e, k) x_j^k s, given the
+    binomials of e and the terms of s: the k = 0 part is a copy of s, and
+    x_j^k m extends x_j^(k-1) m by one letter.  Refused as soon as the
+    product passes the budget."""
+    out = dict(terms)
+    lead = (j,)
+    limit = _monomial_limit(cutoff)
     for m, c in terms.items():
-        for k in range(cutoff - len(m) + 1):
-            if coeffs[k]:
-                mono = (j,) * k + m
-                out[mono] = out.get(mono, 0) + coeffs[k] * c
-    return {m: c for m, c in out.items() if c}
+        mono = m
+        for k in range(1, min(len(coeffs), cutoff - len(m) + 1)):
+            mono = lead + mono
+            c2 = out.get(mono, 0) + coeffs[k] * c
+            if c2:
+                out[mono] = c2
+            else:
+                del out[mono]
+        if len(out) > limit:
+            raise _too_large(cutoff)
+    return out
 
 
 def embed_words(ws: Sequence[Word], cutoff: int) -> list[TruncSeries]:
@@ -78,7 +116,8 @@ def embed_words(ws: Sequence[Word], cutoff: int) -> list[TruncSeries]:
     trie local to the call holds the image of every suffix met, so words
     that share suffixes (the terms of a Fox derivative) pay one syllable
     product for each suffix not seen before.  A lone word shares nothing,
-    so its suffixes are not kept."""
+    so its suffixes are not kept.  ValueError as soon as a running image
+    passes the letter budget."""
     root: tuple = ({(): 1} if cutoff >= 0 else {}, {})
     keep = len(ws) > 1
     binomials: dict = {}

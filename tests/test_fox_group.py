@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foxcalc.fox_group import (
+    _residue_report,
     all_indices,
     fox_derivative,
     free_index,
@@ -17,7 +18,9 @@ from foxcalc.fox_group import (
 )
 from foxcalc.group_ring import (
     RingElt,
+    abelianization_oracle,
     finite_index_oracle,
+    free_nilpotent_oracle,
     reduce_mod,
     trivial_oracle,
 )
@@ -104,6 +107,45 @@ def test_schumann_examples():
     assert not schumann_check(c, q).holds  # in N but not [N, N]
     with pytest.raises(ValueError):
         schumann_check(Word(FREE2, (FreeLetter(1, 1),)), q)
+
+
+def test_residue_report_batch_against_reduce_mod():
+    """The one-batch residue report against reduce_mod of each derivative
+    on its own, and the keys of the extra words against coset_key, over
+    trivial, abel, abel:kill on a factor alphabet, nilpotent:1..3 and index
+    oracles; schumann_check refuses exactly the words outside N."""
+    rng = random.Random(28)
+    oracles = [
+        trivial_oracle(FREE3),
+        abelianization_oracle(FREE3),
+        abelianization_oracle(MIXED),
+        abelianization_oracle(MIXED, kill_factors=True),
+        *(free_nilpotent_oracle(FREE3, c) for c in (1, 2, 3)),
+        index4_oracle(),
+        finite_index_oracle(MIXED, (2, 5), [(1, 0), (0, 2)], [(0, 1)]),
+    ]
+    verdicts = set()
+    for q in oracles:
+        al = q.alphabet
+        one = identity(al)
+        cases = syllable_words(rng, al, 12, max_syllables=8)
+        cases += [commutator(u, w) for u, w in zip(cases[:6], cases[6:])]
+        for v in cases:
+            indices = all_indices(al)
+            want = {k: reduce_mod(fox_derivative(v, k), q) for k in indices}
+            skip = frozenset(k for k in indices if rng.random() < 0.3)
+            report, keys = _residue_report(v, q, skip, also=(v, one))
+            assert report.residues == {k: r for k, r in want.items() if k not in skip}
+            assert report.holds == (not any(report.residues.values()))
+            assert keys == [q.coset_key(v), q.coset_key(one)]
+            if q.contains(v):
+                rep = schumann_check(v, q)
+                assert rep.residues == want
+                verdicts.add(rep.holds)
+            else:
+                with pytest.raises(ValueError):
+                    schumann_check(v, q)
+    assert verdicts == {True, False}
 
 
 def test_theorem1_examples():
@@ -361,7 +403,7 @@ def test_gamma_criterion_reads_derivatives_off_the_image(monkeypatch):
             a, b = syllable_words(rng, al, 2, max_syllables=2, max_exp=2)
             v = multiply(v, commutator(a, b))
         K = frozenset(k for k in all_indices(al) if rng.random() < 0.5)
-        n = rng.randrange(0, 5)
+        n = rng.randrange(0, 6)
         cutoff = n + 1 + rng.randrange(2)
         cases.append((v, K, n, cutoff, _gamma_derivatives_oracle(v, K, n, cutoff)))
 

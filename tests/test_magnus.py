@@ -1,11 +1,15 @@
 import itertools
 import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from foxcalc.fox_group import fox_derivative, free_index
 from foxcalc.magnus import (
     TruncSeries,
+    _binomials,
+    _syllable_times,
     embed,
     embed_ring,
     embed_words,
@@ -13,9 +17,17 @@ from foxcalc.magnus import (
     ideal_weight,
 )
 from foxcalc.group_ring import free_nilpotent_oracle, reduce_mod
-from foxcalc.words import Alphabet, FreeLetter, Word, commutator, identity, multiply
+from foxcalc.words import (
+    Alphabet,
+    FreeLetter,
+    Word,
+    commutator,
+    identity,
+    multiply,
+    parse_word,
+)
 
-from conftest import FREE2, FREE3, syllables, words
+from conftest import FREE2, FREE3, syllable_words, syllables, words
 
 
 @given(words(FREE2, 8), words(FREE2, 8))
@@ -128,22 +140,46 @@ def test_gen_power_closed_form_against_products():
                     assert embed(Word(al, syllable), cutoff) == want
 
 
+def _closed_form(rank, cutoff, j, e):
+    """(1 + x_j)^e up to the cutoff, from the generalised binomial."""
+    return TruncSeries(
+        rank,
+        cutoff,
+        {
+            (j,) * k: math.comb(e, k) if e > 0 else (-1) ** k * math.comb(k - e - 1, k)
+            for k in range(cutoff + 1)
+        },
+    )
+
+
 def _product_embed(w, cutoff):
     """The generic path: closed-form syllable series multiplied left to
     right through TruncSeries.__mul__."""
     rank = w.alphabet.free_rank
     out = TruncSeries.one(rank, cutoff)
     for letter in w.letters:
-        e = letter.exp
-        out = out * TruncSeries(
-            rank,
-            cutoff,
-            {
-                (letter.index,) * k: math.comb(e, k) if e > 0 else (-1) ** k * math.comb(k - e - 1, k)
-                for k in range(cutoff + 1)
-            },
-        )
+        out = out * _closed_form(rank, cutoff, letter.index, letter.exp)
     return out
+
+
+def test_syllable_product_against_generic_product():
+    """(1 + x_j)^e * s by the syllable product against TruncSeries.__mul__
+    of the closed-form image, on images s of random words and on
+    s = M(g_j^-e v), where the product cancels back to M(v)."""
+    rng = random.Random(27)
+    exps = [*range(-5, 0), *range(1, 6)]
+    for rank in (1, 2, 3):
+        al = Alphabet(rank)
+        for cutoff in range(7):
+            for v in syllable_words(rng, al, 3, max_syllables=5):
+                for j in range(1, rank + 1):
+                    for e in exps:
+                        syllable = _closed_form(rank, cutoff, j, e)
+                        undo = multiply(Word(al, (FreeLetter(j, -e),)), v)
+                        for s in (embed(v, cutoff), embed(undo, cutoff)):
+                            got = _syllable_times(j, _binomials(e, cutoff), s.terms, cutoff)
+                            assert got == (syllable * s).terms
+                        assert got == embed(v, cutoff).terms
 
 
 def _shared_suffix_batch(v):
@@ -183,3 +219,21 @@ def test_batch_nilpotent_keys_match_embed_word_by_word(v, nil_class):
     for w, c in a.terms.items():
         want[q.coset_key(w)] = want.get(q.coset_key(w), 0) + c
     assert reduce_mod(a, q) == {k: c for k, c in want.items() if c}
+
+
+def test_embedding_refuses_images_past_the_budget():
+    """A running image past the letter budget (monomials times cutoff) is
+    refused as it grows, also for one syllable at a high degree and through
+    the nilpotent oracle's keys; a short word at a high class answers."""
+    al = Alphabet(3)
+    hostile = parse_word("g1^-1 g2^-1 g3^-1 " * 4, al)
+    with pytest.raises(ValueError, match="monomials"):
+        embed(hostile, 20)
+    with pytest.raises(ValueError, match="monomials"):
+        free_nilpotent_oracle(al, 20).coset_keys([hostile, identity(al)])
+    with pytest.raises(ValueError, match="monomials"):
+        embed(Word(al, (FreeLetter(1, -1),)), 5000)
+    g1, g2 = (Word(al, (FreeLetter(j, 1),)) for j in (1, 2))
+    assert gamma_weight(commutator(g1, g2), 20) == 2
+    cube = embed(Word(al, (FreeLetter(2, 3),)), 10**5)
+    assert cube.terms == {(): 1, (2,): 3, (2, 2): 3, (2, 2, 2): 1}
