@@ -24,8 +24,9 @@ from .words import Word
 
 # Most letters a running Magnus image may hold, counted as its monomials
 # times the cutoff (no monomial is longer): past that, embedding refuses
-# the word.  The commands and tests of this package peak below 4,000; a
-# rank-3 word of 12 syllables at degree 20 reaches the budget in 0.2 s.
+# the word.  The commands and tests of this package peak below 4,000; on a
+# 2-CPU Xeon a rank-3 word of 12 syllables at degree 20 reaches the budget
+# in 0.2 s and 29 MB.
 _LETTER_BUDGET = 10**6
 
 
