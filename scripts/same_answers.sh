@@ -1,6 +1,6 @@
 #!/bin/sh
 # Same-answers check against another revision: runs the README `fox`
-# commands, four more Lie commands, nineteen group-criteria commands, four
+# commands, four more Lie commands, twenty-five group-criteria commands, four
 # frontier Freiheitssatz commands, five frontier commands on generic
 # (two-term) relators, two of them with specs that need every degree, two
 # Kharlampovich checks at cutoff 8, three PBW commands on elements with
@@ -114,4 +114,14 @@ check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2
 check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2^-3 g1^2 g2 g3 g2^-1 g3^-1 g2^-1 g3^-1 g1^-1 g3 g1 g2 g1^-1 g3^-1 g1 g3 g1^-1 g3 g1 g2^-1 g1^-1 g3^-1 g1 g3 g2 g1^-1 g2^-1 g3^-1 g1^-1 g3 g1 g2 g1^-1 g3^-1 g1 g3^-1 g1^-1 g3 g1 g2^-1 g1^-1 g3^-1 g1 g3 g2 g3 g1 g2 g3^-1" --keep g1,g2 --class 4 --cutoff 5
 check group gamma-criterion --rank 3 --word "g1^2 g2^-1 g1^3 g2^2 g1^-1 g2 g1 g2^-3 g1^2 g2 g3^-1 g1^-1 g3^-1 g2^-1 g3 g2 g1 g2^-1 g3^-1 g2 g3 g2^-2 g3^-1 g2^-1 g3 g2 g1^-1 g2^-1 g3^-1 g2 g3 g1 g2^2 g3" --keep g1,g2 --class 4 --cutoff 5
 check group schumann --rank 2 --factors 3 --quotient "index:2,3:g1=1,0;g2=0,1;a1=0,1" --word "a1 g1^2 a1^2 g2^-1 g1^-2 a1 g2^2 a1 g1 g2^-1 a1 g1^-1"
+# group-ring arithmetic: derivatives of a 40-syllable word over Z/5 * F2 in
+# a factor and a free index; schumann modulo [F, F] with the factors
+# killed (exit 1, exit 0); theorem 1 over an index quotient whose images
+# are not coordinate vectors (holds, fails)
+check group derive --rank 2 --factors 5 --word "g1^-2 a1^4 g1^-3 g2^-3 a1^2 g1^-1 g2^-3 g1^2 a1^4 g1^2 a1 g1 g2^4 g1^-1 g2^-4 g1^-4 a1^3 g1^-1 g2^-1 g1^-1 g2^-1 g1^2 g2^2 a1^3 g1^-3 g2^-2 a1^4 g1^-1 g2^7 a1^3 g1^3 a1^2 g2^-3 a1^3 g2^-3 a1 g1^5 a1^4 g1^-3 a1" --gen a1
+check group derive --rank 2 --factors 5 --word "g1^-2 a1^4 g1^-3 g2^-3 a1^2 g1^-1 g2^-3 g1^2 a1^4 g1^2 a1 g1 g2^4 g1^-1 g2^-4 g1^-4 a1^3 g1^-1 g2^-1 g1^-1 g2^-1 g1^2 g2^2 a1^3 g1^-3 g2^-2 a1^4 g1^-1 g2^7 a1^3 g1^3 a1^2 g2^-3 a1^3 g2^-3 a1 g1^5 a1^4 g1^-3 a1" --gen g2
+check group schumann --rank 2 --factors 5 --quotient abel:kill --word "a1^-1 g1^-2 a1^2 g2 a1 g1^2 a1^-2 g2^-1"
+check group schumann --rank 2 --factors 5 --quotient abel:kill --word "g1 a1 g1^-1 a1^-1 g2 a1^2 g2^-1 a1^-2"
+check group theorem1 --rank 3 --word "g1^4 g3^-1 g2^2 g3" --keep g1,g2 --quotient "index:4,2:g1=1,1;g2=2,0;g3=3,1"
+check group theorem1 --rank 3 --word "g1 g3^-1" --keep g1,g2 --quotient "index:4,2:g1=1,1;g2=2,0;g3=3,1"
 exit $fail

@@ -5,6 +5,11 @@ Conventions: derivatives are right-sided, D(uv) = D(u) v + eps(u) D(v), with
 D_j(g_j) = 1 for a free letter and D_i(a) = a - 1 for every nontrivial
 element a of the i-th cyclic factor.  The fundamental identity reads
 u - eps(u) = sum_i D_i(u) + sum_j (g_j - 1) D_j(u).
+
+Validation happens where words and ring elements come in: a derivative
+builds its terms from the letters of its argument, and the fundamental
+decomposition sums parts of one alphabet, so both build their results
+without checking each term again.
 """
 from __future__ import annotations
 
@@ -56,29 +61,32 @@ def _letter_derivative(letter: Letter) -> list[tuple[tuple[Letter, ...], int]]:
     return [((FreeLetter(letter.index, t),) if t else (), sign) for t in powers]
 
 
+_SLOTS = {"free": FreeLetter, "factor": FactorLetter}
+
+
 def fox_derivative(u: Union[Word, RingElt], k: FoxIndex) -> RingElt:
-    """D_k of a word (or, linearly extended, of a ring element)."""
-    if isinstance(u, RingElt):
-        return RingElt(
-            u.alphabet,
-            terms_of(fox_derivative(w, k).scale(c) for w, c in u.terms.items()),
-        )
-    alphabet = u.alphabet
+    """D_k of a word (or, linearly extended, of a ring element).  An index
+    kind other than "free" or "factor" is a ValueError."""
     kind, idx = k
-    slot = {"free": FreeLetter, "factor": FactorLetter}.get(kind)
+    slot = _SLOTS.get(kind)
+    if slot is None:
+        raise ValueError(f"unknown Fox index kind {kind!r}")
+    alphabet = u.alphabet
     # D(l_1 ... l_r) = sum_t D(l_t) * (l_{t+1} ... l_r), where D(l_t) = 0
     # unless l_t lies in k's slot.  Each word of D(l_t) is 1 or a power in
     # that slot, and l_{t+1} never shares it in a reduced word, so the
     # concatenation is already reduced.
-    letters = u.letters
-    pairs = []
-    for t, letter in enumerate(letters):
-        if type(letter) is slot and letter.index == idx:
-            tail = letters[t + 1 :]
-            pairs.extend(
-                (Word(alphabet, head + tail), c) for head, c in _letter_derivative(letter)
-            )
-    return RingElt(alphabet, pairs)
+    terms = u.terms.items() if isinstance(u, RingElt) else ((u, 1),)
+    return RingElt._summed(
+        (alphabet,),
+        (
+            (Word(alphabet, head + w.letters[t + 1 :]), coeff * c)
+            for w, coeff in terms
+            for t, letter in enumerate(w.letters)
+            if type(letter) is slot and letter[0] == idx
+            for head, c in _letter_derivative(letter)
+        ),
+    )
 
 
 @dataclass
@@ -90,12 +98,14 @@ class FundamentalDecomposition:
         one = RingElt.one(alphabet)
         summands = [one.scale(self.constant)]
         for (kind, idx), part in self.parts.items():
+            one._check_shape(part)
             if kind == "factor":
                 summands.append(part)
             else:
                 g = RingElt.from_word(Word(alphabet, (FreeLetter(idx, 1),)))
                 summands.append((g - one) * part)
-        return RingElt(alphabet, terms_of(summands))
+        # every summand is over this alphabet: sum without checking again
+        return RingElt._summed((alphabet,), terms_of(summands))
 
 
 def fundamental_decomposition(a: RingElt) -> FundamentalDecomposition:

@@ -1,6 +1,9 @@
 """Integral group ring of a free product, and coset oracles for quotients.
 
-Ring elements are finite Z-linear combinations of reduced words.  A
+Ring elements are finite Z-linear combinations of reduced words.  The
+constructor checks every word's alphabet; products check the alphabet once
+per product, not once per pair of words, and join each pair's letters at
+the junction as words.multiply does.  A
 :class:`QuotientOracle` answers "which coset of N does this word lie in"
 through a hashable key; two words get the same key iff they agree modulo N.
 An oracle holds the transversals that transversal.transversal_for builds
@@ -9,6 +12,7 @@ for it, so they live as long as it does.
 from __future__ import annotations
 
 import re
+from operator import mul
 from typing import Sequence, Union
 
 from .lincomb import LinComb, Terms, sum_terms
@@ -18,7 +22,7 @@ from .words import (
     FreeLetter,
     Word,
     identity,
-    multiply,
+    join_letters,
     parse_word,
     format_word,
     shortlex_key,
@@ -55,11 +59,14 @@ class RingElt(LinComb):
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, Word):
-            other = RingElt.from_word(other)
+            other = RingElt._trusted((other.alphabet,), {other: 1})
         self._check_shape(other)
+        # one alphabet check for the product; every pair of words is joined
+        # as words.multiply joins them
+        alphabet = self.alphabet
         return self._like(
             sum_terms(
-                (multiply(u, v), cu * cv)
+                (Word(alphabet, join_letters(alphabet, u.letters, v.letters)), cu * cv)
                 for u, cu in self.terms.items()
                 for v, cv in other.terms.items()
             )
@@ -122,21 +129,25 @@ def discrete_oracle(alphabet: Alphabet) -> QuotientOracle:
     return QuotientOracle("discrete", alphabet, _each(lambda w: w.letters), False)
 
 
+def _exponent_sums(w: Word, n: int, p: int) -> list[int]:
+    """The exponent sum of each generator in w, in one pass over its
+    syllables: g_1..g_n, then a_1..a_p (not reduced modulo the orders)."""
+    sums = [0] * (n + p)
+    for letter in w.letters:
+        if type(letter) is FreeLetter:
+            sums[letter[0] - 1] += letter[1]
+        else:
+            sums[n + letter[0] - 1] += letter[1]
+    return sums
+
+
 def _abel_key(alphabet: Alphabet, kill_factors: bool):
     n, p = alphabet.free_rank, alphabet.n_factors
+    orders = () if kill_factors else alphabet.factor_orders
 
     def key(w: Word):
-        free = [0] * n
-        fac = [0] * p
-        for letter in w.letters:
-            if isinstance(letter, FreeLetter):
-                free[letter.index - 1] += letter.exp
-            else:
-                fac[letter.index - 1] += letter.exp
-        if kill_factors:
-            return tuple(free)
-        fac = [e % m for e, m in zip(fac, alphabet.factor_orders)]
-        return tuple(free) + tuple(fac)
+        sums = _exponent_sums(w, n, p)
+        return tuple(sums[:n]) + tuple([e % m for e, m in zip(sums[n:], orders)])
 
     return key
 
@@ -179,26 +190,20 @@ def finite_index_oracle(
         raise ValueError("need one image per free generator")
     if len(factor_images) != alphabet.n_factors:
         raise ValueError("need one image per factor generator")
-    free_images = [tuple(v) for v in free_images]
-    factor_images = [tuple(v) for v in factor_images]
-    for v in list(free_images) + list(factor_images):
-        if len(v) != len(orders):
-            raise ValueError("image length mismatch")
-    for v, m in zip(factor_images, alphabet.factor_orders):
+    n, p = alphabet.free_rank, alphabet.n_factors
+    images = [tuple(v) for v in (*free_images, *factor_images)]
+    if any(len(v) != len(orders) for v in images):
+        raise ValueError("image length mismatch")
+    for v, m in zip(images[n:], alphabet.factor_orders):
         if any((m * x) % t for x, t in zip(v, orders)):
             raise ValueError("factor image order must divide the factor order")
+    # the image of w is its exponent sums applied to the generator images:
+    # one column of images per target coordinate
+    columns = list(zip(*images))
 
     def key(w: Word):
-        acc = [0] * len(orders)
-        for letter in w.letters:
-            img = (
-                free_images[letter.index - 1]
-                if isinstance(letter, FreeLetter)
-                else factor_images[letter.index - 1]
-            )
-            for k, x in enumerate(img):
-                acc[k] += letter.exp * x
-        return tuple(x % t for x, t in zip(acc, orders))
+        sums = _exponent_sums(w, n, p)
+        return tuple([sum(map(mul, sums, col)) % t for col, t in zip(columns, orders)])
 
     return QuotientOracle("finite-index", alphabet, _each(key), True)
 

@@ -249,8 +249,10 @@ class Transversal:
         for w, c in a.terms.items():
             t = self.representative(invert(w))
             groups.setdefault(t, []).append((multiply(w, t), c))
-        # w -> w t is injective, so no group sums to zero
-        return {t: RingElt(self.alphabet, pairs) for t, pairs in groups.items()}
+        # w -> w t is injective, so each group's words are distinct and no
+        # group sums to zero
+        shape = (self.alphabet,)
+        return {t: RingElt._trusted(shape, dict(pairs)) for t, pairs in groups.items()}
 
 
 def transversal_for(q: QuotientOracle, keep: frozenset[int] = frozenset()) -> Transversal:

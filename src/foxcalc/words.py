@@ -168,34 +168,45 @@ def reduce(raw: Iterable[Letter], alphabet: Alphabet) -> Word:
 
 
 def multiply(u: Word, v: Word) -> Word:
-    """u v.  Both sides are reduced, so syllables merge or cancel only at
-    the junction: cancel pairs there until two syllables merge into one or
-    their slots differ."""
+    """u v."""
     alphabet = u.alphabet
     if alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    a, b = u.letters, v.letters
+    return Word(alphabet, join_letters(alphabet, u.letters, v.letters))
+
+
+def join_letters(alphabet: Alphabet, a: tuple, b: tuple) -> tuple:
+    """The letters of the product of two reduced words over ``alphabet``,
+    given their letters and not checked.  Both sides are reduced, so
+    syllables merge or cancel only at the junction: cancel pairs there
+    until two syllables merge into one or their slots differ."""
     i, j = len(a), 0
     while i and j < len(b):
         x, y = a[i - 1], b[j]
-        if not _same_slot(x, y):
+        if type(x) is not type(y) or x[0] != y[0]:
             break
-        e = x.exp + y.exp
-        if isinstance(x, FactorLetter):
-            e %= alphabet.factor_order(x.index)
+        e = x[1] + y[1]
+        if type(x) is FactorLetter:
+            e %= alphabet.factor_orders[x[0] - 1]
         if e:
-            return Word(alphabet, a[: i - 1] + (type(x)(x.index, e),) + b[j + 1 :])
+            return a[: i - 1] + (type(x)(x[0], e),) + b[j + 1 :]
         i, j = i - 1, j + 1
-    return Word(alphabet, a[:i] + b[j:])
+    return a[:i] + b[j:]
 
 
 def invert(u: Word) -> Word:
-    """The reversed word of inverse syllables, which is reduced as it is."""
+    """The reversed word of inverse syllables, which is reduced as it is:
+    g^e becomes g^-e and a^e becomes a^(m-e), m the order of a's factor."""
+    orders = u.alphabet.factor_orders
     # a list, not a generator: tuple() grows a generator's tuple by resizing,
     # and a long benchmark run then kept about 1 MB more resident memory
-    return Word(
-        u.alphabet, tuple([letter_inverse(l, u.alphabet) for l in reversed(u.letters)])
-    )
+    inverse = [
+        FreeLetter(l[0], -l[1])
+        if type(l) is FreeLetter
+        else FactorLetter(l[0], orders[l[0] - 1] - l[1])
+        for l in reversed(u.letters)
+    ]
+    return Word(u.alphabet, tuple(inverse))
 
 
 def conjugate(u: Word, t: Word) -> Word:

@@ -454,3 +454,47 @@ def test_theorem1_builds_one_transversal(monkeypatch):
     builds.clear()
     theorem1_check(parse_word("g1^2", FREE2), frozenset({free_index(1)}), other)
     assert builds == [(other, frozenset({1}))]
+
+
+def _without_slot(rng, al, k, count):
+    """Words with no letter in k's slot: prefixing one leaves D_k alone."""
+    drop = FactorLetter if k[0] == "factor" else FreeLetter
+    return [
+        reduce([l for l in w.letters if not (type(l) is drop and l.index == k[1])], al)
+        for w in syllable_words(rng, al, count)
+    ]
+
+
+@pytest.mark.parametrize("al", [FREE3, Alphabet(3, (5,))])
+def test_ring_derivative_is_the_linear_extension(al):
+    """D_k of a ring element against the coefficient-weighted sum of the
+    word derivatives, on elements holding w - p w with p free of k's slot,
+    whose derivatives cancel."""
+    rng = random.Random(21)
+    cancelled = 0
+    for _ in range(100):
+        k = rng.choice(all_indices(al))
+        ws = syllable_words(rng, al, 4)
+        pairs = [(w, rng.choice((-3, -1, 1, 2, 5))) for w in ws]
+        for w, p in zip(ws[:2], _without_slot(rng, al, k, 2)):
+            pairs.append((multiply(p, w), -dict(pairs)[w]))
+        a = RingElt(al, pairs)
+        expected: dict = {}
+        for w, c in a.terms.items():
+            for t, d in fox_derivative(w, k).terms.items():
+                expected[t] = expected.get(t, 0) + c * d
+        cancelled += any(not c for c in expected.values())
+        expected = {t: c for t, c in expected.items() if c}
+        assert fox_derivative(a, k).terms == expected
+    assert cancelled
+
+
+def test_fox_derivative_refuses_an_unknown_index_kind():
+    w = parse_word("g1 a1 g2^-1", MIXED)
+    for k in (("Free", 1), ("fac", 1), ("", 1)):
+        with pytest.raises(ValueError, match="Fox index"):
+            fox_derivative(w, k)
+        with pytest.raises(ValueError, match="Fox index"):
+            fox_derivative(RingElt.from_word(w), k)
+    # an index of a known kind outside the alphabet reads no letter
+    assert fox_derivative(w, free_index(9)).is_zero

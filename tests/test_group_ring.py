@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +16,20 @@ from foxcalc.group_ring import (
 )
 from foxcalc.magnus import embed
 from foxcalc.transversal import transversal_for
-from foxcalc.words import Alphabet, invert, multiply
+from foxcalc.words import (
+    Alphabet,
+    FreeLetter,
+    Word,
+    identity,
+    invert,
+    multiply,
+    reduce,
+)
 
-from conftest import FREE2, MIXED, words
+from conftest import FREE2, MIXED, syllable_words, words
+
+# the alphabets of the group-criteria benchmark
+F3, F3_Z5 = Alphabet(3), Alphabet(3, (5,))
 
 
 def ring_elts(alphabet, max_terms=6):
@@ -113,3 +127,138 @@ def test_oracle_keeps_one_transversal_per_sub_alphabet():
     assert t12.subalphabet == frozenset({1, 2})
     assert t0.subalphabet == frozenset()
     assert transversal_for(q, frozenset({1})) is t1 and transversal_for(q, frozenset()) is t0
+
+
+def _product_by_reduce(a, b) -> dict:
+    """a b summed by hand: each pair of words by reduce of its concatenated
+    letters, zero sums dropped."""
+    out: dict = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            w = reduce(u.letters + v.letters, u.alphabet)
+            out[w] = out.get(w, 0) + cu * cv
+    return {w: c for w, c in out.items() if c}
+
+
+def _right_factors(rng, u: Word) -> list[Word]:
+    """Words that meet u at the junction: its inverse (the product is 1),
+    the inverse of a suffix followed by a random word (cancellation part
+    way), a syllable in the slot of u's last one (merging, for a factor
+    syllable mod its order), and a random word."""
+    al = u.alphabet
+    out = [invert(u), syllable_words(rng, al, 1)[0]]
+    if u.letters:
+        cut = rng.randrange(len(u.letters))
+        tail = Word(al, u.letters[cut:])
+        out.append(multiply(invert(tail), syllable_words(rng, al, 1)[0]))
+        last = u.letters[-1]
+        e = rng.randrange(1, 8)
+        out.append(reduce([type(last)(last[0], e)], al))
+    return out
+
+
+@pytest.mark.parametrize("al", [F3, F3_Z5])
+def test_product_against_reduce_of_concatenation(al):
+    rng = random.Random(11)
+    seen = {"identity": 0, "merged": 0, "cancelled": 0}
+    for _ in range(150):
+        us = syllable_words(rng, al, 3)
+        vs = [v for u in us for v in _right_factors(rng, u)]
+        a = RingElt(al, [(u, rng.choice((-3, -1, 1, 2))) for u in us])
+        b = RingElt(al, [(v, rng.choice((-2, 1, 3))) for v in vs])
+        assert (a * b).terms == _product_by_reduce(a, b)
+        for v in vs:
+            assert (a * v).terms == _product_by_reduce(a, RingElt.from_word(v))
+        for u in us:
+            for v in vs:
+                w = multiply(u, v)
+                seen["identity"] += w.is_identity
+                seen["cancelled"] += len(w.letters) < len(u.letters) + len(v.letters) - 1
+                seen["merged"] += len(w.letters) == len(u.letters) + len(v.letters) - 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("al", [F3, F3_Z5])
+def test_product_drops_sums_that_cancel(al):
+    """(x + y)(x^-1 w - y^-1 w): the two products equal to w cancel."""
+    rng = random.Random(12)
+    for _ in range(50):
+        x, y, w = syllable_words(rng, al, 3)
+        if len({x, y}) < 2 or w in (multiply(x, invert(y)), multiply(y, invert(x))):
+            continue
+        a = RingElt(al, {x: 1, y: 1})
+        b = RingElt(al, [(multiply(invert(x), w), 1), (multiply(invert(y), w), -1)])
+        product = a * b
+        assert w not in product.terms
+        assert product.terms == _product_by_reduce(a, b)
+
+
+def test_products_across_alphabets_raise():
+    a = RingElt.from_word(Word(F3, (FreeLetter(1, 1),)), 2)
+    other = Word(F3_Z5, (FreeLetter(1, 1),))
+    with pytest.raises(ValueError):
+        a * other
+    with pytest.raises(ValueError):
+        a * RingElt.from_word(other)
+    with pytest.raises(ValueError):
+        other * a
+
+
+def _abel_key_per_letter(w: Word, kill_factors: bool):
+    """The abelianization key summed letter by letter, the reference for
+    the one-pass key."""
+    al = w.alphabet
+    free, fac = [0] * al.free_rank, [0] * al.n_factors
+    for letter in w.letters:
+        if isinstance(letter, FreeLetter):
+            free[letter.index - 1] += letter.exp
+        else:
+            fac[letter.index - 1] += letter.exp
+    if kill_factors:
+        return tuple(free)
+    return tuple(free) + tuple(e % m for e, m in zip(fac, al.factor_orders))
+
+
+def _index_key_per_letter(w: Word, orders, free_images, factor_images):
+    """The finite-index key adding each letter's image coordinate by
+    coordinate, the reference for the one-pass key."""
+    acc = [0] * len(orders)
+    for letter in w.letters:
+        img = (
+            free_images[letter.index - 1]
+            if isinstance(letter, FreeLetter)
+            else factor_images[letter.index - 1]
+        )
+        for k, x in enumerate(img):
+            acc[k] += letter.exp * x
+    return tuple(x % t for x, t in zip(acc, orders))
+
+
+def _random_images(rng, al: Alphabet):
+    """Target orders and generator images; a factor generator of order m
+    maps to an element whose order divides m (non-zero where possible)."""
+    orders = tuple(rng.choice((2, 3, 4, 5, 6, 10)) for _ in range(rng.randrange(1, 4)))
+    free_images = [tuple(rng.randrange(-7, 8) for _ in orders) for _ in range(al.free_rank)]
+    factor_images = [
+        tuple(t // gcd(m, t) * rng.randrange(-3, 4) for t in orders)
+        for m in al.factor_orders
+    ]
+    return orders, free_images, factor_images
+
+
+@pytest.mark.parametrize("al", [F3, F3_Z5])
+def test_abelian_keys_against_per_letter_sums(al):
+    rng = random.Random(13)
+    ws = syllable_words(rng, al, 200, max_syllables=12) + [identity(al)]
+    for kill in (False, True):
+        q = abelianization_oracle(al, kill)
+        assert q.coset_keys(ws) == [_abel_key_per_letter(w, kill) for w in ws]
+    nonzero_factor_images = 0
+    for _ in range(30):
+        orders, free_images, factor_images = _random_images(rng, al)
+        nonzero_factor_images += any(any(v) for v in factor_images)
+        q = finite_index_oracle(al, orders, free_images, factor_images)
+        assert q.coset_keys(ws) == [
+            _index_key_per_letter(w, orders, free_images, factor_images) for w in ws
+        ]
+    assert nonzero_factor_images or not al.n_factors

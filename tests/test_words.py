@@ -208,3 +208,12 @@ def test_equal_words_hash_equal(u, v):
     assert hash(by_multiply) == hash(by_reduce) == hash(fresh) == hash(by_multiply)
     assert {by_multiply: 1}[by_reduce] == 1
     assert len({by_multiply, by_reduce, fresh, invert(invert(by_reduce))}) == 1
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet(3), Alphabet(3, (5,)), Alphabet(2, (5, 3))])
+def test_invert_against_reduce_of_inverse_syllables(alphabet):
+    """invert writes each inverse syllable itself: it must be the reduced
+    word of the reversed, negated syllables, factor exponents in 1..m-1."""
+    for u in syllable_words(random.Random(8), alphabet, 200):
+        inverse = [type(l)(l.index, -l.exp) for l in reversed(u.letters)]
+        assert invert(u) == reduce(inverse, alphabet)
