@@ -51,6 +51,13 @@ expect 2 fox group gamma-criterion --rank 2 --word "g1 g2" --keep g5 --class 1 -
 expect 2 fox group gamma-criterion --rank 2 --word "g1 g2 g1^-1 g2^-1" --keep g1 --class -1 --cutoff 3
 expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1,a1 --quotient "index:2,2:g1=1,0;g2=0,1"
 expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1 --quotient "index:2,2:g1=1,0;g2=0,1" --bound 3
+# one --keep parser for the Lie and group commands: an empty or repeated
+# item is refused (a blank list still keeps no generator)
+expect 2 fox lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,1 --cutoff 4
+expect 2 fox lie decompose --rank 3 --expr "y1 + [y1, y2]" --keep 1,,2 --cutoff 4
+expect 2 fox group theorem1 --rank 2 --word "g1^2" --keep g1,1 --quotient "index:2,2:g1=1,0;g2=0,1"
+expect 2 fox group gamma-criterion --rank 2 --word "g1^2" --keep g1,,g2 --class 1 --cutoff 3
+expect 1 fox group theorem1 --rank 2 --word "g1^2" --keep "" --quotient "index:2,2:g1=1,0;g2=0,1"
 # theorem 1 takes free alphabets only; its witness is exact at any length
 expect 2 fox group theorem1 --rank 1 --factors 3 --word "a1" --keep g1 --quotient "index:3:g1=0;a1=1"
 expect 1 fox group theorem1 --rank 2 --word "g2" --keep g1 --quotient "index:60:g1=1;g2=30"

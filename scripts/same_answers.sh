@@ -6,7 +6,9 @@
 # Kharlampovich checks at cutoff 8, three PBW commands on elements with
 # rational coefficients, three commands that read [N, N] in several
 # degrees of one N or an ideal built as gamma_3, and five PBW commands over
-# gamma_3, where bracket terms survive reduction modulo N_U,
+# gamma_3, where bracket terms survive reduction modulo N_U, five
+# decompositions whose v1 carries block-d tails (the sigma slices) and a
+# Kharlampovich check at rank 4 cutoff 7,
 # on this checkout's src/ and on `git archive REV src` (REV defaults to
 # HEAD), both with PYTHONHASHSEED=0, and prints ok/DIFF per command for
 # stdout plus exit code.  Exits 1 on any difference.
@@ -101,6 +103,17 @@ check lie kharlampovich --rank 3 --expr "[[y1, y2], y3] + [[y1, [y1, y2]], [y3, 
 check lie decompose --rank 3 --expr "[[y1, y3], y2] + [[y1, y2], [y1, [y1, y3]]]" --keep 1,2 --ideal power:3 --cutoff 7
 check lie kharlampovich --rank 4 --expr "[[y1, [y1, y2]], [y3, [y3, y4]]]" --ideal power:3 --cutoff 6
 check lie kharlampovich --rank 4 --expr "[[y1, y2], y4] + [[y1, [y1, y2]], [y3, [y3, y4]]]" --ideal power:3 --cutoff 6
+# decompositions v0 + [x, y3] + c with x in F_K cap N and c in [N, N], as
+# the lie-queries workload builds them, so v1 is folded slice by slice
+# from d-tails: integer coefficients, rational ones, over gamma_3, at
+# rank 4 (holds, and a failing one that prints rational residues); and a
+# Kharlampovich check at rank 4 cutoff 7 (exit 0)
+check lie decompose --rank 3 --expr "y1 + [[y1, y2], y3] + [[y1, y2], [y1, y3]]" --keep 1,2 --cutoff 5
+check lie decompose --rank 3 --expr "1/2*y2 - 2/3*[[y1, y2], y3] + 3/4*[[[y1, y2], y3], y3] - 5/2*[[y1, y2], [y1, y3]]" --keep 1,2 --cutoff 5
+check lie decompose --rank 3 --expr "y1 + 2/3*[[[y1, y2], y1], y3] - 1/2*[[[y1, y2], y2], y3] + [[[y1, y2], y1], [[y1, y2], y2]]" --keep 1,2 --ideal power:3 --cutoff 6
+check lie decompose --rank 4 --expr "y1 - 3/2*[[y1, y2], y4] + 1/3*[[[y1, y2], y3], y4] + [[y1, y2], [y3, y4]]" --keep 1,2 --cutoff 5
+check lie decompose --rank 4 --expr "1/2*[y3, y4] + [[y1, y2], y4]" --keep 1,2 --cutoff 5
+check lie kharlampovich --rank 4 --expr "[[y1, y2], [y3, [y1, y4]]] - 1/2*[[y1, [y2, y4]], [[y1, y3], y4]]" --cutoff 7
 # Magnus keys batched over all derivatives of v: schumann modulo gamma_4
 # on a weight-3 commutator (not in N, exit 2), a commutator of two (exit
 # 1) and one of two weight-4 commutators (exit 0); gamma criteria at

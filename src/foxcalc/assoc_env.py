@@ -14,7 +14,10 @@ bracket term per adjacent swap.  It computes in integers, like the echelon
 kernel: the generator and bracket tables hold integer numerators over one
 denominator per entry, a polynomial enters as integer numerators over one
 denominator, and Fractions are formed only in the result, one per standard
-monomial.
+monomial.  One loop serves every caller: an AssocPoly is checked and
+cleared of denominators first, while the Lie Fox calculus hands over its
+integer words as they are, and the sigma solvers ready-made monomials
+over the basis with a generator in front (generator_products).
 
 Reduction modulo an ideal names the blocks of one side of the chain that is
 an ideal of F: Y = a + c, or X = a + b.  The standard monomials holding a
@@ -197,10 +200,16 @@ class PBWContext:
         self._dead[drop] = dead
         return dead
 
-    def rewrite(self, p: AssocPoly, drop: str = "") -> dict[tuple[int, ...], Fraction]:
+    def rewrite(self, p, drop: str = "") -> dict[tuple[int, ...], Fraction]:
         """Standard-monomial coordinates of p: maps nondecreasing index
         tuples over the adapted basis to coefficients, without the
         monomials that hold a symbol of a block in ``drop``.
+
+        p is an AssocPoly, whose rank and degree are checked, or integers
+        the library built itself, taken as they are: a pair (den, {word:
+        n}), the sum of n / den times each word, or a list of stack entries
+        (mono, n, q), the sum of n / q times each monomial over the adapted
+        basis (generator_products builds them).
 
         drop names no block, or the blocks of one side of the chain that is
         an ideal of F (see _dead_symbols).  The monomials holding one of its
@@ -213,20 +222,26 @@ class PBWContext:
         monomial goes on sorting, and each term of the bracket is pushed in
         the pair's place.
 
-        Arithmetic is in integers: p = P / den with P integral, and a stack
-        entry (mono, n, q) stands for n / (q * den) times mono, q the
-        product of the table denominators met on its way.  Standard
+        Arithmetic is in integers: words enter as P / den with P integral,
+        and a stack entry (mono, n, q) stands for n / (q * den) times mono,
+        q the product of the denominators met on its way.  Standard
         monomials collect their numerators per q; a Fraction is formed only
         in the result, once per monomial, over the lcm of those q."""
-        if p.rank != self.rank:
-            raise ValueError("rank mismatch")
-        if p.max_degree() > self.cutoff:
-            raise ValueError("degree exceeds cutoff")
+        den, words, entries = 1, {}, ()
+        if isinstance(p, AssocPoly):
+            if p.rank != self.rank:
+                raise ValueError("rank mismatch")
+            if p.max_degree() > self.cutoff:
+                raise ValueError("degree exceeds cutoff")
+            den, words = _integral(p.terms)
+        elif isinstance(p, tuple):
+            den, words = p
+        else:
+            entries = p
         dead = self._dead_symbols(drop)
-        den, ints = _integral(p.terms)
         gen_rows, gen_symbol = self._gen_rows, self._gen_symbol
-        stack: list[tuple[tuple[int, ...], int, int]] = []
-        for word, n in ints.items():
+        stack = [e for e in entries if dead.isdisjoint(e[0])]
+        for word, n in words.items():
             mono = tuple(map(gen_symbol.get, word))
             if None not in mono:
                 if dead.isdisjoint(mono):
@@ -277,6 +292,21 @@ class PBWContext:
             )
         q *= den
         return {mono: Fraction(n, q) for mono, n in acc.items() if n}
+
+    def generator_products(
+        self, parts: Mapping[int, Mapping[tuple[int, ...], Fraction]]
+    ) -> list[tuple[tuple[int, ...], int, int]]:
+        """Stack entries for rewrite standing for sum_j x_j m_j, each m_j =
+        parts[j] given in standard-monomial coordinates: x_j's generator
+        row is put in front of each standard monomial, so straightening a
+        product only has its first symbol to insert."""
+        out = []
+        for j, coords in parts.items():
+            qj, row = self._gen_rows[j]
+            for mono, c in coords.items():
+                n, q = c.numerator, c.denominator * qj
+                out.extend(((k,) + mono, n * nk, q) for k, nk in row)
+        return out
 
     def expand_monomial(self, mono: tuple[int, ...]) -> AssocPoly:
         out = AssocPoly.one(self.rank)

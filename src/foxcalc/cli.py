@@ -53,8 +53,26 @@ def _index_name(k) -> str:
     return f"{'g' if kind == 'free' else 'a'}{i}"
 
 
-def _keep_set(text: str) -> frozenset:
-    return frozenset(_fox_index(t) for t in text.split(",") if t.strip())
+def _keep_set(text: str, item=_fox_index) -> frozenset:
+    """The generators a --keep list names, each item read by ``item``; a
+    blank list keeps none.  An empty or unreadable item, or one naming a
+    generator that an earlier item names, raises ValueError naming it."""
+    if not text.strip():
+        return frozenset()
+    seen: dict = {}
+    for pos, token in enumerate(text.split(","), start=1):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"--keep {text!r}: item {pos} is empty")
+        try:
+            k = item(token)
+        except ValueError:
+            raise ValueError(f"--keep {text!r}: item {token!r} is not a generator") from None
+        if k in seen:
+            again = "is repeated" if token == seen[k] else f"names {seen[k]!r} again"
+            raise ValueError(f"--keep {text!r}: item {token!r} {again}")
+        seen[k] = token
+    return frozenset(seen)
 
 
 def _quotient(spec: str, alphabet: Alphabet, max_index: Optional[int] = None):
@@ -268,7 +286,7 @@ def _cmd_lie_decompose(args) -> int:
     _check_cutoff(args.rank, args.cutoff)
     v = parse_lie(args.expr, args.rank)
     n = _ideal(args.ideal, args.rank, args.cutoff)
-    K = frozenset(int(t) for t in args.keep.split(","))
+    K = _keep_set(args.keep, int)
     rep = theorem_decomposition(v, K, n)
     doc = {
         "holds": rep.holds,

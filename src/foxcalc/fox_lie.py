@@ -5,19 +5,31 @@ u = eps(u) + sum_j x_j D_j(u); D_j strips the leading letter.  For a graded
 Lie ideal N the congruences D_j(v) = u_j mod N_U admit constructive
 solutions: rewrite in an adapted PBW basis and fold the standard monomials
 back into left-normed brackets.
+
+The criteria and solvers work in integers until a residue is returned:
+the D_j(v) are split by first letter off v's integer expansion, numerators
+over one denominator, and handed to PBWContext.rewrite as they are.
+solve_sigma_zero_ideal splits each u_j modulo N_U into block-d slices of
+standard b-monomials; a slice is folded by putting x_j's basis coordinates
+in front of each of its monomials, which are standard already, so only the
+new first symbol has to be inserted (PBW coordinates are unique).  The
+check of a solution reads D_j(v) off v's own expansion, never off the fold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .assoc_env import SubalgebraIdealContext, ideal_context, reduce_mod_ideal
-from .lincomb import terms_of
+from .assoc_env import SubalgebraIdealContext, ideal_context
+from .lincomb import sum_terms, terms_of
+from .linalg import _integral
 from .lie_core import (
     AssocPoly,
     GradedSubspace,
     LieElt,
+    _expand_integral,
     _mobius,
     bracket,
     expand_to_assoc,
@@ -55,6 +67,21 @@ def lie_fox(u: AssocPoly) -> LieFoxVector:
         constant,
         {j: AssocPoly._trusted((u.rank,), t) for j, t in partials.items()},
     )
+
+
+# (den, {word: n}): the sum of n / den times each word of the envelope
+IntPoly = tuple[int, dict[tuple[int, ...], int]]
+
+
+def _fox_integral(a: LieElt) -> tuple[int, dict[int, dict[tuple[int, ...], int]]]:
+    """The Lie Fox derivatives of a in integers, split off its integer
+    expansion by first letter: (den, {j: {tail: n}}), D_j(a) the sum of
+    n / den times each tail.  A j with D_j(a) = 0 has no entry."""
+    den, words = _expand_integral(a)
+    parts: dict[int, dict[tuple[int, ...], int]] = {}
+    for m, n in words.items():
+        parts.setdefault(m[0], {})[m[1:]] = n
+    return den, parts
 
 
 def lie_fox_commutator_check(u: LieElt, v: LieElt) -> bool:
@@ -160,6 +187,25 @@ class SigmaError(ValueError):
         self.residue = residue
 
 
+def _integral_u(
+    u: Mapping[int, AssocPoly], K: frozenset[int], rank: int, cutoff: int
+) -> dict[int, IntPoly]:
+    """The given u_j, j in K, in integers.  D_j(v) has degree below the
+    cutoff for v within it, so a u_j of that degree, or of another rank,
+    raises ValueError."""
+    out = {}
+    for j in sorted(K):
+        p = u.get(j)
+        if p is None:
+            continue
+        if p.rank != rank:
+            raise ValueError("rank mismatch")
+        if p.max_degree() >= cutoff:
+            raise ValueError("degree exceeds cutoff")
+        out[j] = _integral(p.terms)
+    return out
+
+
 def solve_sigma_zero(
     u: Mapping[int, AssocPoly],
     K: frozenset[int],
@@ -175,29 +221,51 @@ def solve_sigma_zero(
     the left-normed bracket [[..[n, w_1], ..], w_z]."""
     K = frozenset(K)
     env = SubalgebraIdealContext(rank, K, n)
-    v = _fold_sigma(u, K, env, rank)
-    _verify_solution("solve_sigma_zero", v, u, K, env)
+    iu = _integral_u(u, K, rank, n.cutoff)
+    v = _fold_sigma(iu, K, env, rank)
+    _verify_solution("solve_sigma_zero", v, iu, K, env)
     return v
 
 
 def _fold_sigma(
-    u: Mapping[int, AssocPoly], K: frozenset[int], env: SubalgebraIdealContext, rank: int
+    u: Mapping[int, IntPoly], K: frozenset[int], env: SubalgebraIdealContext, rank: int
 ) -> LieElt:
-    """solve_sigma_zero's construction, without its final check."""
-    sigma = []
-    for j in sorted(K):
-        p = u.get(j, AssocPoly.zero(rank))
-        if any(not set(m) <= K for m in p.terms):
+    """solve_sigma_zero's construction, without its final check: sigma =
+    sum_j x_j u_j in integer words over the lcm of the denominators."""
+    den = lcm(*(dj for dj, _ in u.values()))
+    sigma: dict[tuple[int, ...], int] = {}
+    for j, (dj, words) in u.items():
+        if any(not set(m) <= K for m in words):
             raise ValueError(f"u_{j} is not supported on the subalgebra letters")
-        sigma.extend(((j,) + m, c) for m, c in p.terms.items())
-    rw = env.ctx.rewrite(AssocPoly(rank, sigma))
+        scale = den // dj
+        sigma.update(((j,) + m, n * scale) for m, n in words.items())
+    return _fold_standard(env.ctx.rewrite((den, sigma)), env, rank)
+
+
+def _fold_slice(
+    parts: Mapping[int, Mapping[tuple[int, ...], Fraction]], env: SubalgebraIdealContext, rank: int
+) -> LieElt:
+    """The plain solver's construction on one d-slice of
+    solve_sigma_zero_ideal, u_j given as standard b-monomials: sigma is
+    straightened by putting x_j in front of each (generator_products)."""
+    return _fold_standard(env.ctx.rewrite(env.ctx.generator_products(parts)), env, rank)
+
+
+def _fold_standard(
+    rw: Mapping[tuple[int, ...], Fraction], env: SubalgebraIdealContext, rank: int
+) -> LieElt:
+    """The fold body of both solvers, on sigma's standard monomials: a
+    monomial of a and b symbols with an a symbol becomes its left-normed
+    bracket, one with another a or c symbol lies in N_U, and any other
+    means sigma is not 0 mod N_U (SigmaError)."""
+    ctx = env.ctx
     folded = []
     bad = {}
     for mono, c in rw.items():
-        blocks = env.ctx.monomial_blocks(mono)
+        blocks = ctx.monomial_blocks(mono)
         if "a" in blocks and set(blocks) <= {"a", "b"}:
             # block order puts the a symbol first: n w_1 ... w_z
-            elems = [env.ctx.basis.elements[k].value for k in mono]
+            elems = [ctx.basis.elements[k].value for k in mono]
             folded.append(leftnorm(elems[0], elems[1:]).scale(c))
         elif "a" in blocks or "c" in blocks:
             continue  # inside N_U; absent for inputs meeting the premise
@@ -205,22 +273,29 @@ def _fold_sigma(
             bad[mono] = c
     v = LieElt._summed((rank,), terms_of(folded))
     if bad:
-        raise SigmaError("sigma is not 0 mod N_U", env.ctx.expand(bad))
+        raise SigmaError("sigma is not 0 mod N_U", ctx.expand(bad))
     return v
 
 
 def _verify_solution(
     caller: str,
     v: LieElt,
-    u: Mapping[int, AssocPoly],
+    u: Mapping[int, IntPoly],
     K: frozenset[int],
     env: SubalgebraIdealContext,
 ) -> None:
-    """Raise RuntimeError unless D_j(v) = u_j mod N_U for every j in K."""
-    partials = lie_fox(expand_to_assoc(v)).partials
-    zero = AssocPoly.zero(v.rank)
-    if not all(env.is_zero_mod(partials[j] - u.get(j, zero)) for j in sorted(K)):
-        raise RuntimeError(f"{caller}: constructed v fails D_j(v) = u_j mod N_U")
+    """Raise RuntimeError unless D_j(v) = u_j mod N_U for every j in K.
+    D_j(v) is read off v's own expansion, never off the fold that built v;
+    u_j is subtracted in integers over the lcm of the two denominators."""
+    den, parts = _fox_integral(v)
+    for j in sorted(K):
+        du, wu = u.get(j, (1, {}))
+        q = lcm(den, du)
+        sv, su = q // den, q // du
+        diff = {m: n * sv for m, n in parts.get(j, {}).items()}
+        sum_terms(((m, -n * su) for m, n in wu.items()), diff)
+        if env.ctx.rewrite((q, diff), "ac"):
+            raise RuntimeError(f"{caller}: constructed v fails D_j(v) = u_j mod N_U")
 
 
 def solve_sigma_zero_ideal(
@@ -236,24 +311,32 @@ def solve_sigma_zero_ideal(
     letters are folded back on the right.  Only the summed v is checked."""
     K = frozenset(K)
     env = SubalgebraIdealContext(rank, K, n)
+    return _solve_ideal(_integral_u(u, K, rank, n.cutoff), K, env, rank)
+
+
+def _solve_ideal(
+    u: Mapping[int, IntPoly], K: frozenset[int], env: SubalgebraIdealContext, rank: int
+) -> LieElt:
+    """solve_sigma_zero_ideal on u_j in integers."""
+    ctx = env.ctx
     slices: dict[tuple[int, ...], dict[int, dict]] = {}
-    for j in sorted(K):
-        p = u.get(j, AssocPoly.zero(rank))
-        for mono, c in env.ctx.residue(p, "ac").items():
-            blocks = env.ctx.monomial_blocks(mono)
+    for j, p in u.items():
+        for mono, c in ctx.rewrite(p, "ac").items():
+            blocks = ctx.monomial_blocks(mono)
             split = len(blocks) - len(blocks.lstrip("b"))
             bpart, dpart = mono[:split], mono[split:]
             if set(blocks[split:]) - {"d"}:
                 # b and d symbols only, in abcd order: always b*d*
                 raise RuntimeError("unexpected monomial shape in the residue")
             slices.setdefault(dpart, {}).setdefault(j, {})[bpart] = c
-
-    def fold(dpart: tuple[int, ...]) -> LieElt:
-        u_slice = {j: env.ctx.expand(parts) for j, parts in slices[dpart].items()}
-        tail = [env.ctx.basis.elements[k].value for k in dpart]
-        return leftnorm(_fold_sigma(u_slice, K, env, rank), tail)
-
-    v = LieElt._summed((rank,), terms_of(fold(dpart) for dpart in sorted(slices)))
+    elements = ctx.basis.elements
+    v = LieElt._summed(
+        (rank,),
+        terms_of(
+            leftnorm(_fold_slice(slices[dpart], env, rank), [elements[k].value for k in dpart])
+            for dpart in sorted(slices)
+        ),
+    )
     _verify_solution("solve_sigma_zero_ideal", v, u, K, env)
     return v
 
@@ -293,18 +376,16 @@ def theorem_decomposition(
         raise ValueError(f"kept generators must lie in 1..{rank}")
     if v.max_degree() > n.cutoff:
         raise ValueError("cutoff too small for v")
-    pv = expand_to_assoc(v)
-    fox = lie_fox(pv)
+    if rank != n.rank:
+        raise ValueError("rank mismatch")
+    den, parts = _fox_integral(v)
     residues = {}
-    holds = True
-    for k in range(1, rank + 1):
-        if k in K:
-            continue
-        r = reduce_mod_ideal(fox.partials[k], n)
-        residues[k] = r
-        if not r.is_zero:
-            holds = False
-    if not holds:
+    outside = [k for k in range(1, rank + 1) if k not in K]
+    if outside:
+        ctx = ideal_context(n)
+        for k in outside:
+            residues[k] = ctx.expand(ctx.rewrite((den, parts.get(k, {})), "c"))
+    if any(r.terms for r in residues.values()):
         return DecompositionReport(False, residues)
     env = SubalgebraIdealContext(rank, K, n)
     coords = env.ctx.coords_of_lie(v)
@@ -315,9 +396,8 @@ def theorem_decomposition(
         (rank,), terms_of(e.value.scale(c) for e, c in elements if e.block == "b")
     )
     w = v - v0
-    partials = lie_fox(expand_to_assoc(w)).partials
-    u = {j: partials[j] for j in sorted(K)}
-    v1 = solve_sigma_zero_ideal(u, K, n, rank)
+    den, parts = _fox_integral(w)
+    v1 = _solve_ideal({j: (den, parts[j]) for j in sorted(K) if j in parts}, K, env, rank)
     w2 = w - v1
     certified = w2.is_zero or commutator_subspace(n, w2.degrees()).member(w2)
     return DecompositionReport(True, residues, v0, v1, certified)
@@ -329,9 +409,9 @@ def kharlampovich_check(v: LieElt, n: GradedSubspace) -> bool:
     keeps each degree once built, so a session on one N builds it once."""
     if not n.member(v):
         raise ValueError("v must lie in N")
-    fox = lie_fox(expand_to_assoc(v))
+    den, parts = _fox_integral(v)
     ctx = ideal_context(n)
-    verdict_fox = not any(ctx.residue(fox.partials[j], "c") for j in range(1, v.rank + 1))
+    verdict_fox = not any(ctx.rewrite((den, parts[j]), "c") for j in sorted(parts))
     verdict_span = commutator_subspace(n, v.degrees()).member(v)
     if verdict_fox != verdict_span:
         raise RuntimeError(

@@ -22,12 +22,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .assoc_env import PBWContext, adapted_basis
-from .fox_lie import free_base_dims, lie_fox
+from .fox_lie import _fox_integral, free_base_dims
 from .lie_core import (
     AssocPoly,
     GradedSubspace,
     LieElt,
-    expand_to_assoc,
     ideal_closure,
     lie_from_vector,
     power_subspace,
@@ -279,8 +278,10 @@ def free_generating_set(
     ctx = PBWContext(adapted_basis(b, h, "dcba"))
 
     def columns_of(x: LieElt) -> dict:
-        fox = lie_fox(expand_to_assoc(x)).partials
-        return {(j, m): c for j in fox for m, c in ctx.residue(fox[j], "ab").items()}
+        den, parts = _fox_integral(x)
+        return {
+            (j, m): c for j, part in parts.items() for m, c in ctx.rewrite((den, part), "ab").items()
+        }
 
     # degree-by-degree completion of the decomposables to B: the generators
     # below degree d generate B below d, hence exactly [B, B] in degree d

@@ -10,9 +10,10 @@ Brackets come from a cached table of integer coordinates of [b(u), b(v)]
 for pairs of Lyndon words u < v, extended bilinearly and filled by
 Lyndon-Shirshov rewriting on the standard factorisation u = u1 u2:
 [b(u), b(v)] = b(uv) when u is a letter or u2 >= v, else Jacobi.  The
-envelope expansion, on the same factorisation, serves only expand_to_assoc
-and project_to_lyndon (PBW rewriting, the Lie Fox derivatives); their
-envelope elements, AssocPoly, are defined and parsed here.
+envelope expansion, on the same factorisation, serves only
+_expand_integral, which expand_to_assoc wraps in Fractions, and
+project_to_lyndon (PBW rewriting, the Lie Fox derivatives); their envelope
+elements, AssocPoly, are defined and parsed here.
 
 A GradedSubspace keeps each degree as a linalg.Echelon of canonical integer
 rows over the Lyndon coordinates; membership hands those rows to the kernel
@@ -219,11 +220,18 @@ def _poly_term(sign: str, term: str) -> tuple[tuple[int, ...], Fraction]:
     return tuple(mono), coeff
 
 
-def expand_to_assoc(a: LieElt) -> AssocPoly:
-    """Expansion in the free associative algebra, summed in integer
-    numerators over one denominator: one Fraction per word."""
+def _expand_integral(a: LieElt) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Expansion in the free associative algebra as (den, {word: n}): the
+    sum of n / den times each word, den the lcm of a's denominators.  The
+    Lie Fox calculus reads its derivatives off it without a Fraction."""
     den, ints = _integral(a.terms)
-    acc = sum_terms((m, n * k) for w, n in ints.items() for m, k in _expand_word(w).items())
+    return den, sum_terms((m, n * k) for w, n in ints.items() for m, k in _expand_word(w).items())
+
+
+def expand_to_assoc(a: LieElt) -> AssocPoly:
+    """Expansion in the free associative algebra: the integer expansion
+    with one Fraction per word."""
+    den, acc = _expand_integral(a)
     return AssocPoly._trusted((a.rank,), {m: Fraction(n, den) for m, n in acc.items()})
 
 

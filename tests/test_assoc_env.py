@@ -448,3 +448,99 @@ def test_residue_refuses_a_drop_set_that_is_not_an_ideal_side():
         with pytest.raises(ValueError):
             ctx.residue(p, drop)
     assert ctx.residue(p, "ac") == ctx.residue(p, "ca")
+
+
+# -- integer entry points of rewrite against the Fraction paths --
+
+
+_ORACLE_CUTOFF = {3: 5, 4: 4}
+
+
+def _oracle_ideal(rank, kind):
+    """gamma_2, gamma_3 (the CLI's --ideal power:3) or an ideal with
+    rational bracket denominators, at the rank's oracle cutoff."""
+    from foxcalc.lie_core import parse_lie
+
+    cutoff = _ORACLE_CUTOFF[rank]
+    full = GradedSubspace.full(rank, cutoff)
+    if kind == "rational":
+        return ideal_closure([parse_lie("2*[y1, y2] + 3*[y1, y3]", rank)], rank, cutoff)
+    return power_subspace(full, {"gamma2": 2, "gamma3": 3}[kind])
+
+
+def _oracle_contexts(rank, kind):
+    """(label, context, drop sets) for every kind of context the library
+    builds over one ideal N: the ideal context, the subalgebra contexts of
+    K = {1} and K = {1, 2}, and free_generating_set's "dcba" context."""
+    from foxcalc.assoc_env import SubalgebraIdealContext
+    from foxcalc.freiheit import _free_factor
+
+    n = _oracle_ideal(rank, kind)
+    out = [("ideal", ideal_context(n), ("c", "ac"))]
+    for K in (frozenset({1}), frozenset({1, 2})):
+        ctx = SubalgebraIdealContext(rank, K, n).ctx
+        out.append((f"K={sorted(K)}", ctx, ("ac",) if "a" in ctx.block_of.values() else ("c", "ac")))
+    h = _free_factor(rank, None, n.cutoff)
+    out.append(("dcba", PBWContext(adapted_basis(n, h, "dcba")), ("ab",)))
+    return out
+
+
+def _filtered(ctx, coords, drop):
+    return {m: c for m, c in coords.items() if not any(ctx.block_of[k] in drop for k in m)}
+
+
+@pytest.mark.parametrize("kind", ["gamma2", "gamma3", "rational"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_integer_rewrite_entry_matches_fraction_reference(rank, kind):
+    """rewrite((den, {word: n})), the entry the Lie Fox calculus uses,
+    equals the step-by-step Fraction reference on p = sum n / den word,
+    and its residues the filtered reference."""
+    from foxcalc.linalg import _integral
+
+    rng = random.Random(f"int-entry {rank} {kind}")
+    for label, ctx, drops in _oracle_contexts(rank, kind):
+        for _ in range(20):
+            p = _random_poly(rng, rank, ctx.cutoff)
+            want = _reference_rewrite(ctx, p)
+            ints = _integral(p.terms)
+            assert ctx.rewrite(ints) == want == ctx.rewrite(p), label
+            for drop in drops:
+                assert ctx.rewrite(ints, drop) == _filtered(ctx, want, drop), (label, drop)
+
+
+def _random_parts(rng, ctx, count):
+    """{j: {standard monomial: Fraction}} with every monomial of degree
+    below the cutoff, so that x_j times it stays within it."""
+    degree = {k: e.degree for k, e in enumerate(ctx.basis.elements)}
+    symbols = list(degree)
+    parts = {}
+    for _ in range(count):
+        mono, room = [], ctx.cutoff - 1
+        while room and rng.random() < 0.75:
+            fits = [k for k in symbols if degree[k] <= room]
+            k = rng.choice(fits)
+            mono.append(k)
+            room -= degree[k]
+        j = rng.randint(1, ctx.rank)
+        parts.setdefault(j, {})[tuple(sorted(mono))] = _random_coeff(rng) or Fraction(1)
+    return parts
+
+
+@pytest.mark.parametrize("kind", ["gamma2", "gamma3", "rational"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_generator_products_fold_matches_expand_then_rewrite(rank, kind):
+    """Putting x_j's generator row in front of standard monomials and
+    straightening (the sigma slices' fold) gives what expanding the
+    monomials into words, multiplying by x_j and rewriting gives."""
+    rng = random.Random(f"insert {rank} {kind}")
+    for label, ctx, drops in _oracle_contexts(rank, kind):
+        for _ in range(12):
+            parts = _random_parts(rng, ctx, rng.randint(1, 4))
+            words = AssocPoly.zero(rank)
+            for j, coords in parts.items():
+                words = words + AssocPoly.gen(rank, j) * ctx.expand(coords)
+            want = ctx.rewrite(words)
+            assert ctx.rewrite(ctx.generator_products(parts)) == want, label
+            for drop in drops:
+                got = ctx.rewrite(ctx.generator_products(parts), drop)
+                assert got == _filtered(ctx, want, drop), (label, drop)

@@ -247,6 +247,43 @@ def test_out_of_range_generator_sets_exit_2(capsys, argv):
     assert "must lie in" in out.err
 
 
+_DECOMPOSE = ("lie", "decompose", "--rank", "3", "--expr", "y1 + [y1, y2]", "--cutoff", "4")
+_THEOREM1 = ("group", "theorem1", "--rank", "2", "--word", "g1^2", "--quotient", "index:2,2:g1=1,0;g2=0,1")
+_GAMMA = ("group", "gamma-criterion", "--rank", "2", "--word", "g1^2", "--class", "1", "--cutoff", "3")
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (_DECOMPOSE + ("--keep", "1,1"), "'1' is repeated"),
+        (_DECOMPOSE + ("--keep", "1,,2"), "item 2 is empty"),
+        (_DECOMPOSE + ("--keep", "1,2,"), "item 3 is empty"),
+        (_DECOMPOSE + ("--keep", "1,x"), "'x' is not a generator"),
+        (_THEOREM1 + ("--keep", "g1,1"), "'1' names 'g1' again"),
+        (_THEOREM1 + ("--keep", "g1,,g2"), "item 2 is empty"),
+        (_GAMMA + ("--keep", "g1, g1"), "'g1' is repeated"),
+        (_GAMMA + ("--keep", ","), "item 1 is empty"),
+    ],
+)
+def test_keep_list_with_an_empty_or_repeated_item_exits_2(capsys, argv, named):
+    """The Lie and group commands read --keep through one parser: an empty,
+    unreadable or repeated item is refused with a message naming it."""
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert named in out.err
+
+
+def test_keep_list_without_repeats_keeps_its_generators(capsys):
+    code, doc = run(capsys, *_DECOMPOSE, "--keep", " 2, 1")
+    assert code == 0 and doc["holds"]
+    code, doc = run(capsys, *_DECOMPOSE, "--keep", "1")
+    assert code == 1 and not doc["holds"]
+    # a blank list keeps no generator, as before
+    code, blank = run(capsys, *_THEOREM1, "--keep", "")
+    assert code == 1 and not blank["holds"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -260,9 +260,9 @@ def test_solve_sigma_zero_ideal_checks_the_summed_solution(monkeypatch):
     fox = lie_fox(expand_to_assoc(v))
     u = {j: fox.partials[j] for j in sorted(K)}
     assert not solve_sigma_zero_ideal(u, K, n, rank).is_zero
-    fold = fox_lie._fold_sigma
+    fold = fox_lie._fold_slice
     monkeypatch.setattr(
-        fox_lie, "_fold_sigma", lambda *args: fold(*args) + LieElt.gen(rank, 1)
+        fox_lie, "_fold_slice", lambda *args: fold(*args) + LieElt.gen(rank, 1)
     )
     with pytest.raises(RuntimeError, match="solve_sigma_zero_ideal"):
         solve_sigma_zero_ideal(u, K, n, rank)
@@ -601,3 +601,37 @@ def test_trusted_solver_results_pass_the_checked_constructors():
             assert _rebuilt_poly(r) == r
         seen += 1
     assert seen >= 5
+
+
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_integer_fox_partials_match_lie_fox(rank, power):
+    """The D_j split off the integer expansion equal lie_fox's partials of
+    expand_to_assoc, and reduce as they do modulo N_U in the ideal context
+    and in the contexts of K = {1} and K = {1, 2}."""
+    from foxcalc.assoc_env import ideal_context
+    from foxcalc.fox_lie import _fox_integral
+
+    cutoff = {3: 5, 4: 4}[rank]
+    n = power_subspace(GradedSubspace.full(rank, cutoff), power)
+    contexts = [(ideal_context(n), "c")]
+    contexts += [(SubalgebraIdealContext(rank, K, n).ctx, "ac") for K in (frozenset({1}), frozenset({1, 2}))]
+    words = [w for d in range(1, cutoff + 1) for w in lyndon_words(rank, d)]
+    rng = random.Random(f"fox ints {rank} {power}")
+    cases = [LieElt.zero(rank)]
+    cases += [
+        LieElt(rank, {
+            w: Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.choice([1, 2, 3, 4, 9]))
+            for w in rng.sample(words, rng.randint(1, 5))
+        })
+        for _ in range(25)
+    ]
+    for v in cases:
+        den, parts = _fox_integral(v)
+        want = lie_fox(expand_to_assoc(v)).partials
+        for j in range(1, rank + 1):
+            got = {m: Fraction(c, den) for m, c in parts.get(j, {}).items()}
+            assert got == want[j].terms
+            for ctx, drop in contexts:
+                assert ctx.rewrite((den, parts.get(j, {})), drop) == ctx.residue(want[j], drop)
+        assert all(parts.values()) and set(parts) <= set(range(1, rank + 1))
