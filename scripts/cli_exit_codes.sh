@@ -61,8 +61,9 @@ expect 1 fox group theorem1 --rank 2 --word "g1^2" --keep "" --quotient "index:2
 # theorem 1 takes free alphabets only; its witness is exact at any length
 expect 2 fox group theorem1 --rank 1 --factors 3 --word "a1" --keep g1 --quotient "index:3:g1=0;a1=1"
 expect 1 fox group theorem1 --rank 2 --word "g2" --keep g1 --quotient "index:60:g1=1;g2=30"
+# conjcrit decides exactly: --bound is accepted and ignored, a negative one refused
 expect 2 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound -2
-expect 2 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound 5
+expect 1 fox group conjcrit --rank 3 --relator "g1 g2 g1^-1 g2^-1" --bound 5
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 5
 expect 2 fox group transversal --rank 2 --quotient "index:2,2:g1=1,0;g2=0,1" --sub 1
 expect 2 fox lie freiheit --rank 3 --relator "[y1, [y1, y2]] + [y2, y3]" --spec 6 --cutoff 10

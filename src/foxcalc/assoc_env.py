@@ -327,14 +327,6 @@ class PBWContext:
     def monomial_blocks(self, mono: tuple[int, ...]) -> str:
         return "".join(self.block_of[k] for k in mono)
 
-    def residue(self, p: AssocPoly, drop: str) -> dict[tuple[int, ...], Fraction]:
-        """Standard-monomial coordinates of p modulo the two-sided ideal
-        generated by the side of the chain whose blocks drop names (Y = a + c
-        or X = a + b, an ideal of F): rewrite(p, drop), which never builds
-        the monomials it leaves out.  A drop set that is not such a side
-        raises ValueError."""
-        return self.rewrite(p, drop)
-
 
 def is_ideal(n: GradedSubspace) -> bool:
     """Is the graded subspace closed under bracketing with the generators
@@ -374,7 +366,7 @@ class SubalgebraIdealContext:
         return cls._cache[key]
 
     def is_zero_mod(self, p: AssocPoly) -> bool:
-        return not self.ctx.residue(p, "ac")
+        return not self.ctx.rewrite(p, "ac")
 
 
 # one dict under two names: perfbench/tracer.py counts the ideal contexts'
@@ -392,4 +384,4 @@ def reduce_mod_ideal(p: AssocPoly, n: GradedSubspace) -> AssocPoly:
     """Canonical representative of p modulo the two-sided ideal N_U of the
     envelope generated by the graded Lie ideal N."""
     ctx = ideal_context(n)
-    return ctx.expand(ctx.residue(p, "c"))
+    return ctx.expand(ctx.rewrite(p, "c"))

@@ -22,7 +22,7 @@ from .fox_group import (
     theorem1_check,
 )
 from .fox_lie import kharlampovich_check, lie_fox, theorem_decomposition
-from .freiheit import SeriesSpec, group_criterion_bruteforce, lie_freiheitssatz_verify
+from .freiheit import SeriesSpec, conjugacy_criterion, lie_freiheitssatz_verify
 from .group_ring import (
     abelianization_oracle,
     finite_index_oracle,
@@ -250,21 +250,17 @@ def _cmd_group_transversal(args) -> int:
 
 
 def _cmd_group_conjcrit(args) -> int:
+    if args.bound < 0:
+        raise ValueError("--bound must be non-negative")
     alphabet = _alphabet(args)
-    rep = group_criterion_bruteforce(
-        _word(args.relator, alphabet),
-        level=args.level,
-        h_rank=args.h_rank,
-        search_bound=args.bound,
-    )
+    rep = conjugacy_criterion(_word(args.relator, alphabet), level=args.level, h_rank=args.h_rank)
+    cert = rep.certificate
     doc = {
         "conjugate_found": rep.conjugate_found,
         "witness": [format_word(w) for w in rep.witness] if rep.witness else None,
-        "mode": rep.mode,
+        "certificate": {"lyndon_word": list(cert[0]), "coeff": str(cert[1])} if cert else None,
     }
     summary = f"conjugate into the subalphabet found: {rep.conjugate_found}"
-    if rep.mode == "graded+search-inconclusive":
-        summary += f" (graded verdict; the word search to bound {args.bound} reached no witness)"
     # criterion of the freedom theorem is "NOT conjugate": found = criterion fails
     return _emit(doc, summary, 1 if rep.conjugate_found else 0)
 
@@ -395,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relator", required=True)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--h-rank", type=int, default=None)
-    p.add_argument("--bound", type=int, default=0, help="word search cross-check bound")
+    p.add_argument(
+        "--bound", type=int, default=0, help="no effect, the verdict is exact (negative: refused)"
+    )
     p.set_defaults(fn=_cmd_group_conjcrit)
 
     lie = top.add_parser("lie", help="free Lie algebra commands")

@@ -9,11 +9,12 @@ back into left-normed brackets.
 The criteria and solvers work in integers until a residue is returned:
 the D_j(v) are split by first letter off v's integer expansion, numerators
 over one denominator, and handed to PBWContext.rewrite as they are.
-solve_sigma_zero_ideal splits each u_j modulo N_U into block-d slices of
-standard b-monomials; a slice is folded by putting x_j's basis coordinates
-in front of each of its monomials, which are standard already, so only the
-new first symbol has to be inserted (PBW coordinates are unique).  The
-check of a solution reads D_j(v) off v's own expansion, never off the fold.
+The sigma solvers split each u_j modulo N_U into block-d slices of
+standard b-monomials (one slice, the empty d part, for u_j in U(F_K)); a
+slice is folded by putting x_j's basis coordinates in front of each of its
+monomials, which are standard already, so only the new first symbol has to
+be inserted (PBW coordinates are unique).  The check of a solution reads
+D_j(v) off v's own expansion, never off the fold.
 """
 from __future__ import annotations
 
@@ -222,24 +223,12 @@ def solve_sigma_zero(
     K = frozenset(K)
     env = SubalgebraIdealContext(rank, K, n)
     iu = _integral_u(u, K, rank, n.cutoff)
-    v = _fold_sigma(iu, K, env, rank)
-    _verify_solution("solve_sigma_zero", v, iu, K, env)
-    return v
-
-
-def _fold_sigma(
-    u: Mapping[int, IntPoly], K: frozenset[int], env: SubalgebraIdealContext, rank: int
-) -> LieElt:
-    """solve_sigma_zero's construction, without its final check: sigma =
-    sum_j x_j u_j in integer words over the lcm of the denominators."""
-    den = lcm(*(dj for dj, _ in u.values()))
-    sigma: dict[tuple[int, ...], int] = {}
-    for j, (dj, words) in u.items():
+    for j, (_, words) in iu.items():
         if any(not set(m) <= K for m in words):
             raise ValueError(f"u_{j} is not supported on the subalgebra letters")
-        scale = den // dj
-        sigma.update(((j,) + m, n * scale) for m, n in words.items())
-    return _fold_standard(env.ctx.rewrite((den, sigma)), env, rank)
+    # u_j in U(F_K) has standard monomials over a and b symbols only: one
+    # slice, with the empty d part
+    return _solve_ideal(iu, K, env, rank, "solve_sigma_zero")
 
 
 def _fold_slice(
@@ -247,21 +236,14 @@ def _fold_slice(
 ) -> LieElt:
     """The plain solver's construction on one d-slice of
     solve_sigma_zero_ideal, u_j given as standard b-monomials: sigma is
-    straightened by putting x_j in front of each (generator_products)."""
-    return _fold_standard(env.ctx.rewrite(env.ctx.generator_products(parts)), env, rank)
-
-
-def _fold_standard(
-    rw: Mapping[tuple[int, ...], Fraction], env: SubalgebraIdealContext, rank: int
-) -> LieElt:
-    """The fold body of both solvers, on sigma's standard monomials: a
+    straightened by putting x_j in front of each (generator_products).  A
     monomial of a and b symbols with an a symbol becomes its left-normed
     bracket, one with another a or c symbol lies in N_U, and any other
     means sigma is not 0 mod N_U (SigmaError)."""
     ctx = env.ctx
     folded = []
     bad = {}
-    for mono, c in rw.items():
+    for mono, c in ctx.rewrite(ctx.generator_products(parts)).items():
         blocks = ctx.monomial_blocks(mono)
         if "a" in blocks and set(blocks) <= {"a", "b"}:
             # block order puts the a symbol first: n w_1 ... w_z
@@ -315,9 +297,14 @@ def solve_sigma_zero_ideal(
 
 
 def _solve_ideal(
-    u: Mapping[int, IntPoly], K: frozenset[int], env: SubalgebraIdealContext, rank: int
+    u: Mapping[int, IntPoly],
+    K: frozenset[int],
+    env: SubalgebraIdealContext,
+    rank: int,
+    caller: str = "solve_sigma_zero_ideal",
 ) -> LieElt:
-    """solve_sigma_zero_ideal on u_j in integers."""
+    """solve_sigma_zero_ideal on u_j in integers; a failed check names the
+    caller."""
     ctx = env.ctx
     slices: dict[tuple[int, ...], dict[int, dict]] = {}
     for j, p in u.items():
@@ -337,7 +324,7 @@ def _solve_ideal(
             for dpart in sorted(slices)
         ),
     )
-    _verify_solution("solve_sigma_zero_ideal", v, u, K, env)
+    _verify_solution(caller, v, u, K, env)
     return v
 
 

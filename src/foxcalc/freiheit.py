@@ -38,7 +38,6 @@ from .lie_core import (
 from .linalg import Echelon
 from .magnus import embed, gamma_weight
 from .words import Alphabet, FreeLetter, Word, commutator, identity, invert, multiply
-from .words import shortlex_words, word_length
 
 _ONE = Fraction(1)
 
@@ -129,11 +128,17 @@ def _free_factor(rank: int, h_rank: Optional[int], cutoff: int) -> GradedSubspac
     (default rank - 1): the span of the Lyndon words over those letters,
     which subalgebra_closure returns for letter generators; the letters are
     built directly, being valid Lyndon words."""
+    top = _h_top(rank, h_rank)
+    letters = [LieElt._trusted((rank,), {(j,): _ONE}) for j in range(1, top + 1)]
+    return subalgebra_closure(letters, rank, cutoff)
+
+
+def _h_top(rank: int, h_rank: Optional[int]) -> int:
+    """The last letter of H: h_rank, by default rank - 1."""
     top = rank - 1 if h_rank is None else h_rank
     if not 0 <= top <= rank:
         raise ValueError(f"h_rank must lie in 0..{rank}, got {top}")
-    letters = [LieElt._trusted((rank,), {(j,): _ONE}) for j in range(1, top + 1)]
-    return subalgebra_closure(letters, rank, cutoff)
+    return top
 
 
 def _criterion(r: LieElt, comps: list, h: GradedSubspace) -> LieCriterionResult:
@@ -338,43 +343,30 @@ def _tag_case(key: tuple[int, tuple[int, ...]], n: int, ctx: PBWContext) -> int:
 class ConjugacyReport:
     conjugate_found: bool
     witness: Optional[tuple[Word, Word]] = None  # (conjugator u, target h)
-    mode: str = "graded"
+    # a Lyndon word of the component with a letter outside H, and its coefficient
+    certificate: Optional[tuple[tuple[int, ...], Fraction]] = None
 
 
-def group_criterion_bruteforce(
+def conjugacy_criterion(
     r: Word,
     level: Optional[int] = None,
     h_rank: Optional[int] = None,
-    search_bound: int = 0,
 ) -> ConjugacyReport:
     """Is r conjugate modulo gamma_{level+1} to a word in g_1..g_{n-1}?
 
-    Decided through the degree-level Lie component of r: conjugation is
-    trivial on gamma_i / gamma_{i+1}, so the question reduces to membership
-    of the component in the subalgebra on the first n-1 generators.  A
-    positive answer reconstructs h as a product of bracket words; setting
-    ``search_bound`` > 0 additionally cross-checks by bounded word search
-    over pairs (u, h) of atomic length at most the bound.  A search that
-    finds nothing contradicts the verdict (RuntimeError) only when the
-    reconstructed h lies within the bound; otherwise the graded verdict
-    stands, with mode "graded+search-inconclusive".  A bound whose search
-    space passes _SEARCH_BUDGET pairs is refused up front (ValueError).
+    Conjugation is trivial on gamma_i / gamma_{i+1}, so this holds iff the
+    degree-level Lie component of r lies in H, the span of the Lyndon words
+    over the first h_rank letters (default n - 1).  A negative answer
+    carries the least Lyndon word of the component with a letter above
+    h_rank, and its coefficient.  A positive answer carries (1, h), h the
+    product of the group bracketings of the component's Lyndon words,
+    checked by gamma_weight(r h^-1) > level (RuntimeError otherwise).
     """
     alphabet = r.alphabet
     if alphabet.n_factors:
         raise ValueError("free alphabets only")
-    if search_bound < 0:
-        raise ValueError("search bound must be non-negative")
     rank = alphabet.free_rank
-    if h_rank is None:
-        h_rank = rank - 1
-    if search_bound and (
-        _reduced_words(rank, search_bound) * _reduced_words(h_rank, search_bound) > _SEARCH_BUDGET
-    ):
-        raise ValueError(
-            f"search bound {search_bound} at rank {rank}: the word search "
-            f"would visit more than {_SEARCH_BUDGET} pairs"
-        )
+    top = _h_top(rank, h_rank)
     probe = gamma_weight(r, (level or 1) + 2 if level else 8)
     if level is None:
         if probe is None:
@@ -383,8 +375,10 @@ def group_criterion_bruteforce(
     elif probe is None or probe != level:
         raise ValueError(f"r is not in gamma_{level} \\ gamma_{level + 1}")
     comp = project_to_lyndon(AssocPoly(rank, embed(r, level).homogeneous(level).terms))
-    if not _free_factor(rank, h_rank, level).member(comp):
-        return ConjugacyReport(False)
+    outside = [w for w in comp.support() if max(w) > top]
+    if outside:
+        w = min(outside)
+        return ConjugacyReport(False, certificate=(w, comp.terms[w]))
     # integer Lyndon coordinates of the component give h directly
     hw = identity(alphabet)
     for w in comp.support():
@@ -395,33 +389,7 @@ def group_criterion_bruteforce(
     diff_weight = gamma_weight(multiply(r, invert(hw)), level)
     if not (diff_weight is None or diff_weight > level):
         raise RuntimeError("reconstructed witness does not match r")
-    report = ConjugacyReport(True, (identity(alphabet), hw))
-    if search_bound:
-        found = _word_search(r, level, h_rank, search_bound)
-        if found is not None:
-            report.witness, report.mode = found, "graded+search"
-        elif word_length(hw) <= search_bound:
-            raise RuntimeError("word search contradicts the graded verdict")
-        else:
-            report.mode = "graded+search-inconclusive"
-    return report
-
-
-# Largest number of (u, h) pairs a word search may visit: rank 3 at bound 4
-# is 150,857 pairs (about 20 s); bound 5 is 2,273,195.
-_SEARCH_BUDGET = 10**6
-
-
-def _reduced_words(rank: int, bound: int) -> int:
-    """Number of reduced words of length <= bound in the free group of the
-    given rank: 1 + sum_{k=1}^{bound} 2r (2r - 1)^{k-1}, in closed form.
-    Past bound 64 at rank >= 2 the count is above any budget here, so the
-    power is taken at 64 at most."""
-    if rank <= 0 or bound <= 0:
-        return 1
-    if rank == 1:
-        return 1 + 2 * bound
-    return 1 + rank * ((2 * rank - 1) ** min(bound, 64) - 1) // (rank - 1)
+    return ConjugacyReport(True, (identity(alphabet), hw))
 
 
 def _group_bracketing(tree, alphabet: Alphabet) -> Word:
@@ -430,18 +398,3 @@ def _group_bracketing(tree, alphabet: Alphabet) -> Word:
     return commutator(
         _group_bracketing(tree[0], alphabet), _group_bracketing(tree[1], alphabet)
     )
-
-
-def _word_search(
-    r: Word, level: int, h_rank: int, bound: int
-) -> Optional[tuple[Word, Word]]:
-    alphabet = r.alphabet
-    sub = Alphabet(h_rank)
-    for u in shortlex_words(alphabet, bound):
-        for hs in shortlex_words(sub, bound):
-            h = Word(alphabet, hs.letters)
-            cand = multiply(multiply(invert(u), h), u)
-            w = gamma_weight(multiply(r, invert(cand)), level)
-            if w is None or w > level:
-                return (u, h)
-    return None

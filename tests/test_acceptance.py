@@ -29,7 +29,7 @@ from foxcalc.fox_lie import (
 )
 from foxcalc.freiheit import (
     SeriesSpec,
-    group_criterion_bruteforce,
+    conjugacy_criterion,
     lie_freiheitssatz_verify,
 )
 from foxcalc.group_ring import RingElt, finite_index_oracle
@@ -340,14 +340,15 @@ def test_criterion_9_lie_freiheitssatz():
 
 def test_criterion_10_group_criterion():
     ok = True
-    rep = group_criterion_bruteforce(parse_word("g1 g3 g1^-1 g3^-1", FREE3), level=2)
+    rep = conjugacy_criterion(parse_word("g1 g3 g1^-1 g3^-1", FREE3), level=2)
     if rep.conjugate_found:
         ok = False
     r = parse_word("g1 g2 g1^-1 g2^-1", FREE3)
-    rep = group_criterion_bruteforce(r, level=2, search_bound=4)
-    if not (rep.conjugate_found and rep.witness is not None):
+    rep = conjugacy_criterion(r, level=2)
+    # the graded witness: u the identity, h the group bracketing of [y1, y2]
+    if rep.witness != (parse_word("", FREE3), parse_word("g1^-1 g2^-1 g1 g2", FREE3)):
         ok = False
-    rep = group_criterion_bruteforce(conjugate(r, parse_word("g3", FREE3)), level=2)
+    rep = conjugacy_criterion(conjugate(r, parse_word("g3", FREE3)), level=2)
     if not (rep.conjugate_found and rep.witness is not None):
         ok = False
     report(10, "group conjugacy criterion with witnesses", ok)

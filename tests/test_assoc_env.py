@@ -319,12 +319,12 @@ def test_integer_rewrite_matches_fraction_reference(relator, K):
         assert got == want
         assert all(type(c) is Fraction and c for c in got.values())
         for drop in drops:
-            assert ctx.residue(p, drop) == {
+            assert ctx.rewrite(p, drop) == {
                 m: c for m, c in want.items() if not any(ctx.block_of[k] in drop for k in m)
             }
         if has_a:
             with pytest.raises(ValueError):
-                ctx.residue(p, "c")
+                ctx.rewrite(p, "c")
         assert ctx.expand(got) == p
     # the non-integral bookkeeping was exercised, not only q = 1
     tables = ctx._bracket_rows if "[" in relator else ctx._gen_rows
@@ -398,7 +398,7 @@ def _pbw_context(kind, cutoff):
 @pytest.mark.parametrize("cutoff", [6, 7])
 @pytest.mark.parametrize("kind", _CONTEXT_KINDS)
 def test_pruned_residue_matches_filtered_rewrite(kind, cutoff):
-    """residue(p, drop) never builds a monomial holding a dropped symbol;
+    """rewrite(p, drop) never builds a monomial holding a dropped symbol;
     it equals the full rewrite with those monomials filtered out, and the
     full rewrite equals the step-by-step Fraction reference."""
     ctx, drops = _pbw_context(kind, cutoff)
@@ -408,7 +408,7 @@ def test_pruned_residue_matches_filtered_rewrite(kind, cutoff):
         want = _reference_rewrite(ctx, p)
         assert ctx.rewrite(p) == want
         for drop in drops:
-            assert ctx.residue(p, drop) == {
+            assert ctx.rewrite(p, drop) == {
                 m: c for m, c in want.items() if not any(ctx.block_of[k] in drop for k in m)
             }
 
@@ -428,8 +428,8 @@ def test_bracket_term_with_a_c_symbol_left_of_a_b_symbol():
     assert full == _reference_rewrite(ctx, p)
     assert any(ctx.monomial_blocks(m) in ("bc", "ac") for m in full)
     kept = {m: c for m, c in full.items() if set(ctx.monomial_blocks(m)) <= {"b", "d"}}
-    assert ctx.residue(p, "ac") == kept
-    assert ctx.residue(p, "ac") == {(ctx._gen_symbol[1], ctx._gen_symbol[1], ctx._gen_symbol[3]): 1}
+    assert ctx.rewrite(p, "ac") == kept
+    assert ctx.rewrite(p, "ac") == {(ctx._gen_symbol[1], ctx._gen_symbol[1], ctx._gen_symbol[3]): 1}
 
 
 def test_residue_refuses_a_drop_set_that_is_not_an_ideal_side():
@@ -446,8 +446,8 @@ def test_residue_refuses_a_drop_set_that_is_not_an_ideal_side():
     # is a side but not an ideal; e names no block
     for drop in ("b", "d", "bd", "c", "ab", "abc", "e"):
         with pytest.raises(ValueError):
-            ctx.residue(p, drop)
-    assert ctx.residue(p, "ac") == ctx.residue(p, "ca")
+            ctx.rewrite(p, drop)
+    assert ctx.rewrite(p, "ac") == ctx.rewrite(p, "ca")
 
 
 # -- integer entry points of rewrite against the Fraction paths --

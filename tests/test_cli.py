@@ -157,22 +157,13 @@ def test_conjcrit_cli(capsys):
         "g1 g3 g1^-1 g3^-1",
     )
     assert code == 0 and not doc["conjugate_found"]
-    code, doc = run(
-        capsys, "group", "conjcrit", "--rank", "3", "--relator", "g1 g2 g1^-1 g2^-1"
-    )
+    assert doc["witness"] is None and doc["certificate"] == {"lyndon_word": [1, 3], "coeff": "1"}
+    argv = ["group", "conjcrit", "--rank", "3", "--relator", "g1 g2 g1^-1 g2^-1"]
+    code, doc = run(capsys, *argv)
     assert code == 1 and doc["conjugate_found"]
-
-
-def test_conjcrit_search_short_of_the_witness_exits_1(capsys):
-    argv = ["group", "conjcrit", "--rank", "3", "--relator", "g1^-2 g2^3 g1^2 g2^-3"]
-    code = main(argv + ["--bound", "3"])
-    out = capsys.readouterr()
-    doc = json.loads(out.out)
-    assert code == 1 and doc["conjugate_found"] and doc["mode"] == "graded+search-inconclusive"
-    assert "reached no witness" in out.err
-    code = main(argv + ["--bound", "5"])
-    out = capsys.readouterr()
-    assert code == 2 and not out.out and "word search" in out.err
+    assert doc == {"conjugate_found": True, "witness": ["", "g1^-1 g2^-1 g1 g2"], "certificate": None}
+    # --bound is accepted and changes nothing
+    assert run(capsys, *argv, "--bound", "5") == (code, doc)
 
 
 def test_lie_freiheit_cli(capsys):

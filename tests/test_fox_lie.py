@@ -198,6 +198,32 @@ def test_solve_sigma_zero_round_trip():
             assert env.is_zero_mod(gfox.partials[j] - u[j])
 
 
+@pytest.mark.parametrize(
+    "rank,power,cutoff,K",
+    [(3, 2, 5, frozenset({1, 2})), (3, 3, 5, frozenset({1, 2})), (4, 2, 4, frozenset({1, 3}))],
+)
+def test_solve_sigma_zero_lies_in_f_k_cap_n(rank, power, cutoff, K):
+    """The solution lies in F_K cap N, also when each u_j carries an N_U
+    part inside U(F_K) that the congruences do not see."""
+    rng = random.Random(f"sigma {rank} {power} {sorted(K)}")
+    n, fk = sigma_setup(rank, power, cutoff, K)
+    env = SubalgebraIdealContext(rank, K, n)
+    inter = fk.intersect(n)
+    ends = [expand_to_assoc(LieElt.gen(rank, j)) for j in sorted(K)]
+    for _ in range(30):
+        v = _random_member(rng, inter, cutoff)
+        fox = lie_fox(expand_to_assoc(v))
+        u = {}
+        for j in sorted(K):
+            a = _random_member(rng, inter, cutoff - 2)
+            u[j] = fox.partials[j] + expand_to_assoc(a) * rng.choice(ends)
+        got = solve_sigma_zero(u, K, n, rank)
+        assert inter.member(got)
+        gfox = lie_fox(expand_to_assoc(got))
+        for j in sorted(K):
+            assert env.is_zero_mod(gfox.partials[j] - u[j])
+
+
 def test_solve_sigma_zero_rejects_bad_input():
     rank, K = 3, frozenset({1, 2})
     n, _ = sigma_setup()
@@ -633,5 +659,5 @@ def test_integer_fox_partials_match_lie_fox(rank, power):
             got = {m: Fraction(c, den) for m, c in parts.get(j, {}).items()}
             assert got == want[j].terms
             for ctx, drop in contexts:
-                assert ctx.rewrite((den, parts.get(j, {})), drop) == ctx.residue(want[j], drop)
+                assert ctx.rewrite((den, parts.get(j, {})), drop) == ctx.rewrite(want[j], drop)
         assert all(parts.values()) and set(parts) <= set(range(1, rank + 1))

@@ -10,8 +10,8 @@ from foxcalc.freiheit import (
     FreiheitEntry,
     SeriesSpec,
     _free_factor,
+    conjugacy_criterion,
     free_generating_set,
-    group_criterion_bruteforce,
     ideal_generated,
     lie_criterion,
     lie_freiheitssatz_verify,
@@ -98,7 +98,7 @@ def test_h_rank_out_of_range(h_rank):
     with pytest.raises(ValueError, match="h_rank"):
         lie_freiheitssatz_verify(r, SeriesSpec((2,)), 4, h_rank=h_rank)
     with pytest.raises(ValueError, match="h_rank"):
-        group_criterion_bruteforce(parse_word("g1 g3 g1^-1 g3^-1", Alphabet(3)), h_rank=h_rank)
+        conjugacy_criterion(parse_word("g1 g3 g1^-1 g3^-1", Alphabet(3)), h_rank=h_rank)
 
 
 def test_freiheit_verify_intersects_each_degree_component_once(monkeypatch):
@@ -348,69 +348,86 @@ def test_free_generating_set_leading_monomial():
 
     for g in gens:
         fox = lie_fox(expand_to_assoc(g.value))
-        res = ctx.residue(fox.partials[g.j], "ab")
+        res = ctx.rewrite(fox.partials[g.j], "ab")
         assert res.get(g.monomial) == 1
         for other in gens:
             if other is g or other.value.max_degree() != g.value.max_degree():
                 continue
             ofox = lie_fox(expand_to_assoc(other.value))
-            assert ctx.residue(ofox.partials[g.j], "ab").get(g.monomial) is None
+            assert ctx.rewrite(ofox.partials[g.j], "ab").get(g.monomial) is None
 
 
 def test_group_criterion_negative():
     al = Alphabet(3)
-    rep = group_criterion_bruteforce(parse_word("g1 g3 g1^-1 g3^-1", al), level=2)
-    assert not rep.conjugate_found
+    rep = conjugacy_criterion(parse_word("g1 g3 g1^-1 g3^-1", al), level=2)
+    assert not rep.conjugate_found and rep.witness is None
+    assert rep.certificate == ((1, 3), 1)
 
 
 def test_group_criterion_positive_with_witness():
     al = Alphabet(3)
     r = parse_word("g1 g2 g1^-1 g2^-1", al)
-    rep = group_criterion_bruteforce(r, level=2, search_bound=4)
-    assert rep.conjugate_found and rep.mode == "graded+search"
-    rep2 = group_criterion_bruteforce(conjugate(r, parse_word("g3", al)), level=2)
+    rep = conjugacy_criterion(r, level=2)
+    assert rep.conjugate_found and rep.certificate is None
+    # the graded witness: the group bracketing of [y1, y2], u the identity
+    assert rep.witness == (parse_word("", al), parse_word("g1^-1 g2^-1 g1 g2", al))
+    rep2 = conjugacy_criterion(conjugate(r, parse_word("g3", al)), level=2)
     assert rep2.conjugate_found and rep2.witness is not None
 
 
-def test_word_search_size_in_closed_form():
-    from foxcalc.freiheit import _SEARCH_BUDGET, _reduced_words
-    from foxcalc.words import shortlex_words
+def _random_relator(rng, rank, level):
+    """A random word of gamma_level: a left-normed group commutator of
+    short words, over the first rank - 1 letters half of the time, then
+    conjugated by a random word."""
+    from foxcalc.words import FreeLetter, commutator, reduce
 
-    for rank in range(1, 4):
-        for bound in range(5):
-            assert _reduced_words(rank, bound) == sum(1 for _ in shortlex_words(Alphabet(rank), bound))
-    assert _reduced_words(3, 4) * _reduced_words(2, 4) == 150_857 <= _SEARCH_BUDGET
-    assert _reduced_words(3, 5) * _reduced_words(2, 5) > _SEARCH_BUDGET
-    assert _reduced_words(2, 10**12) > _SEARCH_BUDGET  # no enumeration, no huge power
+    al = Alphabet(rank)
+    top = rank - 1 if rng.random() < 0.5 else rank
 
+    def word(n):
+        return reduce([FreeLetter(rng.randint(1, top), rng.choice((1, -1))) for _ in range(n)], al)
 
-@pytest.mark.parametrize("bound", [5, 10**12])
-def test_group_criterion_refuses_hostile_search_bound(monkeypatch, bound):
-    import foxcalc.freiheit as freiheit
-
-    monkeypatch.setattr(freiheit, "_word_search", lambda *a: pytest.fail("search ran"))
-    r = parse_word("g1 g2 g1^-1 g2^-1", Alphabet(3))
-    with pytest.raises(ValueError, match="word search"):
-        group_criterion_bruteforce(r, level=2, search_bound=bound)
+    r = commutator(word(rng.randint(1, 2)), word(rng.randint(1, 2)))
+    for _ in range(level - 2):
+        r = commutator(r, word(1))
+    u = [FreeLetter(rng.randint(1, rank), 1) for _ in range(rng.randint(0, 2))]
+    return conjugate(r, reduce(u, al))
 
 
-def test_group_criterion_search_short_of_the_witness_is_inconclusive():
-    # the graded witness [g2, g1]^6 has atomic length 24: a search to bound 3
-    # cannot reach it, and the graded verdict stands
-    al = Alphabet(3)
-    rep = group_criterion_bruteforce(parse_word("g1^-2 g2^3 g1^2 g2^-3", al), search_bound=3)
-    assert rep.conjugate_found and rep.mode == "graded+search-inconclusive"
-    u, h = rep.witness
-    assert u == parse_word("", al) and len(h.letters) == 24
+@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("level", [2, 3])
+def test_conjugacy_criterion_against_the_free_factor(rank, level):
+    """The verdict is membership of the degree-level component in H; a
+    negative one names a Lyndon word of the component with a letter above
+    h and its coefficient, a positive one a witness within gamma_{level+1}
+    of r."""
+    from foxcalc.lie_core import AssocPoly, project_to_lyndon
+    from foxcalc.magnus import embed, gamma_weight
+    from foxcalc.words import invert, multiply
 
-
-def test_group_criterion_search_missing_a_witness_within_bound_raises(monkeypatch):
-    import foxcalc.freiheit as freiheit
-
-    monkeypatch.setattr(freiheit, "_word_search", lambda *a: None)
-    r = parse_word("g1 g2 g1^-1 g2^-1", Alphabet(3))
-    with pytest.raises(RuntimeError, match="contradicts"):
-        group_criterion_bruteforce(r, level=2, search_bound=4)
+    rng = random.Random(f"conjcrit {rank} {level}")
+    seen = set()
+    for _ in range(12):
+        r = _random_relator(rng, rank, level)
+        if gamma_weight(r, level + 1) != level:
+            continue
+        comp = project_to_lyndon(AssocPoly(rank, embed(r, level).homogeneous(level).terms))
+        for h_rank in (None, 1, rank):
+            top = rank - 1 if h_rank is None else h_rank
+            rep = conjugacy_criterion(r, level, h_rank)
+            assert rep.conjugate_found == _free_factor(rank, h_rank, level).member(comp)
+            seen.add((h_rank, rep.conjugate_found))
+            if rep.conjugate_found:
+                u, h = rep.witness
+                assert rep.certificate is None and not u.letters
+                weight = gamma_weight(multiply(r, invert(h)), level)
+                assert weight is None or weight > level
+            else:
+                w, c = rep.certificate
+                assert rep.witness is None and max(w) > top and comp.terms[w] == c
+    # h_rank = 1 refuses every component of degree >= 2, h_rank = rank none
+    assert (None, True) in seen and (None, False) in seen
+    assert (1, True) not in seen and (rank, False) not in seen
 
 
 @pytest.mark.parametrize("rank,h_rank", [(3, None), (3, 0), (3, 3), (4, 2)])
@@ -424,7 +441,7 @@ def test_free_factor_is_the_span_of_words_over_its_letters(rank, h_rank):
 def test_group_criterion_level_validation():
     al = Alphabet(3)
     with pytest.raises(ValueError):
-        group_criterion_bruteforce(parse_word("g1", al), level=2)
+        conjugacy_criterion(parse_word("g1", al), level=2)
 
 
 # (generator, tag monomial, j, case), fixed: the generators do not depend
