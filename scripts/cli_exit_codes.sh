@@ -71,6 +71,12 @@ expect 2 fox lie freiheit --rank 3 --relator "[y1, y3]" --spec 6 --cutoff 40
 expect 2 fox group derive --rank 2 --word "g1^100000000" --gen g1
 expect 2 fox group schumann --rank 2 --word "g1^100000000" --quotient trivial
 expect 2 fox group conjcrit --rank 3 --relator "g1^100000000" --bound 1
+expect 2 fox group theorem1 --rank 2 --word "g1^3000000" --keep g2 --quotient "index:2,2:g1=1,0;g2=0,1"
+# a dimension with more digits than Python prints is refused at once; one
+# generator answers any degree at once
+expect 2 fox lie dims --rank 2 --degree 15000
+expect 2 fox lie dims --rank 3 --degree 100000000
+expect 0 fox lie dims --rank 1 --degree 100000000
 # index quotients past the transversal budget (product of orders 4096) are
 # refused at once by the commands that build a transversal
 expect 0 fox group transversal --rank 2 --quotient "index:64,64:g1=1,0;g2=0,1"

@@ -136,8 +136,8 @@ _INDEX_BUDGET = 4096
 
 
 # Largest sum of |exponent| over a parsed word that the commands expanding
-# it letter by letter accept (Fox derivatives, Schumann, the conjugacy
-# criterion); g1^100000 answers in seconds, g1^100000000 would hang.
+# it letter by letter accept (Fox derivatives, Schumann, theorem 1, the
+# conjugacy criterion); g1^100000 answers in seconds, g1^100000000 would hang.
 _ATOM_BUDGET = 10**5
 
 
@@ -200,7 +200,7 @@ def _cmd_group_schumann(args) -> int:
 def _cmd_group_theorem1(args) -> int:
     alphabet = _alphabet(args)
     rep = theorem1_check(
-        parse_word(args.word, alphabet),
+        _word(args.word, alphabet),
         _keep_set(args.keep),
         _quotient(args.quotient, alphabet, _INDEX_BUDGET),
     )
@@ -332,7 +332,17 @@ def _cmd_lie_freiheit(args) -> int:
 
 
 def _cmd_lie_dims(args) -> int:
-    doc = {"dim": witt_dimension(args.rank, args.degree)}
+    # dim L_d is about rank^d / d: a degree whose dimension would have more
+    # digits than Python prints (0: no limit) is refused before computing
+    # it when the estimate is more than a digit past the limit, else after
+    limit = sys.get_int_max_str_digits()
+    rank, degree = args.rank, args.degree
+    too_long = ValueError(f"dim L_{degree} on {rank} generators has more than {limit} digits")
+    if limit and rank > 1 and degree > 0 and degree * math.log10(rank) - math.log10(degree) > limit + 1:
+        raise too_long
+    doc = {"dim": witt_dimension(rank, degree)}
+    if limit and doc["dim"] >= 10**limit:
+        raise too_long
     return _emit(doc, f"dim L_{args.degree} on {args.rank} generators: {doc['dim']}", 0)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .group_ring import QuotientOracle, RingElt
 from .lincomb import sum_terms, terms_of
 from .magnus import embed
-from .transversal import SchreierGenerator, Transversal, lattice_membership, transversal_for
+from .transversal import lattice_membership, transversal_for
 from .words import (
     Alphabet,
     FactorLetter,
@@ -112,78 +112,6 @@ def fundamental_decomposition(a: RingElt) -> FundamentalDecomposition:
     """Split a - eps(a) along the fundamental identity."""
     parts = {k: fox_derivative(a, k) for k in all_indices(a.alphabet)}
     return FundamentalDecomposition(a.augmentation(), parts)
-
-
-def subgroup_fox(base: Sequence[Word], expr: Word) -> dict:
-    """Derivatives with respect to a base of subgroup generators.
-
-    ``expr`` is a word in a free alphabet with one letter per base element;
-    returns the substituted word f, the formal partials of expr, and whether
-    the chain rule D_j(f) = sum_k partial_k(expr)|_base * D_j(h_k) holds.
-    """
-    if not base:
-        raise ValueError("empty base")
-    image = _substitution(base)
-    alphabet = base[0].alphabet
-    symbols = expr.alphabet
-    if symbols.n_factors or symbols.free_rank != len(base):
-        raise ValueError("expr must live in a free alphabet of rank len(base)")
-    f = image(expr)
-    partials = {k: fox_derivative(expr, free_index(k)) for k in range(1, len(base) + 1)}
-    substituted = {k: substitute_ring(p, base) for k, p in partials.items()}
-    checks = {}
-    # with the right-sided derivation law the base derivative multiplies
-    # from the left: D_j(f) = sum_k D_j(h_k) * partial_k(expr)|_base
-    for k_idx in all_indices(alphabet):
-        lhs = fox_derivative(f, k_idx)
-        rhs = RingElt(
-            alphabet,
-            terms_of(
-                fox_derivative(base[k - 1], k_idx) * substituted[k]
-                for k in range(1, len(base) + 1)
-            ),
-        )
-        checks[k_idx] = lhs == rhs
-    return {"f": f, "partials": partials, "chain_check": all(checks.values())}
-
-
-def _substitution(base: Sequence[Word]):
-    """The word map g_k^e -> base[k-1]^e: one reduction of the concatenated
-    letters of |e| copies of base[k-1] or of its inverse."""
-    alphabet = base[0].alphabet
-    if any(h.alphabet != alphabet for h in base):
-        raise ValueError("alphabet mismatch in base")
-    images = [(h.letters, invert(h).letters) for h in base]
-    return lambda w: reduce(
-        (x for s in w.letters for x in images[s.index - 1][s.exp < 0] * abs(s.exp)),
-        alphabet,
-    )
-
-
-def substitute_ring(a: RingElt, base: Sequence[Word]) -> RingElt:
-    """Substitute base words for the free symbols of a ring element."""
-    image = _substitution(base)
-    return RingElt(base[0].alphabet, ((image(w), c) for w, c in a.terms.items()))
-
-
-def derivative_leading_term_check(
-    t: Transversal, gen0: SchreierGenerator, gen: SchreierGenerator
-) -> bool:
-    """Head-term shape of D_{j0} on Schreier generators, j0 the free index
-    of gen0's defining letter: D_{j0}(gen0) = rep(s g_j0)^-1 + (terms over
-    other representatives), while other generators defined by the same
-    letter contribute no rep(s g_j0)^-1 head at all."""
-    if not isinstance(gen0.letter, FreeLetter):
-        raise ValueError("gen0 must be defined by a free letter")
-    j0 = free_index(gen0.letter.index)
-    head = t.representative(
-        multiply(gen0.rep, Word(t.alphabet, (gen0.letter,)))
-    )
-    decomp = t.derivative_decomposition(fox_derivative(gen.value, j0))
-    coeff = decomp.get(head)
-    if gen == gen0:
-        return coeff == RingElt.one(t.alphabet)
-    return coeff is None
 
 
 @dataclass

@@ -32,10 +32,7 @@ from .lie_core import (
     LieElt,
     _expand_integral,
     _mobius,
-    bracket,
-    expand_to_assoc,
     leftnorm,
-    subalgebra_closure,
 )
 
 
@@ -46,13 +43,6 @@ class LieFoxVector:
     rank: int
     constant: Fraction
     partials: dict[int, AssocPoly]
-
-    def reassemble(self) -> AssocPoly:
-        return AssocPoly(
-            self.rank,
-            [((), self.constant)]
-            + [((j,) + m, c) for j, p in self.partials.items() for m, c in p.terms.items()],
-        )
 
 
 def lie_fox(u: AssocPoly) -> LieFoxVector:
@@ -85,39 +75,6 @@ def _fox_integral(a: LieElt) -> tuple[int, dict[int, dict[tuple[int, ...], int]]
     return den, parts
 
 
-def lie_fox_commutator_check(u: LieElt, v: LieElt) -> bool:
-    """D_k([u, v]) = D_k(u) v - D_k(v) u in the envelope."""
-    pu, pv = expand_to_assoc(u), expand_to_assoc(v)
-    du, dv = lie_fox(pu), lie_fox(pv)
-    db = lie_fox(pu * pv - pv * pu)
-    for k in range(1, u.rank + 1):
-        if db.partials[k] != du.partials[k] * pv - dv.partials[k] * pu:
-            return False
-    return True
-
-
-def eval_expr(expr, base: Sequence[LieElt]) -> LieElt:
-    """A bracket expression over the base: an int is a 1-based base index,
-    a pair (left, right) the bracket of its two sides."""
-    if isinstance(expr, int):
-        return base[expr - 1]
-    left, right = expr
-    return bracket(eval_expr(left, base), eval_expr(right, base))
-
-
-def substitute_assoc(p: AssocPoly, images: Sequence[AssocPoly]) -> AssocPoly:
-    """Substitute images for the letters of p (algebra homomorphism)."""
-    rank = images[0].rank
-
-    def image(m: tuple[int, ...], c: Fraction) -> AssocPoly:
-        term = AssocPoly(rank, {(): c})
-        for letter in m:
-            term = term * images[letter - 1]
-        return term
-
-    return AssocPoly(rank, terms_of(image(m, c) for m, c in p.terms.items()))
-
-
 def free_base_dims(degrees: Sequence[int], cutoff: int) -> dict[int, int]:
     """Component dimensions of a free Lie algebra on homogeneous generators
     of the given degrees: PBW gives prod_d (1-t^d)^{-l_d} = 1/(1 - h(t)),
@@ -140,44 +97,6 @@ def free_base_dims(degrees: Sequence[int], cutoff: int) -> dict[int, int]:
             raise ArithmeticError("non-integral free Lie dimension")
         dims[m] = total // m
     return dims
-
-
-def validate_free_base(base: Sequence[LieElt], rank: int, cutoff: int) -> bool:
-    """Dimension test: the generated subalgebra matches a free Lie algebra
-    on generators of these degrees, up to the cutoff."""
-    if not base or any(not h.is_homogeneous() or h.is_zero for h in base):
-        return False
-    degrees = [h.max_degree() for h in base]
-    sub = subalgebra_closure(list(base), rank, cutoff)
-    expect = free_base_dims(degrees, cutoff)
-    return all(sub.dim(d) == expect.get(d, 0) for d in range(1, cutoff + 1))
-
-
-def lie_chain_rule_check(base: Sequence[LieElt], expr) -> bool:
-    """D_j(f) = sum_k D_j(h_k) partial_k(f) for f a bracket expression in
-    the base h_1..h_m (note the derivative of the base element multiplies
-    from the left, unlike the group-ring chain rule)."""
-    rank = base[0].rank
-    m = len(base)
-    f = eval_expr(expr, base)
-    pf = expand_to_assoc(f)
-    # formal side: the same expression over symbols of a rank-m algebra
-    symbols = [LieElt.gen(m, k) for k in range(1, m + 1)]
-    formal = expand_to_assoc(eval_expr(expr, symbols))
-    partials = lie_fox(formal).partials
-    images = [expand_to_assoc(h) for h in base]
-    df = lie_fox(pf)
-    for j in range(1, rank + 1):
-        rhs = AssocPoly(
-            rank,
-            terms_of(
-                lie_fox(images[k - 1]).partials[j] * substitute_assoc(partials[k], images)
-                for k in range(1, m + 1)
-            ),
-        )
-        if df.partials[j] != rhs:
-            return False
-    return True
 
 
 class SigmaError(ValueError):

@@ -81,10 +81,6 @@ def series_components(
     return out
 
 
-def ideal_generated(r: LieElt, cutoff: int) -> GradedSubspace:
-    return ideal_closure([r], r.rank, cutoff)
-
-
 @dataclass
 class LieCriterionResult:
     level: int
@@ -217,7 +213,7 @@ def lie_freiheitssatz_verify(
         witt = witt_dimension(r.rank, d)
         if any(t.dim(d) < witt for _, _, t in comps):
             top = d
-    big_r = ideal_generated(r, top)
+    big_r = ideal_closure([r], r.rank, top)
     # up to D, one pair of intersections per distinct component echelon:
     # gamma_l(L) shares L's echelons, and the joint N_{k,m_k+1} = N_{k+1,1}
     # is one object; echelons are not hashable, so they are keyed by identity
@@ -238,21 +234,6 @@ def lie_freiheitssatz_verify(
     all_equal = all(e.equal for e in entries)
     consistent = all_equal == crit.satisfied if crit.satisfied else True
     return FreiheitReport(crit, entries, all_equal, consistent)
-
-
-def series_intersection_check(
-    spec: SeriesSpec, rank: int, cutoff: int, h_rank: Optional[int] = None
-) -> bool:
-    """H cap N_{kl} = (H cap N_{k1})^{(l)}: the series of the intersection
-    is the intersection with the series, for free factors H."""
-    h = _free_factor(rank, h_rank, cutoff)
-    for k, l, term in series_components(spec, rank, cutoff):
-        if l == 1:
-            base = h.intersect(term)
-            continue
-        if h.intersect(term) != power_subspace(base, l):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ for it, so they live as long as it does.
 """
 from __future__ import annotations
 
-import re
 from operator import mul
 from typing import Sequence, Union
 
@@ -23,7 +22,6 @@ from .words import (
     Word,
     identity,
     join_letters,
-    parse_word,
     format_word,
     shortlex_key,
 )
@@ -124,11 +122,6 @@ def trivial_oracle(alphabet: Alphabet) -> QuotientOracle:
     return QuotientOracle("trivial", alphabet, _each(lambda w: 0), True)
 
 
-def discrete_oracle(alphabet: Alphabet) -> QuotientOracle:
-    """N = 1: the key is the word itself, so reduce_mod is injective."""
-    return QuotientOracle("discrete", alphabet, _each(lambda w: w.letters), False)
-
-
 def _exponent_sums(w: Word, n: int, p: int) -> list[int]:
     """The exponent sum of each generator in w, in one pass over its
     syllables: g_1..g_n, then a_1..a_p (not reduced modulo the orders)."""
@@ -213,33 +206,3 @@ def reduce_mod(a: RingElt, q: QuotientOracle) -> dict:
     The oracle keys all words of a at once."""
     return sum_terms(zip(q.coset_keys(list(a.terms)), a.terms.values()))
 
-
-def parse_ring(text: str, alphabet: Alphabet) -> RingElt:
-    """Parse sums like ``"3*g1 g2 - 2*g2 + 1"`` (terms split on +/- tokens;
-    only the first term may be preceded by a lone sign)."""
-    pairs = []
-    sign, group = 1, []
-    # the appended "+" closes the last term
-    for k, tok in enumerate(text.split() + ["+"]):
-        if tok not in ("+", "-"):
-            group.append(tok)
-            continue
-        if group:
-            pairs.append(_ring_term(group, sign, alphabet))
-        elif k:
-            raise ValueError("empty term")
-        sign, group = (1 if tok == "+" else -1), []
-    return RingElt(alphabet, pairs)
-
-
-def _ring_term(group: list[str], sign: int, alphabet: Alphabet) -> tuple[Word, int]:
-    coeff = 1
-    first = group[0]
-    if "*" in first:
-        head, rest = first.split("*", 1)
-        coeff = int(head)
-        group = ([rest] if rest else []) + group[1:]
-    elif re.fullmatch(r"-?\d+", first):
-        coeff = int(first)
-        group = group[1:]
-    return parse_word(" ".join(group), alphabet), sign * coeff

@@ -50,7 +50,6 @@ echelons go when N goes.  Nothing else is kept between calls.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -80,9 +79,13 @@ def lyndon_words(rank: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def witt_dimension(rank: int, degree: int) -> int:
-    """Dimension of the degree-d component: (1/d) sum_{e|d} mu(e) r^{d/e}."""
+    """Dimension of the degree-d component: (1/d) sum_{e|d} mu(e) r^{d/e}.
+    At rank 0 or 1 the sum is 1 for r = d = 1 and 0 otherwise, which is
+    returned without the sum, so any degree answers at once."""
     if degree < 1 or rank < 0:
         raise ValueError("degree must be positive and rank non-negative")
+    if rank <= 1:
+        return int(rank == degree == 1)
     total = 0
     for e in range(1, degree + 1):
         if degree % e == 0:
@@ -187,37 +190,6 @@ class AssocPoly(Graded):
                 for m2, c2 in other.terms.items()
             )
         )
-
-
-def parse_poly(text: str, rank: int) -> AssocPoly:
-    """Parse sums like ``"x1*x2 - x2*x1 + 3"``; every sign must be followed
-    by a term, and only the first term may lack one."""
-    parts = re.split(r"([+-])", text)
-    if parts[0].strip():
-        parts.insert(0, "+")
-    elif len(parts) == 1:
-        return AssocPoly.zero(rank)
-    else:
-        del parts[0]
-    return AssocPoly(
-        rank, (_poly_term(sign, term) for sign, term in zip(parts[::2], parts[1::2]))
-    )
-
-
-def _poly_term(sign: str, term: str) -> tuple[tuple[int, ...], Fraction]:
-    if not term.strip():
-        raise ValueError(f"{sign!r} is not followed by a term")
-    coeff = Fraction(1 if sign == "+" else -1)
-    mono: list[int] = []
-    for factor in term.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise ValueError("empty factor")
-        if factor.startswith("x"):
-            mono.append(int(factor[1:]))
-        else:
-            coeff *= parse_coeff(factor)
-    return tuple(mono), coeff
 
 
 def _expand_integral(a: LieElt) -> tuple[int, dict[tuple[int, ...], int]]:

@@ -186,11 +186,6 @@ class Echelon:
         self._unit = None
         return True
 
-    def reduce(self, vec: Vector) -> dict[int, Fraction]:
-        """Residue of vec modulo the span (passengers dropped), sparse."""
-        m, res = self._residue(vec)
-        return {k: Fraction(x, m) for k, x in res.items() if k >= 0}
-
     def __contains__(self, vec: Vector) -> bool:
         return all(k < 0 for k in self._residue(vec)[1])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from .lincomb import Graded, Terms, sum_terms, terms_of
+from .lincomb import Graded, Terms, terms_of
 from .words import Word
 
 # Most letters a running Magnus image may hold, counted as its monomials
@@ -62,18 +62,6 @@ class TruncSeries(Graded):
     @classmethod
     def one(cls, rank: int, cutoff: int) -> "TruncSeries":
         return cls(rank, cutoff, {(): 1})
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_shape(other)
-        cutoff = self.cutoff
-        return self._like(
-            sum_terms(
-                (m1 + m2, c1 * c2)
-                for m1, c1 in self.terms.items()
-                for m2, c2 in other.terms.items()
-                if len(m1) + len(m2) <= cutoff
-            )
-        )
 
 
 def _binomials(exp: int, cutoff: int) -> list[int]:
@@ -166,8 +154,3 @@ def gamma_weight(w: Word, cutoff: int) -> Optional[int]:
     diff = embed(w, cutoff) - TruncSeries.one(w.alphabet.free_rank, cutoff)
     return diff.min_degree()
 
-
-def ideal_weight(a, cutoff: int) -> Optional[int]:
-    """Minimal degree of the Magnus image of a ring element; 0 iff the
-    augmentation is nonzero.  None means the image vanishes up to cutoff."""
-    return embed_ring(a, cutoff).min_degree()

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .group_ring import QuotientOracle, RingElt
+from .group_ring import QuotientOracle
 from .lattice import hermite_normal_form, lattice_contains
 from .words import (
     FreeLetter,
@@ -237,22 +237,6 @@ class Transversal:
                         rows.append(self._vector(pairs))
             self._sub_hnf = hermite_normal_form(rows)
         return self._sub_hnf
-
-    # -- derivative head terms ------------------------------------------
-
-    def derivative_decomposition(
-        self, a: RingElt
-    ) -> dict[Word, RingElt]:
-        """Write a ring element as sum_t delta_t t^-1 with t over the
-        transversal and delta_t in Z(N): group the support by cosets."""
-        groups: dict[Word, list] = {}
-        for w, c in a.terms.items():
-            t = self.representative(invert(w))
-            groups.setdefault(t, []).append((multiply(w, t), c))
-        # w -> w t is injective, so each group's words are distinct and no
-        # group sums to zero
-        shape = (self.alphabet,)
-        return {t: RingElt._trusted(shape, dict(pairs)) for t, pairs in groups.items()}
 
 
 def transversal_for(q: QuotientOracle, keep: frozenset[int] = frozenset()) -> Transversal:

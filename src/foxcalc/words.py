@@ -89,13 +89,6 @@ def _validate_letter(letter: Letter, alphabet: Alphabet) -> None:
         raise TypeError(f"not a letter: {letter!r}")
 
 
-def letter_inverse(letter: Letter, alphabet: Alphabet) -> Letter:
-    if isinstance(letter, FreeLetter):
-        return FreeLetter(letter.index, -letter.exp)
-    m = alphabet.factor_order(letter.index)
-    return FactorLetter(letter.index, (-letter.exp) % m)
-
-
 def _same_slot(a: Letter, b: Letter) -> bool:
     return type(a) is type(b) and a.index == b.index
 
@@ -219,19 +212,6 @@ def commutator(u: Word, v: Word) -> Word:
     return multiply(multiply(invert(u), invert(v)), multiply(u, v))
 
 
-def to_atomic(u: Word) -> tuple[Letter, ...]:
-    """Split syllables into single-generator letters: a free syllable g^e
-    becomes |e| copies of g^{sign(e)}, a factor syllable stays atomic."""
-    out: list[Letter] = []
-    for letter in u.letters:
-        if isinstance(letter, FactorLetter):
-            out.append(letter)
-        else:
-            sign = 1 if letter.exp > 0 else -1
-            out.extend(FreeLetter(letter.index, sign) for _ in range(abs(letter.exp)))
-    return tuple(out)
-
-
 def word_length(u: Word) -> int:
     """Length over the atomic alphabet (factor syllables count once)."""
     return sum(
@@ -318,28 +298,6 @@ def _atomic_children(
             if last.exp * x.exp < 0:
                 continue  # cancellation
         yield atoms + (x,)
-
-
-def cyclically_reduce(u: Word) -> tuple[Word, Word]:
-    """Return (core, conj) with u = conj^-1 * core * conj and core cyclically
-    reduced: its ends are not mutually inverse and do not lie in the same
-    finite factor."""
-    atoms = list(to_atomic(u))
-    conj: list[Letter] = []
-    alphabet = u.alphabet
-    while len(atoms) >= 2:
-        first, last = atoms[0], atoms[-1]
-        if first == letter_inverse(last, alphabet):
-            conj.insert(0, last)
-            atoms = atoms[1:-1]
-        elif isinstance(first, FactorLetter) and _same_slot(first, last):
-            # rotate the trailing syllable to the front; the two factor
-            # syllables merge (possibly to nothing), shortening the word
-            conj.insert(0, last)
-            atoms = list(to_atomic(reduce([last] + atoms[:-1], alphabet)))
-        else:
-            break
-    return reduce(atoms, alphabet), reduce(conj, alphabet)
 
 
 _TOKEN = re.compile(r"^([ga])(\d+)(?:\^(-?\d+))?$")

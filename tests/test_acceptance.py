@@ -11,18 +11,15 @@ from fractions import Fraction
 
 from foxcalc.fox_group import (
     all_indices,
-    derivative_leading_term_check,
     fox_derivative,
     free_index,
     fundamental_decomposition,
-    subgroup_fox,
     theorem1_check,
 )
 from foxcalc.fox_lie import (
     SigmaError,
     SubalgebraIdealContext,
     kharlampovich_check,
-    lie_chain_rule_check,
     lie_fox,
     solve_sigma_zero,
     solve_sigma_zero_ideal,
@@ -48,7 +45,7 @@ from foxcalc.lie_core import (
     subalgebra_closure,
     witt_dimension,
 )
-from foxcalc.magnus import gamma_weight, ideal_weight
+from foxcalc.magnus import gamma_weight
 from foxcalc.transversal import Transversal
 from foxcalc.words import (
     Alphabet,
@@ -63,6 +60,13 @@ from foxcalc.words import (
     parse_word,
     reduce,
     shortlex_words,
+)
+
+from oracles import (
+    derivative_leading_term_check,
+    ideal_weight,
+    lie_chain_rule_check,
+    subgroup_fox,
 )
 
 FREE2 = Alphabet(2)

@@ -11,9 +11,7 @@ from foxcalc.fox_group import (
     fundamental_decomposition,
     retraction,
     schumann_check,
-    subgroup_fox,
     subgroup_gamma_criterion,
-    substitute_ring,
     theorem1_check,
 )
 from foxcalc.group_ring import (
@@ -24,7 +22,7 @@ from foxcalc.group_ring import (
     reduce_mod,
     trivial_oracle,
 )
-from foxcalc.magnus import embed, embed_ring, gamma_weight, ideal_weight
+from foxcalc.magnus import embed, embed_ring, gamma_weight
 from foxcalc.words import (
     Alphabet,
     FactorLetter,
@@ -38,11 +36,11 @@ from foxcalc.words import (
     parse_word,
     reduce,
     shortlex_words,
-    to_atomic,
     word_length,
 )
 
 from conftest import FREE2, FREE3, MIXED, syllable_words, words
+from oracles import ideal_weight, subgroup_fox, substitute_ring, to_atomic
 
 
 def index4_oracle():

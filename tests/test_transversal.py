@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foxcalc.fox_group import derivative_leading_term_check, free_index
+from foxcalc.fox_group import free_index
 from foxcalc.group_ring import (
+    QuotientOracle,
     abelianization_oracle,
-    discrete_oracle,
     finite_index_oracle,
     free_nilpotent_oracle,
     trivial_oracle,
@@ -28,10 +28,10 @@ from foxcalc.words import (
     parse_word,
     reduce,
     shortlex_words,
-    to_atomic,
 )
 
 from conftest import FREE2, MIXED, words
+from oracles import derivative_leading_term_check, to_atomic
 
 
 def index4():
@@ -108,13 +108,18 @@ def test_alphabeta_classes():
     assert shortlex.class_kind(w) == "beta"
 
 
+def discrete(alphabet):
+    """N = 1: the key is the word itself."""
+    return QuotientOracle("discrete", alphabet, lambda ws: [w.letters for w in ws], False)
+
+
 def test_alphabeta_rejected_off_abelianization():
     with pytest.raises(ValueError):
-        Transversal(discrete_oracle(FREE2), frozenset({1}))
+        Transversal(discrete(FREE2), frozenset({1}))
 
 
 def test_infinite_index_oracles_are_refused():
-    for q in (abelianization_oracle(FREE2), discrete_oracle(FREE2), free_nilpotent_oracle(FREE2, 2)):
+    for q in (abelianization_oracle(FREE2), discrete(FREE2), free_nilpotent_oracle(FREE2, 2)):
         for sub in (frozenset(), frozenset({1})):
             with pytest.raises(ValueError, match="finite-index"):
                 Transversal(q, sub)

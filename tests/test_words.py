@@ -15,7 +15,6 @@ from foxcalc.words import (
     atomic_alphabet,
     commutator,
     conjugate,
-    cyclically_reduce,
     format_word,
     identity,
     invert,
@@ -24,11 +23,11 @@ from foxcalc.words import (
     reduce,
     shortlex_key,
     shortlex_words,
-    to_atomic,
     word_length,
 )
 
 from conftest import FREE2, MIXED, letter_pool, syllable_words, syllables, words
+from oracles import to_atomic
 
 
 @given(st.lists(st.sampled_from(letter_pool(MIXED)), max_size=12))
@@ -101,17 +100,6 @@ def test_parse_examples():
     w = parse_word("g1^2 a1^3 g2^-1", MIXED)
     assert word_length(w) == 4
     assert parse_word("", MIXED).is_identity
-
-
-@given(words(MIXED, 8))
-def test_cyclic_reduction_decomposition(u):
-    core, conj = cyclically_reduce(u)
-    assert multiply(multiply(invert(conj), core), conj) == u
-    atoms = to_atomic(core)
-    if len(atoms) > 1:
-        from foxcalc.words import letter_inverse
-
-        assert letter_inverse(atoms[0], MIXED) != atoms[-1]
 
 
 def test_shortlex_word_count():
